@@ -1,13 +1,14 @@
 //! Built-in algorithm runners.
 //!
 //! The executable form of every algorithm in the comparison table lives
-//! here as a [`DynRunner`](crate::spec::DynRunner) implementation,
-//! registered with the [`Registry`](crate::spec::Registry) under its
-//! CLI key (see [`register_builtins`]). Parameterized variants are
-//! specs, not new code: `awake?round_efficient=true`,
-//! `ldt?strategy=round`, `vt?id_upper=1000000`, `na?stride=8`,
-//! `gp-avg?balance=0` all resolve to configured instances of the
-//! runners below.
+//! here, registered with the [`Registry`](crate::spec::Registry) under
+//! its CLI key (see [`register_builtins`]). Every builtin is the same
+//! generic runner: a strict parameter reader plus a protocol factory
+//! `(graph, seed) → Vec<P>`, driven through the engine by one shared run
+//! path. Parameterized variants are specs, not new code:
+//! `awake?round_efficient=true`, `ldt?strategy=round`,
+//! `vt?id_upper=1000000`, `na?stride=8`, `gp-avg?balance=0` all resolve
+//! to configured instances of the builders below.
 //!
 //! Three families of measures are covered: the paper's worst-case awake
 //! complexity (`awake`, `awake-round`, `ldt`, `vt`, `naive`, `luby`),
@@ -36,18 +37,18 @@
 //! have been removed; resolve a [`RunnerHandle`] instead.
 
 use crate::spec::{AlgorithmSpec, DynRunner, ParamReader, Registry, RunnerHandle, SpecError};
-use awake_mis_core::ldt_mis::{LdtMis, LdtMisParams};
 use awake_mis_core::{
-    AvgMis, AvgMisConfig, AwakeMis, AwakeMisConfig, LdtStrategy, LeMis, LeMisConfig, Luby,
-    MisState, NaMis, NaMisConfig, NaiveGreedy, VtMis, LE_MAX_BITS,
+    AvgMis, AvgMisConfig, AvgMisOutput, AwakeMis, AwakeMisConfig, AwakeMisOutput, LdtMis,
+    LdtMisOutput, LdtMisParams, LdtStrategy, LeMis, LeMisConfig, LeMisOutput, Luby, MisState,
+    NaMis, NaMisConfig, NaiveGreedy, VtMis, LE_MAX_BITS,
 };
 use graphgen::Graph;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sleeping_congest::{
-    FaultModel, JsonlSink, Metrics, Profile, ScratchArena, SimConfig, SimError, Simulator,
-    Standalone, TraceHandle,
+    FaultModel, JsonlSink, Metrics, Profile, Protocol, ScratchArena, SimConfig, SimError,
+    Simulator, Standalone, TraceHandle,
 };
 
 /// Normalized result of one run.
@@ -135,8 +136,21 @@ impl AlgoResult {
     }
 }
 
-/// Distinct random IDs in `[1, upper]`.
-fn draw_distinct_ids(n: usize, upper: u64, rng: &mut impl Rng) -> Vec<u64> {
+/// The seeded RNG every ID-based runner draws its IDs from.
+fn id_rng(seed: u64) -> SmallRng {
+    SmallRng::seed_from_u64(seed ^ 0x77)
+}
+
+/// A seeded random permutation of the IDs `1..=n`.
+fn shuffled_ids(n: usize, seed: u64) -> Vec<u64> {
+    let mut ids: Vec<u64> = (1..=n as u64).collect();
+    ids.shuffle(&mut id_rng(seed));
+    ids
+}
+
+/// `n` distinct seeded-random IDs in `[1, upper]`.
+fn draw_distinct_ids(n: usize, upper: u64, seed: u64) -> Vec<u64> {
+    let mut rng = id_rng(seed);
     let mut seen = std::collections::HashSet::with_capacity(n * 2);
     let mut ids = Vec::with_capacity(n);
     while ids.len() < n {
@@ -171,7 +185,7 @@ fn read_prob(p: &mut ParamReader<'_>, name: &'static str) -> Result<Option<f64>,
 /// per-round crash probability), `crash_from=R`/`crash_until=R`
 /// (inclusive round window for crashes), `jitter=J` (late-wake jitter:
 /// node `v` starts up to `J` rounds late, deterministically per seed).
-pub(crate) fn read_fault(p: &mut ParamReader<'_>) -> Result<FaultModel, SpecError> {
+fn read_fault(p: &mut ParamReader<'_>) -> Result<FaultModel, SpecError> {
     let mut fault = FaultModel::none();
     if let Some(v) = read_prob(p, "loss")? {
         fault.loss = v;
@@ -198,25 +212,17 @@ pub(crate) fn read_fault(p: &mut ParamReader<'_>) -> Result<FaultModel, SpecErro
     Ok(fault)
 }
 
-/// Execution knobs shared by every builtin: the fault model, the
-/// engine's intra-run shard count, and an optional trace sink. Parsed
-/// after algorithm-specific parameters, see [`read_exec`].
-#[derive(Debug, Clone)]
-pub(crate) struct ExecParams {
-    pub(crate) fault: FaultModel,
-    pub(crate) shards: usize,
-    pub(crate) trace: Option<TraceHandle>,
-}
-
-/// Reads the shared execution parameters: the fault model
-/// ([`read_fault`]), `shards=K` — the engine's intra-run shard count
-/// (`1` = serial, `0` = one shard per hardware thread; results are
-/// byte-identical either way) — and `trace=profile|jsonl`, which
-/// attaches an observational sink shared by every run of the resolved
-/// runner (`profile` aggregates a phase report retrievable through
-/// [`DynRunner::trace`]; `jsonl` streams one event per line to
-/// stderr). Tracing never changes results.
-pub(crate) fn read_exec(p: &mut ParamReader<'_>) -> Result<ExecParams, SpecError> {
+/// Reads the shared execution parameters into the [`SimConfig`]
+/// template every run of the runner starts from (each run sets only
+/// `seed`): the fault model ([`read_fault`]), `shards=K` — the engine's
+/// intra-run shard count (`1` = serial, `0` = one shard per hardware
+/// thread; results are byte-identical either way) — and
+/// `trace=profile|jsonl`, which attaches an observational sink shared by
+/// every run of the resolved runner (`profile` aggregates a phase report
+/// retrievable through [`DynRunner::trace`]; `jsonl` streams one event
+/// per line to stderr). Tracing never changes results. Parsed after the
+/// algorithm-specific parameters.
+fn read_exec(p: &mut ParamReader<'_>) -> Result<SimConfig, SpecError> {
     let fault = read_fault(p)?;
     let shards = p.u64("shards")?.unwrap_or(1) as usize;
     let trace = match p.str("trace") {
@@ -233,7 +239,7 @@ pub(crate) fn read_exec(p: &mut ParamReader<'_>) -> Result<ExecParams, SpecError
             }
         },
     };
-    Ok(ExecParams { fault, shards, trace })
+    Ok(SimConfig { fault, shards, trace, ..SimConfig::default() })
 }
 
 /// Canonical runner key for `spec`: the spec as written, minus fault
@@ -267,17 +273,6 @@ fn runner_key(spec: &AlgorithmSpec) -> String {
         spec.key().to_string()
     } else {
         format!("{}?{}", spec.key(), kept.join("&"))
-    }
-}
-
-/// A [`SimConfig`] carrying the runner's fault model, shard count, and
-/// trace sink.
-fn sim_config(seed: u64, exec: &ExecParams) -> SimConfig {
-    SimConfig {
-        fault: exec.fault.clone(),
-        shards: exec.shards,
-        trace: exec.trace.clone(),
-        ..SimConfig::seeded(seed)
     }
 }
 
@@ -322,13 +317,113 @@ fn worst_vt_ids(n: usize, upper: u64) -> Vec<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Built-in runners
+// The generic runner
+// ---------------------------------------------------------------------------
+
+/// A node's output as the registry scores it: its MIS decision and
+/// whether it reported a Monte Carlo failure (an overflowed LDT-MIS
+/// budget, an adjacent rank collision in `GP-Avg-MIS`, an exhausted
+/// `LE-MIS` epoch budget — see each protocol's module docs).
+trait MisOutput {
+    fn decision(&self) -> (MisState, bool);
+}
+
+impl MisOutput for MisState {
+    fn decision(&self) -> (MisState, bool) {
+        (*self, false)
+    }
+}
+
+macro_rules! flagged_output {
+    ($($output:ty),*) => {$(
+        impl MisOutput for $output {
+            fn decision(&self) -> (MisState, bool) {
+                (self.state, self.failed)
+            }
+        }
+    )*};
+}
+
+flagged_output!(AwakeMisOutput, AvgMisOutput, LeMisOutput, LdtMisOutput);
+
+/// Builds one run's per-node protocols from the graph and the seed.
+type Factory<P> = Box<dyn Fn(&Graph, u64) -> Vec<P> + Send + Sync>;
+
+/// The one runner behind every builtin: a protocol factory run through
+/// the engine under the spec's execution parameters.
+struct SimRunner<P> {
+    name: &'static str,
+    key: String,
+    /// The [`read_exec`] template; each run sets only `seed`.
+    config: SimConfig,
+    make: Factory<P>,
+}
+
+impl<P> DynRunner for SimRunner<P>
+where
+    P: Protocol + Send,
+    P::Msg: Send + 'static,
+    P::Output: MisOutput,
+{
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn key(&self) -> &str {
+        &self.key
+    }
+
+    fn trace(&self) -> Option<&TraceHandle> {
+        self.config.trace.as_ref()
+    }
+
+    fn run_on(
+        &self,
+        g: &Graph,
+        seed: u64,
+        scratch: &mut ScratchArena,
+    ) -> Result<AlgoResult, SimError> {
+        let config = SimConfig { seed, ..self.config.clone() };
+        let report = Simulator::new(g.clone(), (self.make)(g, seed), config).run_in(scratch)?;
+        let mut failures = 0;
+        let states = report
+            .outputs
+            .iter()
+            .map(|o| {
+                let (state, failed) = o.decision();
+                failures += usize::from(failed);
+                state
+            })
+            .collect();
+        Ok(AlgoResult::from_states(self.name, &self.key, g, states, failures, report.metrics))
+    }
+}
+
+/// Finishes a builder: reads the shared execution parameters after the
+/// algorithm's own, rejects any parameter left unread, and wraps `make`
+/// in the generic runner keyed by [`runner_key`].
+fn sim_runner<P>(
+    spec: &AlgorithmSpec,
+    mut p: ParamReader<'_>,
+    name: &'static str,
+    make: impl Fn(&Graph, u64) -> Vec<P> + Send + Sync + 'static,
+) -> Result<RunnerHandle, SpecError>
+where
+    P: Protocol + Send + 'static,
+    P::Msg: Send + 'static,
+    P::Output: MisOutput,
+{
+    let config = read_exec(&mut p)?;
+    p.finish()?;
+    Ok(RunnerHandle::new(SimRunner { name, key: runner_key(spec), config, make: Box::new(make) }))
+}
+
+// ---------------------------------------------------------------------------
+// Built-in builders
 // ---------------------------------------------------------------------------
 
 /// Reads an optional `strategy=awake|round` parameter.
-fn read_strategy(
-    p: &mut crate::spec::ParamReader<'_>,
-) -> Result<Option<LdtStrategy>, SpecError> {
+fn read_strategy(p: &mut ParamReader<'_>) -> Result<Option<LdtStrategy>, SpecError> {
     match p.str("strategy") {
         None => Ok(None),
         Some(s) => match s.to_ascii_lowercase().as_str() {
@@ -346,241 +441,90 @@ fn read_strategy(
 /// `Awake-MIS` family: Theorem 13 by default, Corollary 14 via
 /// `strategy=round` / `round_efficient=true`, plus every
 /// [`AwakeMisConfig`] knob as a spec parameter.
-struct AwakeRunner {
-    name: &'static str,
-    key: String,
-    cfg: AwakeMisConfig,
-    exec: ExecParams,
-}
-
-impl AwakeRunner {
-    fn from_spec(spec: &AlgorithmSpec, round_default: bool) -> Result<RunnerHandle, SpecError> {
-        let mut cfg = if round_default {
-            AwakeMisConfig::round_efficient()
-        } else {
-            AwakeMisConfig::default()
-        };
-        let mut p = spec.reader();
-        let strategy = read_strategy(&mut p)?;
-        let round_efficient = p.bool("round_efficient")?;
-        // `round_efficient` is sugar for `strategy`; asking for both is
-        // ambiguous, so it is rejected rather than resolved by order.
-        match (strategy, round_efficient) {
-            (Some(_), Some(_)) => {
-                return Err(SpecError::BadValue {
-                    param: "round_efficient".to_string(),
-                    value: spec.canonical(),
-                    expected: "either strategy= or round_efficient=, not both".to_string(),
-                })
-            }
-            (Some(s), None) => cfg.strategy = s,
-            (None, Some(b)) => {
-                cfg.strategy = if b { LdtStrategy::Round } else { LdtStrategy::Awake }
-            }
-            (None, None) => {}
+fn awake(spec: &AlgorithmSpec, round_default: bool) -> Result<RunnerHandle, SpecError> {
+    let mut cfg = if round_default {
+        AwakeMisConfig::round_efficient()
+    } else {
+        AwakeMisConfig::default()
+    };
+    let mut p = spec.reader();
+    let strategy = read_strategy(&mut p)?;
+    let round_efficient = p.bool("round_efficient")?;
+    // `round_efficient` is sugar for `strategy`; asking for both is
+    // ambiguous, so it is rejected rather than resolved by order.
+    match (strategy, round_efficient) {
+        (Some(_), Some(_)) => {
+            return Err(SpecError::BadValue {
+                param: "round_efficient".to_string(),
+                value: spec.canonical(),
+                expected: "either strategy= or round_efficient=, not both".to_string(),
+            })
         }
-        if let Some(v) = p.f64("delta_factor")? {
-            cfg.delta_factor = v;
+        (Some(s), None) => cfg.strategy = s,
+        (None, Some(b)) => {
+            cfg.strategy = if b { LdtStrategy::Round } else { LdtStrategy::Awake }
         }
-        if let Some(v) = p.f64("comp_factor")? {
-            cfg.comp_factor = v;
-        }
-        if let Some(v) = p.f64("ell_density")? {
-            cfg.ell_density = v;
-        }
-        if let Some(b) = p.bool("always_awake_comm")? {
-            cfg.always_awake_comm = b;
-        }
-        if let Some(b) = p.bool("uniform_batches")? {
-            cfg.uniform_batches = b;
-        }
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        let name = match cfg.strategy {
-            LdtStrategy::Awake => "Awake-MIS",
-            LdtStrategy::Round => "Awake-MIS-Round",
-        };
-        Ok(RunnerHandle::new(AwakeRunner { name, key: runner_key(spec), cfg, exec }))
+        (None, None) => {}
     }
-}
-
-impl DynRunner for AwakeRunner {
-    fn name(&self) -> &str {
-        self.name
+    if let Some(v) = p.f64("delta_factor")? {
+        cfg.delta_factor = v;
     }
-
-    fn key(&self) -> &str {
-        &self.key
+    if let Some(v) = p.f64("comp_factor")? {
+        cfg.comp_factor = v;
     }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
+    if let Some(v) = p.f64("ell_density")? {
+        cfg.ell_density = v;
     }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
-        let nodes = (0..g.n()).map(|_| AwakeMis::new(self.cfg)).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        let failures = report.outputs.iter().filter(|o| o.failed).count();
-        let states = report.outputs.iter().map(|o| o.state).collect();
-        Ok(AlgoResult::from_states(self.name, &self.key, g, states, failures, report.metrics))
+    if let Some(b) = p.bool("always_awake_comm")? {
+        cfg.always_awake_comm = b;
     }
+    if let Some(b) = p.bool("uniform_batches")? {
+        cfg.uniform_batches = b;
+    }
+    let name = match cfg.strategy {
+        LdtStrategy::Awake => "Awake-MIS",
+        LdtStrategy::Round => "Awake-MIS-Round",
+    };
+    sim_runner(spec, p, name, move |g, _| (0..g.n()).map(|_| AwakeMis::new(cfg)).collect())
 }
 
 /// Luby's classical algorithm (always awake); takes only the shared
 /// fault parameters.
-struct LubyRunner {
-    key: String,
-    exec: ExecParams,
-}
-
-impl LubyRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut p = spec.reader();
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(LubyRunner { key: runner_key(spec), exec }))
-    }
-}
-
-impl DynRunner for LubyRunner {
-    fn name(&self) -> &str {
-        "Luby"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
-        let nodes = (0..g.n()).map(|_| Luby::new()).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        Ok(AlgoResult::from_states("Luby", &self.key, g, report.outputs, 0, report.metrics))
-    }
+fn luby(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
+    sim_runner(spec, spec.reader(), "Luby", |g, _| (0..g.n()).map(|_| Luby::new()).collect())
 }
 
 /// `NA-MIS` (Chatterjee–Gmyr–Pandurangan, arXiv:2006.07449): `O(1)`
 /// *node-averaged* awake complexity via immediate dropout. Parameters:
 /// `stride=R` spaces the compete/resolve phases `R` rounds apart
 /// (default 2 = back to back) without changing any awake count.
-struct NaRunner {
-    key: String,
-    cfg: NaMisConfig,
-    exec: ExecParams,
-}
-
-impl NaRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut cfg = NaMisConfig::default();
-        let mut p = spec.reader();
-        if let Some(v) = p.u64("stride")? {
-            if v < 2 {
-                return Err(SpecError::BadValue {
-                    param: "stride".to_string(),
-                    value: v.to_string(),
-                    expected: "an integer ≥ 2 (a phase spans two rounds)".to_string(),
-                });
-            }
-            cfg.stride = v;
+fn na(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
+    let mut cfg = NaMisConfig::default();
+    let mut p = spec.reader();
+    if let Some(v) = p.u64("stride")? {
+        if v < 2 {
+            return Err(SpecError::BadValue {
+                param: "stride".to_string(),
+                value: v.to_string(),
+                expected: "an integer ≥ 2 (a phase spans two rounds)".to_string(),
+            });
         }
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(NaRunner { key: runner_key(spec), cfg, exec }))
+        cfg.stride = v;
     }
-}
-
-impl DynRunner for NaRunner {
-    fn name(&self) -> &str {
-        "NA-MIS"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
-        let nodes = (0..g.n()).map(|_| NaMis::new(self.cfg)).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        Ok(AlgoResult::from_states("NA-MIS", &self.key, g, report.outputs, 0, report.metrics))
-    }
+    sim_runner(spec, p, "NA-MIS", move |g, _| (0..g.n()).map(|_| NaMis::new(cfg)).collect())
 }
 
 /// `GP-Avg-MIS` (Ghaffari–Portmann, arXiv:2305.06120): dropout phases
 /// followed by a deterministically-capped ranked schedule. The
 /// `balance=K` parameter (default 3) sets the number of dropout phases
 /// — the dial between node-averaged and worst-case awake cost.
-struct AvgRunner {
-    key: String,
-    cfg: AvgMisConfig,
-    exec: ExecParams,
-}
-
-impl AvgRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut cfg = AvgMisConfig::default();
-        let mut p = spec.reader();
-        if let Some(v) = p.u64("balance")? {
-            cfg.balance = v;
-        }
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(AvgRunner { key: runner_key(spec), cfg, exec }))
+fn gp_avg(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
+    let mut cfg = AvgMisConfig::default();
+    let mut p = spec.reader();
+    if let Some(v) = p.u64("balance")? {
+        cfg.balance = v;
     }
-}
-
-impl DynRunner for AvgRunner {
-    fn name(&self) -> &str {
-        "GP-Avg-MIS"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
-        let nodes = (0..g.n()).map(|_| AvgMis::new(self.cfg)).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        // An adjacent rank collision is a Monte Carlo failure (module
-        // docs of `awake_mis_core::avg_mis`), reported like Awake-MIS's.
-        let failures = report.outputs.iter().filter(|o| o.failed).count();
-        let states = report.outputs.iter().map(|o| o.state).collect();
-        Ok(AlgoResult::from_states("GP-Avg-MIS", &self.key, g, states, failures, report.metrics))
-    }
+    sim_runner(spec, p, "GP-Avg-MIS", move |g, _| (0..g.n()).map(|_| AvgMis::new(cfg)).collect())
 }
 
 /// `LE-MIS` (Ghaffari–Portmann, arXiv:2305.11639): the explicit
@@ -589,70 +533,30 @@ impl DynRunner for AvgRunner {
 /// moderate = energy-optimal, the large tail dominated on both — see
 /// `awake_mis_core::low_energy_mis`); `max_epochs=E` bounds the Monte
 /// Carlo retries.
-struct LeRunner {
-    key: String,
-    cfg: LeMisConfig,
-    exec: ExecParams,
-}
-
-impl LeRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut cfg = LeMisConfig::default();
-        let mut p = spec.reader();
-        if let Some(v) = p.u64("bits")? {
-            if v < 1 || v > u64::from(LE_MAX_BITS) {
-                return Err(SpecError::BadValue {
-                    param: "bits".to_string(),
-                    value: v.to_string(),
-                    expected: format!("an integer in [1, {LE_MAX_BITS}]"),
-                });
-            }
-            cfg.bits = v as u32;
+fn le(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
+    let mut cfg = LeMisConfig::default();
+    let mut p = spec.reader();
+    if let Some(v) = p.u64("bits")? {
+        if v < 1 || v > u64::from(LE_MAX_BITS) {
+            return Err(SpecError::BadValue {
+                param: "bits".to_string(),
+                value: v.to_string(),
+                expected: format!("an integer in [1, {LE_MAX_BITS}]"),
+            });
         }
-        if let Some(v) = p.u64("max_epochs")? {
-            if v == 0 {
-                return Err(SpecError::BadValue {
-                    param: "max_epochs".to_string(),
-                    value: v.to_string(),
-                    expected: "a positive epoch budget".to_string(),
-                });
-            }
-            cfg.max_epochs = v;
+        cfg.bits = v as u32;
+    }
+    if let Some(v) = p.u64("max_epochs")? {
+        if v == 0 {
+            return Err(SpecError::BadValue {
+                param: "max_epochs".to_string(),
+                value: v.to_string(),
+                expected: "a positive epoch budget".to_string(),
+            });
         }
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(LeRunner { key: runner_key(spec), cfg, exec }))
+        cfg.max_epochs = v;
     }
-}
-
-impl DynRunner for LeRunner {
-    fn name(&self) -> &str {
-        "LE-MIS"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
-        let nodes = (0..g.n()).map(|_| LeMis::new(self.cfg)).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        // Epoch-budget exhaustion is a Monte Carlo failure (module docs
-        // of `awake_mis_core::low_energy_mis`), reported like Awake-MIS's.
-        let failures = report.outputs.iter().filter(|o| o.failed).count();
-        let states = report.outputs.iter().map(|o| o.state).collect();
-        Ok(AlgoResult::from_states("LE-MIS", &self.key, g, states, failures, report.metrics))
-    }
+    sim_runner(spec, p, "LE-MIS", move |g, _| (0..g.n()).map(|_| LeMis::new(cfg)).collect())
 }
 
 /// `VT-MIS`: random ID permutation over `[1, n]` by default; the
@@ -660,187 +564,59 @@ impl DynRunner for LeRunner {
 /// IDs in `[1, max(U, n)]`, so awake complexity scales with `log U`).
 /// `adv_ids=worst` replaces the random draw with the adversarial
 /// assignment: the `n` longest-schedule IDs (see [`worst_vt_ids`]).
-struct VtRunner {
-    key: String,
-    id_upper: Option<u64>,
-    adv_ids: IdAssignment,
-    exec: ExecParams,
-}
-
-impl VtRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut p = spec.reader();
-        let id_upper = p.u64("id_upper")?;
-        let adv_ids = read_adv_ids(&mut p)?;
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(VtRunner { key: runner_key(spec), id_upper, adv_ids, exec }))
-    }
-}
-
-impl DynRunner for VtRunner {
-    fn name(&self) -> &str {
-        "VT-MIS"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
+fn vt(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
+    let mut p = spec.reader();
+    let id_upper = p.u64("id_upper")?;
+    let adv_ids = read_adv_ids(&mut p)?;
+    sim_runner(spec, p, "VT-MIS", move |g, seed| {
         let n = g.n();
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x77);
-        let upper = self.id_upper.map_or(n as u64, |u| u.max(n as u64));
-        let ids = match (self.adv_ids, self.id_upper) {
+        let upper = id_upper.map_or(n as u64, |u| u.max(n as u64));
+        let ids = match (adv_ids, id_upper) {
             (IdAssignment::Worst, _) => worst_vt_ids(n, upper),
-            (IdAssignment::Random, None) => {
-                let mut ids: Vec<u64> = (1..=n as u64).collect();
-                ids.shuffle(&mut rng);
-                ids
-            }
-            (IdAssignment::Random, Some(_)) => draw_distinct_ids(n, upper, &mut rng),
+            (IdAssignment::Random, None) => shuffled_ids(n, seed),
+            (IdAssignment::Random, Some(_)) => draw_distinct_ids(n, upper, seed),
         };
-        let nodes = (0..n).map(|v| Standalone::new(VtMis::new(ids[v], upper, None))).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        Ok(AlgoResult::from_states("VT-MIS", &self.key, g, report.outputs, 0, report.metrics))
-    }
+        ids.into_iter().map(|id| Standalone::new(VtMis::new(id, upper, None))).collect()
+    })
 }
 
 /// Naive distributed greedy baseline. `adv_ids=worst` pins the
 /// adversarial sequential assignment `id[v] = v + 1` (ID order
 /// correlated with node numbering — on path/grid families this chains
 /// the greedy dependencies) instead of a random permutation.
-struct NaiveRunner {
-    key: String,
-    adv_ids: IdAssignment,
-    exec: ExecParams,
-}
-
-impl NaiveRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut p = spec.reader();
-        let adv_ids = read_adv_ids(&mut p)?;
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(NaiveRunner { key: runner_key(spec), adv_ids, exec }))
-    }
-}
-
-impl DynRunner for NaiveRunner {
-    fn name(&self) -> &str {
-        "Naive-Greedy"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
+fn naive(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
+    let mut p = spec.reader();
+    let adv_ids = read_adv_ids(&mut p)?;
+    sim_runner(spec, p, "Naive-Greedy", move |g, seed| {
         let n = g.n();
-        let mut ids: Vec<u64> = (1..=n as u64).collect();
-        if self.adv_ids == IdAssignment::Random {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x77);
-            ids.shuffle(&mut rng);
-        }
-        let nodes = (0..n).map(|v| NaiveGreedy::new(ids[v], n as u64)).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        Ok(AlgoResult::from_states(
-            "Naive-Greedy",
-            &self.key,
-            g,
-            report.outputs,
-            0,
-            report.metrics,
-        ))
-    }
+        let ids = match adv_ids {
+            IdAssignment::Random => shuffled_ids(n, seed),
+            IdAssignment::Worst => (1..=n as u64).collect(),
+        };
+        ids.into_iter().map(|id| NaiveGreedy::new(id, n as u64)).collect()
+    })
 }
 
 /// `LDT-MIS` on the whole graph; `strategy=awake|round` picks the LDT
 /// construction (Lemma 6/7 vs Lemma 15). `adv_ids=worst` packs the IDs
 /// into the bottom of the huge ID space (`1..=n`, maximal shared
 /// prefixes in the labeling tree) instead of random distinct draws.
-struct LdtRunner {
-    key: String,
-    strategy: LdtStrategy,
-    adv_ids: IdAssignment,
-    exec: ExecParams,
-}
-
-impl LdtRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut p = spec.reader();
-        let strategy = read_strategy(&mut p)?.unwrap_or(LdtStrategy::Awake);
-        let adv_ids = read_adv_ids(&mut p)?;
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(LdtRunner { key: runner_key(spec), strategy, adv_ids, exec }))
-    }
-}
-
-impl DynRunner for LdtRunner {
-    fn name(&self) -> &str {
-        "LDT-MIS"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
+fn ldt(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
+    let mut p = spec.reader();
+    let strategy = read_strategy(&mut p)?.unwrap_or(LdtStrategy::Awake);
+    let adv_ids = read_adv_ids(&mut p)?;
+    sim_runner(spec, p, "LDT-MIS", move |g, seed| {
         let n = g.n();
         let id_upper = (n.max(4) as u64).pow(3).max(1 << 24);
-        let ids = match self.adv_ids {
-            IdAssignment::Random => {
-                let mut rng = SmallRng::seed_from_u64(seed ^ 0x77);
-                draw_distinct_ids(n, id_upper, &mut rng)
-            }
+        let ids = match adv_ids {
+            IdAssignment::Random => draw_distinct_ids(n, id_upper, seed),
             IdAssignment::Worst => (1..=n as u64).collect(),
         };
-        let nodes = (0..n)
-            .map(|v| {
-                Standalone::new(LdtMis::new(LdtMisParams {
-                    my_id: ids[v],
-                    id_upper,
-                    k: n.max(1) as u32,
-                    strategy: self.strategy,
-                }))
-            })
-            .collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        let failures = report.outputs.iter().filter(|o| o.failed).count();
-        let states = report.outputs.iter().map(|o| o.state).collect();
-        Ok(AlgoResult::from_states("LDT-MIS", &self.key, g, states, failures, report.metrics))
-    }
+        let k = n.max(1) as u32;
+        ids.into_iter()
+            .map(|my_id| Standalone::new(LdtMis::new(LdtMisParams { my_id, id_upper, k, strategy })))
+            .collect()
+    })
 }
 
 /// Registers every built-in algorithm family. Called by
@@ -851,52 +627,50 @@ pub(crate) fn register_builtins(reg: &mut Registry) {
         "Awake-MIS (Theorem 13): O(log log n) awake. Params: strategy=awake|round, \
          round_efficient, delta_factor, comp_factor, ell_density, always_awake_comm, \
          uniform_batches",
-        |spec| AwakeRunner::from_spec(spec, false),
+        |spec| awake(spec, false),
     )
     .expect("builtin keys are distinct");
     reg.register_aliased(
         &["awake-round", "awake-mis-round"],
         "Awake-MIS with round-efficient LDTs (Corollary 14). Same params as awake",
-        |spec| AwakeRunner::from_spec(spec, true),
+        |spec| awake(spec, true),
     )
     .expect("builtin keys are distinct");
     reg.register_aliased(
         &["ldt", "ldt-mis"],
         "LDT-MIS on the whole graph (Lemma 11). Params: strategy=awake|round, \
          adv_ids=random|worst",
-        LdtRunner::from_spec,
+        ldt,
     )
     .expect("builtin keys are distinct");
     reg.register_aliased(
         &["vt", "vt-mis"],
         "VT-MIS (Lemma 10): O(log I) awake. Params: id_upper=U (ID-space sweep), \
          adv_ids=random|worst (adversarial longest-schedule IDs)",
-        VtRunner::from_spec,
+        vt,
     )
     .expect("builtin keys are distinct");
     reg.register_aliased(
         &["naive", "naive-greedy"],
         "Naive distributed greedy baseline (always awake, Θ(I) rounds). Params: \
          adv_ids=random|worst",
-        NaiveRunner::from_spec,
+        naive,
     )
     .expect("builtin keys are distinct");
-    reg.register_aliased(&["luby"], "Luby's algorithm (always awake, Θ(log n)). No params", |spec| {
-        LubyRunner::from_spec(spec)
-    })
-    .expect("builtin keys are distinct");
+    reg.register_aliased(&["luby"], "Luby's algorithm (always awake, Θ(log n)). No params", luby)
+        .expect("builtin keys are distinct");
     reg.register_aliased(
         &["na", "na-mis"],
         "NA-MIS (CGP 2020): O(1) node-averaged awake via dropout phases. Params: stride=R \
          (rounds between phases, default 2)",
-        NaRunner::from_spec,
+        na,
     )
     .expect("builtin keys are distinct");
     reg.register_aliased(
         &["gp-avg", "gp-avg-mis"],
         "GP-Avg-MIS (GP 2023): dropout + capped ranked finish. Params: balance=K \
          (dropout phases before the ranked stage, default 3)",
-        AvgRunner::from_spec,
+        gp_avg,
     )
     .expect("builtin keys are distinct");
     reg.register_aliased(
@@ -904,7 +678,7 @@ pub(crate) fn register_builtins(reg: &mut Registry) {
         "LE-MIS (GP 2023 low-energy): epoch-ranked time/energy trade-off. Params: bits=B \
          (rank bits per epoch, default auto = ⌈log₂ n⌉), max_epochs=E (Monte Carlo \
          budget, default 64)",
-        LeRunner::from_spec,
+        le,
     )
     .expect("builtin keys are distinct");
 }
