@@ -1,12 +1,13 @@
 //! Statistics, growth-rate fitting, table rendering, the energy model,
 //! and the algorithm registry for the `awake-mis` experiment harness.
 //!
-//! Every experiment in `EXPERIMENTS.md` is built from these pieces:
-//! [`spec`] turns textual algorithm specs (`awake?round_efficient=true`)
-//! into executable [`spec::RunnerHandle`]s through an extensible
-//! [`spec::Registry`] (built-ins pre-registered, user algorithms
-//! addable); [`runners`] holds the built-in runner implementations and
-//! the normalized [`runners::AlgoResult`]; [`grid`] fans a cartesian
+//! Every experiment of the `experiments` binary is built from these
+//! pieces: [`spec`] turns textual algorithm specs
+//! (`awake?round_efficient=true`) into executable
+//! [`spec::RunnerHandle`]s through an extensible [`spec::Registry`]
+//! (built-ins pre-registered, user algorithms addable); [`runners`]
+//! holds the generic runner behind every builtin and the normalized
+//! [`runners::AlgoResult`]; [`grid`] fans a cartesian
 //! `{algorithm × family × n × seed}` grid across OS threads with
 //! per-worker scratch reuse and emits the `BENCH_grid.json` payload;
 //! [`sweep`] expands *range-valued* specs (`le?bits=6..14&step=4`) into

@@ -4,8 +4,8 @@
 //! benches track the simulator's own performance).
 
 use analysis::spec::{default_registry, RunnerHandle};
-use bench::Family;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use graphgen::GraphFamily;
 
 fn runner(key: &str) -> RunnerHandle {
     default_registry().resolve(key).expect("builtin resolves")
@@ -17,13 +17,13 @@ fn bench_awake_mis(c: &mut Criterion) {
     group.sample_size(10);
     let (t13, c14) = (runner("awake"), runner("awake-round"));
     for n in [512usize, 2048, 8192] {
-        let g = Family::Er.generate(n, 1);
+        let g = GraphFamily::Er.generate(n, 1);
         group.bench_with_input(BenchmarkId::new("theorem13", n), &g, |b, g| {
             b.iter(|| t13.run(g, 1).unwrap())
         });
     }
     for n in [512usize, 2048] {
-        let g = Family::Er.generate(n, 1);
+        let g = GraphFamily::Er.generate(n, 1);
         group.bench_with_input(BenchmarkId::new("corollary14", n), &g, |b, g| {
             b.iter(|| c14.run(g, 1).unwrap())
         });
@@ -37,7 +37,7 @@ fn bench_baselines(c: &mut Criterion) {
     group.sample_size(10);
     let (luby, vt) = (runner("luby"), runner("vt"));
     for n in [512usize, 2048, 8192] {
-        let g = Family::Er.generate(n, 1);
+        let g = GraphFamily::Er.generate(n, 1);
         group.bench_with_input(BenchmarkId::new("luby", n), &g, |b, g| {
             b.iter(|| luby.run(g, 1).unwrap())
         });
@@ -47,7 +47,7 @@ fn bench_baselines(c: &mut Criterion) {
     }
     let (naive, ldt) = (runner("naive"), runner("ldt"));
     for n in [512usize, 2048] {
-        let g = Family::Er.generate(n, 1);
+        let g = GraphFamily::Er.generate(n, 1);
         group.bench_with_input(BenchmarkId::new("naive_greedy", n), &g, |b, g| {
             b.iter(|| naive.run(g, 1).unwrap())
         });
@@ -64,7 +64,7 @@ fn bench_node_averaged(c: &mut Criterion) {
     group.sample_size(10);
     let (na, gp) = (runner("na"), runner("gp-avg"));
     for n in [512usize, 2048, 8192] {
-        let g = Family::Er.generate(n, 1);
+        let g = GraphFamily::Er.generate(n, 1);
         group.bench_with_input(BenchmarkId::new("na_mis", n), &g, |b, g| {
             b.iter(|| na.run(g, 1).unwrap())
         });

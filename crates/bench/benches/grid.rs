@@ -14,8 +14,8 @@
 
 use analysis::grid::{run_grid, GridSpec};
 use analysis::spec::default_registry;
-use bench::Family;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use graphgen::GraphFamily;
 use sleeping_congest::batch::available_threads;
 use std::time::Instant;
 
@@ -24,7 +24,7 @@ const SWEEP_SEEDS: u64 = 4;
 fn spec_for(n: usize) -> GridSpec {
     GridSpec {
         algorithms: default_registry().resolve_list("awake").expect("builtin"),
-        families: vec![Family::Er],
+        families: vec![GraphFamily::Er],
         sizes: vec![n],
         seeds: (1..=SWEEP_SEEDS).collect(),
         tiers: Vec::new(),
@@ -37,7 +37,7 @@ fn serial_sweep(n: usize) -> u64 {
     let runner = default_registry().resolve("awake").expect("builtin");
     let mut acc = 0;
     for seed in 1..=SWEEP_SEEDS {
-        let g = Family::Er.generate(n, seed);
+        let g = GraphFamily::Er.generate(n, seed);
         let r = runner.run(&g, seed).unwrap();
         acc += r.awake_max;
     }
@@ -95,7 +95,7 @@ fn report_speedup(_c: &mut Criterion) {
 fn report_shard_speedup(_c: &mut Criterion) {
     let n = 1_000_000;
     let seed = 1;
-    let g = Family::Er.generate(n, seed);
+    let g = GraphFamily::Er.generate(n, seed);
     let time_run = |spec: &str| {
         let runner = default_registry().resolve(spec).expect("builtin");
         let t = Instant::now();

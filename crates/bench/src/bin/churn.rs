@@ -44,23 +44,17 @@
 use analysis::churn::{random_batch, run_churn, ChurnMeta, ChurnSpec, MisService, ServeThroughput};
 use analysis::spec::default_registry;
 use analysis::Table;
-use bench::Family;
+use bench::{parse_list, with_profile};
+use graphgen::GraphFamily;
 use sleeping_congest::batch::resolve_threads;
 use sleeping_congest::ScratchArena;
 use std::time::Instant;
-
-fn parse_list<T>(arg: &str, parse: impl Fn(&str) -> Option<T>, what: &str) -> Vec<T> {
-    arg.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).unwrap_or_else(|| panic!("unknown {what} {s:?}")))
-        .collect()
-}
 
 /// Generated-workload throughput probe: the `serve` loop, in-process,
 /// against an ER instance of `n` nodes.
 fn serve_probe(n: usize, algo: &str, batches: u64, ops: usize, seed: u64) -> ServeThroughput {
     let runner = default_registry().resolve(algo).unwrap_or_else(|e| panic!("--serve-algo: {e}"));
-    let g = Family::Er.generate(n, seed);
+    let g = GraphFamily::Er.generate(n, seed);
     let mut scratch = ScratchArena::new();
     println!("[serve] bootstrapping {} on er n={n}…", runner.key());
     let t0 = Instant::now();
@@ -101,24 +95,10 @@ fn serve_probe(n: usize, algo: &str, batches: u64, ops: usize, seed: u64) -> Ser
     }
 }
 
-/// Appends the execution-only `trace=profile` param to every spec in a
-/// comma-separated list (no-op when `--profile` is off).
-fn with_profile(specs: &str, profile: bool) -> String {
-    if !profile {
-        return specs.to_string();
-    }
-    specs
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| if s.contains('?') { format!("{s}&trace=profile") } else { format!("{s}?trace=profile") })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 fn main() {
     let registry = default_registry();
     let mut algos_spec = String::from("luby,vt");
-    let mut families = vec![Family::Er, Family::Tree];
+    let mut families = vec![GraphFamily::Er, GraphFamily::Tree];
     let mut sizes = vec![256usize, 1024];
     let mut rates = vec![0.0f64, 0.005, 0.01, 0.02, 0.08];
     let mut epochs = 8usize;
@@ -143,7 +123,7 @@ fn main() {
         };
         match args[i].as_str() {
             "--algos" => algos_spec = value(&mut i).to_string(),
-            "--families" => families = parse_list(value(&mut i), Family::parse, "family"),
+            "--families" => families = parse_list(value(&mut i), GraphFamily::parse, "family"),
             "--sizes" => sizes = parse_list(value(&mut i), |s| s.parse().ok(), "size"),
             "--rates" => rates = parse_list(value(&mut i), |s| s.parse().ok(), "rate"),
             "--epochs" => epochs = value(&mut i).parse().expect("--epochs takes a count"),

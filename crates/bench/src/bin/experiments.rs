@@ -1,7 +1,7 @@
 //! Regenerates every quantitative claim of
 //! *"Distributed MIS in O(log log n) Awake Complexity"* (PODC 2023) as a
-//! table or series. See `DESIGN.md` §4 for the claim → experiment index
-//! and `EXPERIMENTS.md` for recorded results.
+//! table or series. Each experiment's header names the lemma, theorem or
+//! section of arXiv:2204.08359 it checks.
 //!
 //! Usage: `cargo run -p bench --release --bin experiments [-- e1 e4 …]`
 //! (no arguments = run everything).
@@ -12,10 +12,8 @@ use analysis::shattering::{residual_profile, shatter_once};
 use analysis::spec::{default_registry, RunnerHandle};
 use analysis::sweep::{run_sweep, SweepSpec};
 use analysis::{EnergyModel, Summary, Table};
-use awake_mis_core::ldt_mis::{LdtMis, LdtMisParams};
-use awake_mis_core::{AwakeMis, AwakeMisConfig, LdtStrategy, MisState};
-use bench::Family;
-use graphgen::{generators, Graph, NodeId};
+use awake_mis_core::{AwakeMis, AwakeMisConfig};
+use graphgen::{generators, GraphFamily, NodeId};
 use ldt::construct::{ConstructAwake, ConstructParams};
 use ldt::construct_round::ConstructRound;
 use ldt::ops::{LdtBroadcast, LdtRanking};
@@ -100,7 +98,7 @@ fn header(id: &str, claim: &str) {
 }
 
 struct SweepRow {
-    family: Family,
+    family: GraphFamily,
     n: usize,
     alg: RunnerHandle,
     awake_max: Summary,
@@ -113,7 +111,7 @@ struct SweepRow {
 /// binary used to carry are gone): one `SweepSpec` per family set,
 /// batched over all hardware threads with per-worker scratch reuse.
 fn run_e1_e2_sweep() -> Vec<SweepRow> {
-    let sweep_over = |families: Vec<Family>, sizes: Vec<usize>, seeds: Vec<u64>| {
+    let sweep_over = |families: Vec<GraphFamily>, sizes: Vec<usize>, seeds: Vec<u64>| {
         run_sweep(&SweepSpec {
             specs: vec!["awake".to_string(), "luby".to_string()],
             families,
@@ -125,12 +123,12 @@ fn run_e1_e2_sweep() -> Vec<SweepRow> {
         .expect("builtin specs sweep")
     };
     let main = sweep_over(
-        vec![Family::Er, Family::Rgg, Family::Ba],
+        vec![GraphFamily::Er, GraphFamily::Rgg, GraphFamily::Ba],
         vec![256, 1024, 4096, 16384, 65536],
         vec![11, 22, 33, 44, 55],
     );
     // The dense family where Luby's Θ(log n) bites at laptop scale.
-    let dense = sweep_over(vec![Family::Dense], vec![1024, 4096, 16384], SEEDS.to_vec());
+    let dense = sweep_over(vec![GraphFamily::Dense], vec![1024, 4096, 16384], SEEDS.to_vec());
     main.cells
         .iter()
         .chain(dense.cells.iter())
@@ -181,7 +179,7 @@ fn e1(sweep: &[SweepRow]) {
         for alg in default_registry().resolve_list("awake,luby").expect("builtin specs") {
             let pts: Vec<(f64, f64)> = sweep
                 .iter()
-                .filter(|p| p.family == Family::Er && p.alg == alg)
+                .filter(|p| p.family == GraphFamily::Er && p.alg == alg)
                 .map(|p| (p.n as f64, get(p)))
                 .collect();
             let ns: Vec<f64> = pts.iter().map(|p| p.0).collect();
@@ -227,7 +225,7 @@ fn e2(sweep: &[SweepRow]) {
     print!("{}", t.render());
     let pts: Vec<(f64, f64)> = sweep
         .iter()
-        .filter(|p| p.family == Family::Er && p.alg.key() == "awake")
+        .filter(|p| p.family == GraphFamily::Er && p.alg.key() == "awake")
         .map(|p| ((p.n as f64).log2(), p.rounds.mean))
         .collect();
     let e = growth_exponent(
@@ -252,7 +250,7 @@ fn e3() {
         algorithms: default_registry()
             .resolve_list("awake,awake?round_efficient=true")
             .expect("builtin specs"),
-        families: vec![Family::Er],
+        families: vec![GraphFamily::Er],
         sizes: vec![1024, 4096, 16384],
         seeds: SEEDS.to_vec(),
         tiers: Vec::new(),
@@ -282,13 +280,13 @@ fn e3() {
         ]);
     }
     print!("{}", t.render());
-    println!("note: with our randomized LDT-Construct-Awake substitute (DESIGN.md §3.5), the Theorem 13");
+    println!("note: with our randomized LDT-Construct-Awake substitute (ldt::construct), the Theorem 13");
     println!("pipeline is already round-cheap, so Corollary 14's round advantage does not materialize here;");
     println!("its awake cost is correctly higher (the deterministic construction pays the log* factor).\n");
 }
 
 /// E4 — Lemma 2: residual sparsity of randomized greedy. Rides the
-/// harness axes: instances come from the named [`Family`] generators
+/// harness axes: instances come from the named [`GraphFamily`] generators
 /// (the `Dense` family is ER at average degree √n = 64 for n = 4096 —
 /// the old hand-rolled fixture — and `Er` is the d = 8 workhorse), the
 /// seed axis fans out via `sleeping_congest::batch::run_batch` exactly
@@ -303,10 +301,10 @@ fn e4() {
     );
     let n = 4096;
     let ts: Vec<usize> = (5..=11).map(|e| 1 << e).collect();
-    let families = [Family::Dense, Family::Er];
+    let families = [GraphFamily::Dense, GraphFamily::Er];
     // One job per {family × seed}, batched like grid points; each job
     // returns the whole residual profile of its instance.
-    let jobs: Vec<(Family, u64)> =
+    let jobs: Vec<(GraphFamily, u64)> =
         families.iter().flat_map(|&f| SEEDS.iter().map(move |&s| (f, s))).collect();
     let profiles = run_batch(&jobs, 0, |_| (), |(), _i, &(family, seed)| {
         let g = family.generate(n, seed);
@@ -349,7 +347,7 @@ fn e4() {
         let degs: Vec<u64> = dense.iter().map(|(_, h)| h[row] as u64).collect();
         let s = Summary::of_u64(&degs);
         t2.row(vec![
-            Family::Dense.name().to_string(),
+            GraphFamily::Dense.name().to_string(),
             tt.to_string(),
             n.to_string(),
             format!("{:.1} ± {:.1}", s.mean, s.std),
@@ -361,7 +359,7 @@ fn e4() {
 }
 
 /// E5 — Lemma 3: shattering under random 1/(2Δ) partition. Like E4 it
-/// rides the harness plane — `Family`-generated instances, a
+/// rides the harness plane — `GraphFamily`-generated instances, a
 /// `{factor × sample}` job grid fanned via
 /// `sleeping_congest::batch::run_batch`, [`Summary`] aggregation per
 /// cell — with an empty algorithm axis (the lemma partitions a graph,
@@ -372,8 +370,8 @@ fn e5() {
         "Random partition into 2Δ classes shatters bounded-degree graphs into ≤ 6·ln(n/ε) components",
     );
     let n = 4096;
-    // A Family instance with moderate degree: ER(d=8) at seed 4.
-    let g = Family::Er.generate(n, 4);
+    // A GraphFamily instance with moderate degree: ER(d=8) at seed 4.
+    let g = GraphFamily::Er.generate(n, 4);
     let delta = g.max_degree();
     let factors = [0.5f64, 1.0, 2.0, 4.0];
     const SAMPLES: u64 = 5;
@@ -422,7 +420,7 @@ fn e6() {
     ]);
     let grid = run_grid(&GridSpec {
         algorithms: default_registry().resolve_list("vt,naive").expect("builtin specs"),
-        families: vec![Family::Cycle],
+        families: vec![GraphFamily::Cycle],
         sizes: vec![64, 256, 1024, 4096],
         seeds: vec![7],
         tiers: Vec::new(),
@@ -462,7 +460,7 @@ fn e7() {
     ]);
     let grid = run_grid(&GridSpec {
         algorithms: default_registry().resolve_list("ldt").expect("builtin specs"),
-        families: vec![Family::Cycle],
+        families: vec![GraphFamily::Cycle],
         sizes: vec![16, 64, 256, 1024],
         seeds: vec![9],
         tiers: Vec::new(),
@@ -609,7 +607,7 @@ fn e10() {
         algorithms: default_registry()
             .resolve_list("awake,awake-round,ldt,vt,naive,luby,na,gp-avg")
             .expect("builtin specs"),
-        families: vec![Family::Er, Family::Rgg, Family::Ba, Family::Grid, Family::Tree],
+        families: vec![GraphFamily::Er, GraphFamily::Rgg, GraphFamily::Ba, GraphFamily::Grid, GraphFamily::Tree],
         sizes: vec![2048],
         seeds: vec![42],
         tiers: Vec::new(),
@@ -653,7 +651,7 @@ fn e11() {
     ]);
     let sweep = run_sweep(&SweepSpec {
         specs: vec!["awake".to_string(), "awake?always_awake_comm=true".to_string()],
-        families: vec![Family::Er],
+        families: vec![GraphFamily::Er],
         sizes: vec![1024, 4096, 16384],
         seeds: vec![3],
         threads: 0,
@@ -684,7 +682,7 @@ fn e11() {
 /// serial triple loop, minus the serialism.
 fn e12() {
     header(
-        "E12 (ablation, DESIGN.md §3.4)",
+        "E12 (ablation)",
         "Geometric collections keep shattered components small; uniform collections inflate early components",
     );
     let mut t = Table::new(vec![
@@ -699,7 +697,7 @@ fn e12() {
     // Per seed: (max component, Σ component sizes, component count,
     // failures, awake complexity).
     let runs = run_batch(&jobs, 0, |_| (), |(), _i, &(n, uniform, seed)| {
-        let g = Family::Er.generate(n, seed);
+        let g = GraphFamily::Er.generate(n, seed);
         let cfg = AwakeMisConfig { uniform_batches: uniform, ..Default::default() };
         let nodes = (0..n).map(|_| AwakeMis::new(cfg)).collect();
         let rep = Simulator::new(g, nodes, SimConfig::seeded(seed)).run().unwrap();
@@ -746,7 +744,7 @@ fn e13() {
         algorithms: default_registry()
             .resolve_list("awake,awake-round,ldt,vt,naive,luby,na,gp-avg")
             .expect("builtin specs"),
-        families: vec![Family::Er],
+        families: vec![GraphFamily::Er],
         sizes: vec![n],
         seeds: vec![5],
         tiers: Vec::new(),
@@ -920,7 +918,7 @@ fn e16() {
     // Per seed: (|L(G)| processes, awake max, awake avg, matched edges,
     // verified maximal).
     let runs = run_batch(&jobs, 0, |_| (), |(), _i, &(n, seed)| {
-        let g = Family::Er.generate(n, seed);
+        let g = GraphFamily::Er.generate(n, seed);
         let r = awake_mis_core::maximal_matching(&g, AwakeMisConfig::default(), seed).unwrap();
         (
             g.m() as u64,
@@ -970,7 +968,7 @@ fn e17() {
     // proper). The palette is seed-dependent — Δ is a property of the
     // drawn instance.
     let runs = run_batch(&jobs, 0, |_| (), |(), _i, &(n, seed)| {
-        let g = Family::Er.generate(n, seed);
+        let g = GraphFamily::Er.generate(n, seed);
         let palette = g.max_degree() + 1;
         let r = awake_mis_core::coloring(&g, palette, AwakeMisConfig::default(), seed).unwrap();
         (
@@ -1003,7 +1001,3 @@ fn e17() {
     print!("{}", t.render());
     println!();
 }
-
-// Silence unused warnings for items only used in some experiment subsets.
-#[allow(dead_code)]
-fn _unused(_: &Graph, _: &LdtMis, _: LdtMisParams, _: LdtStrategy, _: MisState) {}

@@ -30,7 +30,8 @@
 use analysis::faults::{run_faults, FaultSweepSpec};
 use analysis::sweep::expand;
 use analysis::{default_registry, GridMeta, Table};
-use bench::Family;
+use bench::parse_list;
+use graphgen::GraphFamily;
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
 
@@ -46,16 +47,9 @@ const DEFAULT_SPECS: [&str; 5] = [
     "awake?jitter=16",
 ];
 
-fn parse_list<T>(arg: &str, parse: impl Fn(&str) -> Option<T>, what: &str) -> Vec<T> {
-    arg.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).unwrap_or_else(|| panic!("unknown {what} {s:?}")))
-        .collect()
-}
-
 fn main() {
     let mut specs: Vec<String> = Vec::new();
-    let mut families = vec![Family::Er, Family::Dense];
+    let mut families = vec![GraphFamily::Er, GraphFamily::Dense];
     let mut sizes = vec![256usize, 1024];
     let mut seed_count = 8u64;
     let mut threads = 0usize;
@@ -73,7 +67,7 @@ fn main() {
             "--specs" => specs.extend(
                 value(&mut i).split(';').filter(|s| !s.trim().is_empty()).map(str::to_string),
             ),
-            "--families" => families = parse_list(value(&mut i), Family::parse, "family"),
+            "--families" => families = parse_list(value(&mut i), GraphFamily::parse, "family"),
             "--sizes" => sizes = parse_list(value(&mut i), |s| s.parse().ok(), "size"),
             "--seeds" => seed_count = value(&mut i).parse().expect("--seeds takes a count"),
             "--threads" => threads = value(&mut i).parse().expect("--threads takes a count"),

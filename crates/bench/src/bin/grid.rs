@@ -40,30 +40,10 @@
 use analysis::grid::{run_grid, GridMeta, GridSpec, GridTier};
 use analysis::spec::default_registry;
 use analysis::Table;
-use bench::Family;
+use bench::{parse_list, with_profile};
+use graphgen::GraphFamily;
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
-
-fn parse_list<T>(arg: &str, parse: impl Fn(&str) -> Option<T>, what: &str) -> Vec<T> {
-    arg.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).unwrap_or_else(|| panic!("unknown {what} {s:?}")))
-        .collect()
-}
-
-/// Appends the execution-only `trace=profile` param to every spec in a
-/// comma-separated list (no-op when `--profile` is off).
-fn with_profile(specs: &str, profile: bool) -> String {
-    if !profile {
-        return specs.to_string();
-    }
-    specs
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| if s.contains('?') { format!("{s}&trace=profile") } else { format!("{s}?trace=profile") })
-        .collect::<Vec<_>>()
-        .join(",")
-}
 
 fn main() {
     let registry = default_registry();
@@ -71,7 +51,7 @@ fn main() {
     // luby) and node-averaged (na, gp-avg). Specs stay as strings until
     // after the arg loop so --profile can append its trace param.
     let mut algos_spec = String::from("awake,luby,na,gp-avg");
-    let mut families = vec![Family::Er, Family::Rgg, Family::Ba, Family::Grid, Family::Tree];
+    let mut families = vec![GraphFamily::Er, GraphFamily::Rgg, GraphFamily::Ba, GraphFamily::Grid, GraphFamily::Tree];
     let mut sizes = vec![1_000usize, 10_000, 100_000];
     let mut seed_count = 8u64;
     let mut threads = 0usize;
@@ -94,7 +74,7 @@ fn main() {
                 explicit_axes = true;
             }
             "--families" => {
-                families = parse_list(value(&mut i), Family::parse, "family");
+                families = parse_list(value(&mut i), GraphFamily::parse, "family");
                 explicit_axes = true;
             }
             "--sizes" => {
@@ -141,7 +121,7 @@ fn main() {
                     profile,
                 ))
                 .expect("large-tier specs"),
-            families: vec![Family::Er],
+            families: vec![GraphFamily::Er],
             sizes: vec![1_000_000],
             seeds: vec![1, 2],
         }]

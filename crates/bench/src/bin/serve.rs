@@ -54,8 +54,7 @@
 
 use analysis::churn::{random_batch, EpochReport, MisService};
 use analysis::spec::default_registry;
-use bench::Family;
-use graphgen::DeltaBatch;
+use graphgen::{DeltaBatch, GraphFamily};
 use sleeping_congest::ScratchArena;
 use std::io::BufRead;
 use std::time::Instant;
@@ -188,7 +187,7 @@ fn apply_batch(
 fn main() {
     let registry = default_registry();
     let mut algo = String::from("luby");
-    let mut family = Family::Er;
+    let mut family = GraphFamily::Er;
     let mut n = 1_000_000usize;
     let mut seed = 1u64;
     let mut batches = 6u64;
@@ -210,7 +209,7 @@ fn main() {
             "--algo" => algo = value(&mut i).to_string(),
             "--family" => {
                 let v = value(&mut i);
-                family = Family::parse(v).unwrap_or_else(|| panic!("unknown family {v:?}"));
+                family = GraphFamily::parse(v).unwrap_or_else(|| panic!("unknown family {v:?}"));
             }
             "--n" => n = value(&mut i).parse().expect("--n takes a node count"),
             "--seed" => seed = value(&mut i).parse().expect("--seed takes a number"),

@@ -37,7 +37,8 @@
 use analysis::spec::default_registry;
 use analysis::sweep::{expand, expand_families, run_sweep, SweepSpec};
 use analysis::{EnergyModel, GridMeta, Table};
-use bench::Family;
+use bench::parse_list;
+use graphgen::GraphFamily;
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
 
@@ -53,17 +54,10 @@ const DEFAULT_SPECS: [&str; 6] =
 /// committed frontier also pins a graph-parameter dial.
 const DEFAULT_FAMILIES: [&str; 3] = ["er", "dense", "er?avg_deg=16"];
 
-fn parse_list<T>(arg: &str, parse: impl Fn(&str) -> Option<T>, what: &str) -> Vec<T> {
-    arg.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).unwrap_or_else(|| panic!("unknown {what} {s:?}")))
-        .collect()
-}
-
 /// Expands a list of family specs (each through the range grammar),
 /// rejecting families that appear twice across the whole axis.
-fn expand_family_axis(raw_specs: &[String]) -> Vec<Family> {
-    let mut out: Vec<Family> = Vec::new();
+fn expand_family_axis(raw_specs: &[String]) -> Vec<GraphFamily> {
+    let mut out: Vec<GraphFamily> = Vec::new();
     for raw in raw_specs {
         let expanded =
             expand_families(raw).unwrap_or_else(|e| panic!("family spec {raw:?}: {e}"));

@@ -35,9 +35,10 @@ use sleeping_congest::{MessageSize, NodeCtx, Outbox, Protocol, Round};
 
 /// Tunable constants of `Awake-MIS`.
 ///
-/// The defaults follow the paper's Theorem 13 analysis with practical
-/// constants (see `DESIGN.md` §3.4): `Δ′ = ⌈delta_factor · ln N⌉`,
-/// component bound `K = ⌈comp_factor · ln N⌉ + 4`, and
+/// The defaults follow the Theorem 13 analysis of arXiv:2204.08359 with
+/// practical constants (the paper's own are noted on `delta_factor` and
+/// `comp_factor`): `Δ′ = ⌈delta_factor · ln N⌉`, component bound
+/// `K = ⌈comp_factor · ln N⌉ + 4`, and
 /// `ℓ = ⌈log₂(N / (ell_density · log₂ N))⌉` collections.
 #[derive(Debug, Clone, Copy)]
 pub struct AwakeMisConfig {

@@ -4,10 +4,10 @@
 //! connected component of the participating subgraph) with **O(log n′)
 //! awake complexity** per node, matching the shape of Lemma 6 of the
 //! paper (which cites Theorem 4 of Augustine–Moses–Pandurangan for a
-//! deterministic construction; see `DESIGN.md` §3.5 for the documented
-//! substitution — we use randomized head/tail merging, so the bound holds
-//! w.h.p. instead of deterministically, which is absorbed by the Monte
-//! Carlo guarantee of the surrounding MIS algorithm).
+//! deterministic construction). This module substitutes randomized
+//! head/tail merging, so the bound holds w.h.p. instead of
+//! deterministically, which is absorbed by the Monte Carlo guarantee of
+//! the surrounding MIS algorithm.
 //!
 //! # Algorithm
 //!

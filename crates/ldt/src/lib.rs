@@ -16,7 +16,8 @@
 //!   named wake-up offsets within blocks of `2k+1` rounds.
 //! * [`wave`] — up-then-down wave blocks (gather → scatter in one block).
 //! * [`construct`] — `LDT-Construct-Awake`: O(log n′) awake complexity
-//!   w.h.p. (randomized fragment merging; see `DESIGN.md` §3.5).
+//!   w.h.p. (randomized fragment merging in place of the deterministic
+//!   construction that Lemma 6 of arXiv:2204.08359 cites).
 //! * [`construct_round`] — `LDT-Construct-Round` (Appendix A.2):
 //!   deterministic, O(log n′ · log* I) awake complexity, built on GHS
 //!   merging with Cole–Vishkin coloring of the fragment supergraph.
