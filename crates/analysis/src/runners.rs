@@ -162,6 +162,25 @@ fn draw_distinct_ids(n: usize, upper: u64, seed: u64) -> Vec<u64> {
     ids
 }
 
+/// Reads an optional parameter that must be one of `choices`, given as
+/// `(spelling, value)` pairs and matched case-insensitively.
+fn read_choice<T: Copy>(
+    p: &mut ParamReader<'_>,
+    name: &'static str,
+    choices: &[(&str, T)],
+) -> Result<Option<T>, SpecError> {
+    let Some(raw) = p.str(name) else { return Ok(None) };
+    let value = raw.to_ascii_lowercase();
+    match choices.iter().find(|(spelling, _)| *spelling == value) {
+        Some(&(_, v)) => Ok(Some(v)),
+        None => Err(SpecError::BadValue {
+            param: name.to_string(),
+            expected: choices.iter().map(|&(s, _)| s).collect::<Vec<_>>().join(" or "),
+            value,
+        }),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fault-model parameters (shared by every builtin)
 // ---------------------------------------------------------------------------
@@ -225,20 +244,10 @@ fn read_fault(p: &mut ParamReader<'_>) -> Result<FaultModel, SpecError> {
 fn read_exec(p: &mut ParamReader<'_>) -> Result<SimConfig, SpecError> {
     let fault = read_fault(p)?;
     let shards = p.u64("shards")?.unwrap_or(1) as usize;
-    let trace = match p.str("trace") {
-        None => None,
-        Some(s) => match s.to_ascii_lowercase().as_str() {
-            "profile" => Some(TraceHandle::new(Profile::new())),
-            "jsonl" => Some(TraceHandle::new(JsonlSink::stderr())),
-            other => {
-                return Err(SpecError::BadValue {
-                    param: "trace".to_string(),
-                    value: other.to_string(),
-                    expected: "profile or jsonl".to_string(),
-                })
-            }
-        },
-    };
+    let profile: fn() -> TraceHandle = || TraceHandle::new(Profile::new());
+    let jsonl: fn() -> TraceHandle = || TraceHandle::new(JsonlSink::stderr());
+    let sink = read_choice(p, "trace", &[("profile", profile), ("jsonl", jsonl)])?;
+    let trace = sink.map(|make| make());
     Ok(SimConfig { fault, shards, trace, ..SimConfig::default() })
 }
 
@@ -279,7 +288,7 @@ fn runner_key(spec: &AlgorithmSpec) -> String {
 /// How ID-based runners (`vt`, `naive`, `ldt`) assign their IDs:
 /// seeded-random (the default) or the deterministic adversarial
 /// worst case (`adv_ids=worst`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum IdAssignment {
     Random,
     Worst,
@@ -287,18 +296,8 @@ enum IdAssignment {
 
 /// Reads the optional `adv_ids=random|worst` parameter.
 fn read_adv_ids(p: &mut ParamReader<'_>) -> Result<IdAssignment, SpecError> {
-    match p.str("adv_ids") {
-        None => Ok(IdAssignment::Random),
-        Some(s) => match s.to_ascii_lowercase().as_str() {
-            "random" => Ok(IdAssignment::Random),
-            "worst" => Ok(IdAssignment::Worst),
-            other => Err(SpecError::BadValue {
-                param: "adv_ids".to_string(),
-                value: other.to_string(),
-                expected: "random or worst".to_string(),
-            }),
-        },
-    }
+    let choices = [("random", IdAssignment::Random), ("worst", IdAssignment::Worst)];
+    Ok(read_choice(p, "adv_ids", &choices)?.unwrap_or(IdAssignment::Random))
 }
 
 /// The adversarial ID multiset for `VT-MIS`: the `n` IDs in
@@ -424,18 +423,7 @@ where
 
 /// Reads an optional `strategy=awake|round` parameter.
 fn read_strategy(p: &mut ParamReader<'_>) -> Result<Option<LdtStrategy>, SpecError> {
-    match p.str("strategy") {
-        None => Ok(None),
-        Some(s) => match s.to_ascii_lowercase().as_str() {
-            "awake" => Ok(Some(LdtStrategy::Awake)),
-            "round" => Ok(Some(LdtStrategy::Round)),
-            other => Err(SpecError::BadValue {
-                param: "strategy".to_string(),
-                value: other.to_string(),
-                expected: "awake or round".to_string(),
-            }),
-        },
-    }
+    read_choice(p, "strategy", &[("awake", LdtStrategy::Awake), ("round", LdtStrategy::Round)])
 }
 
 /// `Awake-MIS` family: Theorem 13 by default, Corollary 14 via
@@ -614,7 +602,9 @@ fn ldt(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
         };
         let k = n.max(1) as u32;
         ids.into_iter()
-            .map(|my_id| Standalone::new(LdtMis::new(LdtMisParams { my_id, id_upper, k, strategy })))
+            .map(|my_id| {
+                Standalone::new(LdtMis::new(LdtMisParams { my_id, id_upper, k, strategy }))
+            })
             .collect()
     })
 }

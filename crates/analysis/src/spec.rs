@@ -354,7 +354,8 @@ impl<'a> ParamReader<'a> {
 /// An executable algorithm: the object-safe interface the whole harness
 /// dispatches through.
 ///
-/// One implementation per algorithm *family*; parameterized variants are
+/// Every builtin is an instance of one generic implementation (a
+/// protocol factory, see [`crate::runners`]); parameterized variants are
 /// distinct instances built from their [`AlgorithmSpec`]s. A runner must
 /// be a pure function of `(graph, seed)` — all randomness derived from
 /// the seed — so grids stay reproducible and thread-count independent.

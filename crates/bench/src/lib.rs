@@ -42,7 +42,7 @@ pub fn with_profile(specs: &str, profile: bool) -> String {
     specs
         .split(',')
         .filter(|s| !s.is_empty())
-        .map(|s| if s.contains('?') { format!("{s}&trace=profile") } else { format!("{s}?trace=profile") })
+        .map(|s| format!("{s}{}trace=profile", if s.contains('?') { '&' } else { '?' }))
         .collect::<Vec<_>>()
         .join(",")
 }
