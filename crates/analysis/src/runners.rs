@@ -333,6 +333,8 @@ impl MisOutput for MisState {
     }
 }
 
+/// Implements [`MisOutput`] for output structs that carry the decision
+/// in `state` and the Monte Carlo failure flag in `failed`.
 macro_rules! flagged_output {
     ($($output:ty),*) => {$(
         impl MisOutput for $output {
