@@ -607,7 +607,13 @@ fn e10() {
         algorithms: default_registry()
             .resolve_list("awake,awake-round,ldt,vt,naive,luby,na,gp-avg")
             .expect("builtin specs"),
-        families: vec![GraphFamily::Er, GraphFamily::Rgg, GraphFamily::Ba, GraphFamily::Grid, GraphFamily::Tree],
+        families: vec![
+            GraphFamily::Er,
+            GraphFamily::Rgg,
+            GraphFamily::Ba,
+            GraphFamily::Grid,
+            GraphFamily::Tree,
+        ],
         sizes: vec![2048],
         seeds: vec![42],
         tiers: Vec::new(),
