@@ -25,7 +25,7 @@ use crate::runners::AlgoResult;
 use crate::spec::RunnerHandle;
 use crate::stats::Summary;
 use awake_mis_core::incremental::{repair, RepairConfig, SubSolution};
-use awake_mis_core::MisState;
+use awake_mis_core::{check_mis_survivors, MisState};
 use graphgen::delta::{DeltaBatch, DeltaError, DynGraph};
 use graphgen::{Graph, GraphFamily, NodeId};
 use rand::rngs::SmallRng;
@@ -144,6 +144,10 @@ pub struct EpochReport {
     pub correct: bool,
     /// Verification/solver error when `correct` is false.
     pub error: Option<String>,
+    /// Whether every solver attempt failed and greedy completed the
+    /// frontier, so the service still holds a valid MIS. Reported next
+    /// to `correct = false`; never part of a payload.
+    pub fallback: bool,
     /// Nodes that joined the MIS this epoch (sorted) — the service's
     /// outgoing "MIS delta" stream.
     pub joined: Vec<NodeId>,
@@ -153,8 +157,9 @@ pub struct EpochReport {
     /// verification). Observational only: the churn payload never
     /// includes it, so payloads stay byte-identical across machines.
     pub repair_ns: u64,
-    /// Wall-clock nanoseconds of the repair spent verifying candidate
-    /// states. Observational only, like [`repair_ns`](Self::repair_ns).
+    /// Wall-clock nanoseconds of the repair's local check of its
+    /// candidate nodes. Observational only, like
+    /// [`repair_ns`](Self::repair_ns).
     pub verify_ns: u64,
 }
 
@@ -213,22 +218,22 @@ impl MisService {
         self.states.iter().filter(|&&s| s == MisState::InMis).count()
     }
 
-    /// Applies one delta batch and repairs the MIS, returning the
-    /// epoch's metrics and MIS delta (joined/left).
+    /// Applies one delta batch and repairs the MIS in place, returning
+    /// the epoch's metrics and MIS delta (joined/left). The cost tracks
+    /// the batch plus one copy of the CSR, not `n`.
     ///
     /// # Errors
     ///
     /// Propagates [`DeltaError`] from batch validation; the service is
     /// unchanged in that case. Repair-level failures are reported via
-    /// [`EpochReport::correct`]/[`EpochReport::error`] instead (the
-    /// service keeps running with its best-attempt states).
+    /// [`EpochReport::correct`]/[`EpochReport::error`] instead; the
+    /// service then keeps the greedy fallback's states
+    /// ([`EpochReport::fallback`]), still a valid MIS.
     pub fn apply(
         &mut self,
         batch: &DeltaBatch,
         scratch: &mut ScratchArena,
     ) -> Result<EpochReport, DeltaError> {
-        let old_in: Vec<bool> =
-            self.states.iter().map(|&s| s == MisState::InMis).collect();
         let applied = self.graph.apply(batch)?;
         self.epoch += 1;
         let runner = self.runner.clone();
@@ -236,7 +241,7 @@ impl MisService {
         let out = repair(
             self.graph.graph(),
             self.graph.active(),
-            &self.states,
+            std::mem::take(&mut self.states),
             &applied,
             mix(self.seed, self.epoch),
             &self.cfg,
@@ -254,17 +259,6 @@ impl MisService {
             },
         );
         let repair_ns = repair_t0.elapsed().as_nanos() as u64;
-        let mut joined = Vec::new();
-        let mut left = Vec::new();
-        for (v, &s) in out.states.iter().enumerate() {
-            let now_in = s == MisState::InMis && self.graph.is_active(v as NodeId);
-            let was_in = v < old_in.len() && old_in[v];
-            match (was_in, now_in) {
-                (false, true) => joined.push(v as NodeId),
-                (true, false) => left.push(v as NodeId),
-                _ => {}
-            }
-        }
         self.states = out.states;
         Ok(EpochReport {
             epoch: self.epoch,
@@ -280,11 +274,23 @@ impl MisService {
             retries: out.retries,
             correct: out.correct,
             error: out.error,
-            joined,
-            left,
+            fallback: out.fallback,
+            joined: out.joined,
+            left: out.left,
             repair_ns,
             verify_ns: out.verify_ns,
         })
+    }
+
+    /// Checks the whole state against the whole active graph. Epochs
+    /// verify locally, so this is the end-to-end guard a run calls
+    /// where it ends.
+    ///
+    /// # Errors
+    ///
+    /// The first violation [`check_mis_survivors`] finds.
+    pub fn audit(&self) -> Result<(), String> {
+        check_mis_survivors(self.graph.graph(), &self.states, self.graph.active())
     }
 }
 
@@ -609,6 +615,8 @@ pub fn run_churn_point(
             recompute_ns += t.elapsed().as_nanos() as u64;
         }
     }
+    // Epochs verify locally; the global audit is the end-to-end guard.
+    point.correct &= service.audit().is_ok();
     if point.woken_full > 0 {
         point.woken_ratio = point.woken as f64 / point.woken_full as f64;
     }
@@ -820,7 +828,6 @@ impl ChurnResult {
 mod tests {
     use super::*;
     use crate::spec::default_registry;
-    use awake_mis_core::check_mis_survivors;
 
     fn tiny_spec(threads: usize) -> ChurnSpec {
         ChurnSpec {

@@ -77,6 +77,8 @@ fn serve_probe(n: usize, algo: &str, batches: u64, ops: usize, seed: u64) -> Ser
         woken += rep.woken;
     }
     let wall = start.elapsed();
+    // Epochs verify locally; audit the whole MIS once at the end.
+    service.audit().expect("serve audit");
     let deltas_per_sec = deltas as f64 / wall.as_secs_f64();
     println!(
         "[serve] {deltas} deltas in {batches} batches over {:.2}s → {:.0} deltas/s \

@@ -33,9 +33,15 @@
 //! After each applied batch the service prints the MIS delta as `+m V`
 //! / `-m V` lines on stdout (suppressed by `--quiet`), then a `# batch`
 //! summary line: effective deltas, woken nodes, frontier size, repair
-//! rounds, and the verification verdict. Diagnostics are prefixed `#`
-//! so a consumer can stream the `+m`/`-m` lines alone. Exit status is
-//! nonzero if any batch failed to verify.
+//! rounds, whether greedy had to complete the frontier after every
+//! solver attempt failed (`fallback yes`), and the verification
+//! verdict. Diagnostics are prefixed `#` so a consumer can stream the
+//! `+m`/`-m` lines alone.
+//!
+//! Each batch is verified locally, at the nodes it can have affected.
+//! At exit the service audits its whole MIS against the whole active
+//! graph and prints `# audit: ok` or the violation. Exit status is
+//! nonzero if any batch failed to verify or the audit failed.
 //!
 //! Every `--stats-every` applied batches (default 5, `0` disables) —
 //! and on the `stats` stdin command — the service prints one
@@ -50,7 +56,8 @@
 //! `repair_ms` percentiles are exact over per-batch repair wall-clock,
 //! `frontier` summarizes damage-frontier sizes, `woken_ratio` is woken
 //! nodes over the active nodes a full recompute would have woken, and
-//! `verify_ms/epoch` is the mean wall-clock the repair spent verifying.
+//! `verify_ms/epoch` is the mean wall-clock of the repair's local check
+//! of its candidate nodes.
 
 use analysis::churn::{random_batch, EpochReport, MisService};
 use analysis::spec::default_registry;
@@ -156,12 +163,14 @@ fn apply_batch(
                 }
             }
             println!(
-                "# batch {}: {} deltas, {} woken, frontier {}, {} repair rounds, mis {} → {}",
+                "# batch {}: {} deltas, {} woken, frontier {}, {} repair rounds, fallback {}, \
+                 mis {} → {}",
                 rep.epoch,
                 rep.deltas,
                 rep.woken,
                 rep.frontier,
                 rep.repair_rounds,
+                if rep.fallback { "yes" } else { "no" },
                 if rep.correct { "ok" } else { "FAILED" },
                 service.mis_size(),
             );
@@ -335,6 +344,13 @@ fn main() {
         service.graph().active_count(),
         service.mis_size(),
     );
+    match service.audit() {
+        Ok(()) => println!("# audit: ok"),
+        Err(e) => {
+            println!("# audit: FAILED: {e}");
+            failed = true;
+        }
+    }
     if failed {
         std::process::exit(1);
     }

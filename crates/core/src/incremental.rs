@@ -32,15 +32,44 @@
 //! MIS nodes never leave the MIS except by step 1, so the surviving MIS
 //! is still independent, and no frontier node neighbors a surviving MIS
 //! node — hence *any* MIS of the induced frontier subgraph splices back
-//! into a globally valid MIS. The result is verified with
-//! [`check_mis_survivors`](crate::check_mis_survivors) (inactive nodes
-//! exempt), and on failure the frontier is re-solved with a reseeded
-//! attempt up to [`RepairConfig::max_retries`] times.
+//! into a globally valid MIS. On a failed verification the frontier is
+//! re-solved with a reseeded attempt up to
+//! [`RepairConfig::max_retries`] times; if every attempt fails, greedy
+//! completes the frontier in id order, so the states handed back are a
+//! valid MIS whenever the pre-state was one.
+//!
+//! # Local verification
+//!
+//! Each attempt is verified with [`check_mis_at`] on the candidate set
+//! only (inactive nodes exempt), not on the whole graph. Given a valid
+//! pre-state that is enough: a node outside the candidates kept its
+//! state, its adjacency and its dominator.
+//!
+//! * If its dominator had been removed, the edge to it was an implicit
+//!   deletion, which makes the node a candidate.
+//! * If its dominator had been evicted, eviction made every neighbor of
+//!   the dominator a candidate.
+//! * A new independence violation needs an inserted edge or a frontier
+//!   node that joined; both are candidates, and each is checked against
+//!   its full neighborhood.
+//!
+//! So the local verdict equals the global one; debug builds assert that
+//! on every attempt against [`check_mis_survivors`].
+//!
+//! # In-place state
+//!
+//! [`repair`] takes the state vector by value and writes only the
+//! entries of added, removed and candidate nodes, so an epoch allocates
+//! and scans nothing of size `n` apart from the id map of
+//! [`Graph::induced`]. The MIS delta comes back with it:
+//! [`RepairOutcome::joined`] and [`RepairOutcome::left`].
 
+use crate::greedy;
 use crate::state::MisState;
-use crate::verify::check_mis_survivors;
+use crate::verify::{check_mis_at, check_mis_survivors};
 use graphgen::delta::AppliedDelta;
 use graphgen::{Graph, NodeId};
+use std::time::Instant;
 
 /// A solution for a repair subgraph, as returned by the solver callback
 /// given to [`repair`]: the per-node states plus the cost the solver
@@ -77,7 +106,10 @@ impl Default for RepairConfig {
 /// the "wake only the neighborhood" claim measurable.
 #[derive(Debug, Clone, Default)]
 pub struct RepairOutcome {
-    /// Repaired per-node MIS states (inactive nodes are `NotInMis`).
+    /// Repaired per-node MIS states: the buffer passed to [`repair`],
+    /// resized to the post-delta `n`. Nodes the batch removed are
+    /// `NotInMis`; entries of nodes that were inactive before the batch
+    /// pass through unchanged.
     pub states: Vec<MisState>,
     /// The frontier actually re-solved (sorted original ids).
     pub frontier: Vec<NodeId>,
@@ -98,10 +130,20 @@ pub struct RepairOutcome {
     pub messages: u64,
     /// Reseeded attempts beyond the first.
     pub retries: u64,
-    /// Whether the final states verify as an MIS of the active graph.
+    /// Whether a solver attempt produced states that verify as an MIS
+    /// of the active graph.
     pub correct: bool,
     /// Verification or solver error, when `correct` is false.
     pub error: Option<String>,
+    /// Whether every solver attempt failed and greedy completed the
+    /// frontier instead. `correct` and `error` still report the
+    /// failure; the states are valid whenever the pre-state was.
+    pub fallback: bool,
+    /// Frontier nodes that ended in the MIS (sorted).
+    pub joined: Vec<NodeId>,
+    /// Nodes that left the MIS (sorted): the evicted nodes plus the
+    /// removed nodes that were `InMis`.
+    pub left: Vec<NodeId>,
     /// Wall-clock nanoseconds spent verifying candidate states
     /// (observational only — never fed back into the repair and never
     /// part of any benchmark payload).
@@ -122,21 +164,25 @@ fn mix(seed: u64, attempt: u64) -> u64 {
 /// * `g` — the **post-delta** graph.
 /// * `active` — the post-delta active mask (`g.n()` entries); inactive
 ///   nodes are exempt from independence and domination.
-/// * `old_states` — a valid MIS of the **pre-delta** active graph
-///   (length = pre-delta `n`; entries for since-removed nodes are
-///   ignored). This precondition is the caller's responsibility — feed
-///   repair its own previous output, or a verified one-shot run.
+/// * `states` — a valid MIS of the **pre-delta** active graph (length =
+///   pre-delta `n`), passed by value and repaired in place. This
+///   precondition is the caller's responsibility — feed repair its own
+///   previous output, or a verified one-shot run; only a valid
+///   pre-state makes the local verification sound. Entries of nodes
+///   that were inactive before the batch pass through unchanged.
 /// * `solve` — MIS solver for the induced frontier subgraph, usually a
 ///   registry runner; called with `(subgraph, seed)` and reseeded on
 ///   retry.
 ///
-/// Never panics on bad input: a solver error or verification failure
-/// after all retries comes back with `correct = false` and `error`
-/// set, states left in the best attempt.
+/// A solver error or verification failure after all retries does not
+/// panic: it comes back with `correct = false`, `error` set and
+/// `fallback = true`, the frontier completed by greedy. Debug builds
+/// also assert on every attempt that the local verdict equals the
+/// global one, which holds whenever the pre-state is valid.
 pub fn repair<F>(
     g: &Graph,
     active: &[bool],
-    old_states: &[MisState],
+    mut states: Vec<MisState>,
     applied: &AppliedDelta,
     seed: u64,
     cfg: &RepairConfig,
@@ -147,23 +193,19 @@ where
 {
     let n = g.n();
     debug_assert_eq!(active.len(), n);
+    let mut out = RepairOutcome::default();
 
-    // Carry the old states into the post-delta id space: added nodes
-    // are undecided, inactive nodes are pinned out.
-    let mut states = vec![MisState::Undecided; n];
-    for (v, s) in old_states.iter().enumerate().take(n) {
-        states[v] = *s;
-    }
+    // Carry the states into the post-delta id space: added nodes are
+    // undecided, removed nodes are pinned out.
+    states.resize(n, MisState::Undecided);
     for &v in &applied.added {
         states[v as usize] = MisState::Undecided;
     }
-    for (v, s) in states.iter_mut().enumerate() {
-        if !active[v] {
-            *s = MisState::NotInMis;
+    for &v in &applied.removed {
+        if std::mem::replace(&mut states[v as usize], MisState::NotInMis) == MisState::InMis {
+            out.left.push(v);
         }
     }
-
-    let mut out = RepairOutcome::default();
 
     // Step 1: evict one endpoint of every InMis–InMis inserted edge.
     // `applied.inserted` is sorted, so eviction order is deterministic;
@@ -178,6 +220,8 @@ where
         }
     }
     out.evicted = evicted.len() as u64;
+    out.left.extend_from_slice(&evicted);
+    out.left.sort_unstable();
 
     // Step 2: damage candidates.
     let mut candidates: Vec<NodeId> = Vec::new();
@@ -222,64 +266,82 @@ where
     out.woken = dominated_woken + frontier.len() as u64;
     out.frontier = frontier;
 
-    if out.frontier.is_empty() {
-        let t0 = std::time::Instant::now();
-        out.correct = match check_mis_survivors(g, &states, active) {
-            Ok(()) => true,
-            Err(e) => {
-                out.error = Some(e);
-                false
-            }
-        };
-        out.verify_ns = t0.elapsed().as_nanos() as u64;
-        out.states = states;
-        return out;
-    }
+    // Verifies at the candidates only (see the module docs).
+    let verify = |states: &[MisState], ns: &mut u64| {
+        let t0 = Instant::now();
+        let local = check_mis_at(g, states, active, &candidates);
+        *ns += t0.elapsed().as_nanos() as u64;
+        debug_assert_eq!(
+            local.is_ok(),
+            check_mis_survivors(g, states, active).is_ok(),
+            "local verification disagrees with the global check: {local:?}"
+        );
+        local
+    };
 
-    // Re-solve the frontier subgraph, splice, verify; reseed on failure.
-    let (sub, map) = g.induced(&out.frontier);
-    debug_assert_eq!(map, out.frontier);
-    let mut last_err = None;
-    for attempt in 0..=cfg.max_retries {
-        if attempt > 0 {
-            out.retries += 1;
-            for &v in &out.frontier {
-                states[v as usize] = MisState::Undecided;
+    if out.frontier.is_empty() {
+        match verify(&states, &mut out.verify_ns) {
+            Ok(()) => out.correct = true,
+            Err(e) => out.error = Some(e),
+        }
+    } else {
+        // Re-solve the frontier subgraph, splice, verify; reseed on
+        // failure.
+        let (sub, map) = g.induced(&out.frontier);
+        debug_assert_eq!(map, out.frontier);
+        let mut last_err = None;
+        for attempt in 0..=cfg.max_retries {
+            if attempt > 0 {
+                out.retries += 1;
+                for &v in &out.frontier {
+                    states[v as usize] = MisState::Undecided;
+                }
+            }
+            match solve(&sub, mix(seed, attempt)) {
+                Ok(sol) => {
+                    out.repair_rounds += sol.rounds;
+                    out.awake_max = out.awake_max.max(sol.awake_max);
+                    out.awake_total += sol.awake_total;
+                    out.messages += sol.messages;
+                    if sol.states.len() != map.len() {
+                        last_err = Some(format!(
+                            "solver returned {} states for a {}-node frontier",
+                            sol.states.len(),
+                            map.len()
+                        ));
+                        continue;
+                    }
+                    for (i, &v) in map.iter().enumerate() {
+                        states[v as usize] = sol.states[i];
+                    }
+                    match verify(&states, &mut out.verify_ns) {
+                        Ok(()) => {
+                            out.correct = true;
+                            break;
+                        }
+                        Err(e) => last_err = Some(e),
+                    }
+                }
+                Err(e) => last_err = Some(e),
             }
         }
-        match solve(&sub, mix(seed, attempt)) {
-            Ok(sol) => {
-                out.repair_rounds += sol.rounds;
-                out.awake_max = out.awake_max.max(sol.awake_max);
-                out.awake_total += sol.awake_total;
-                out.messages += sol.messages;
-                if sol.states.len() != map.len() {
-                    last_err = Some(format!(
-                        "solver returned {} states for a {}-node frontier",
-                        sol.states.len(),
-                        map.len()
-                    ));
-                    continue;
-                }
-                for (i, &v) in map.iter().enumerate() {
-                    states[v as usize] = sol.states[i];
-                }
-                let t0 = std::time::Instant::now();
-                let checked = check_mis_survivors(g, &states, active);
-                out.verify_ns += t0.elapsed().as_nanos() as u64;
-                match checked {
-                    Ok(()) => {
-                        out.correct = true;
-                        out.states = states;
-                        return out;
-                    }
-                    Err(e) => last_err = Some(e),
-                }
+        if !out.correct {
+            // Every attempt failed: complete the frontier in id order so
+            // the next batch still starts from a valid MIS.
+            let order: Vec<NodeId> = (0..sub.n() as NodeId).collect();
+            let greedy_states = greedy::to_states(&greedy::lfmis(&sub, &order));
+            for (&v, &s) in map.iter().zip(&greedy_states) {
+                states[v as usize] = s;
             }
-            Err(e) => last_err = Some(e),
+            out.fallback = true;
+            out.error = match verify(&states, &mut out.verify_ns) {
+                Ok(()) => last_err,
+                Err(e) => Some(format!("greedy fallback: {e}")),
+            };
         }
     }
-    out.error = last_err;
+    out.joined =
+        out.frontier.iter().copied().filter(|&v| states[v as usize] == MisState::InMis).collect();
     out.states = states;
     out
 }
@@ -318,7 +380,7 @@ mod tests {
         let (g2, applied) = g.apply_deltas(&b).unwrap();
         let active = vec![true; 5];
         let out =
-            repair(&g2, &active, &old, &applied, 7, &RepairConfig::default(), greedy_solve);
+            repair(&g2, &active, old.clone(), &applied, 7, &RepairConfig::default(), greedy_solve);
         assert!(out.correct, "{:?}", out.error);
         assert_eq!(out.evicted, 1); // node 4 (larger id) evicted
         assert!(out.woken < 5, "repair woke everyone");
@@ -337,8 +399,7 @@ mod tests {
         b.remove_node(0);
         let (g2, applied) = g.apply_deltas(&b).unwrap();
         let active = vec![false, true, true, true, true];
-        let out =
-            repair(&g2, &active, &old, &applied, 3, &RepairConfig::default(), greedy_solve);
+        let out = repair(&g2, &active, old, &applied, 3, &RepairConfig::default(), greedy_solve);
         assert!(out.correct, "{:?}", out.error);
         // Every leaf is now isolated and must join the MIS itself.
         for v in 1..5 {
@@ -354,7 +415,7 @@ mod tests {
         let (g2, applied) = g.apply_deltas(&DeltaBatch::new()).unwrap();
         let active = vec![true; 4];
         let out =
-            repair(&g2, &active, &old, &applied, 0, &RepairConfig::default(), greedy_solve);
+            repair(&g2, &active, old.clone(), &applied, 0, &RepairConfig::default(), greedy_solve);
         assert!(out.correct);
         assert_eq!(out.woken, 0);
         assert_eq!(out.repair_rounds, 0);
@@ -370,8 +431,7 @@ mod tests {
         b.add_nodes(2).insert_edge(1, 2).insert_edge(2, 3);
         let (g2, applied) = g.apply_deltas(&b).unwrap();
         let active = vec![true; 4];
-        let out =
-            repair(&g2, &active, &old, &applied, 1, &RepairConfig::default(), greedy_solve);
+        let out = repair(&g2, &active, old, &applied, 1, &RepairConfig::default(), greedy_solve);
         assert!(out.correct, "{:?}", out.error);
         check_mis_survivors(&g2, &out.states, &active).unwrap();
     }
@@ -387,14 +447,39 @@ mod tests {
         let (g2, applied) = g.apply_deltas(&b).unwrap();
         let active = vec![true; 2];
         let mut calls = 0u64;
-        let out = repair(&g2, &active, &old, &applied, 9, &RepairConfig { max_retries: 2 }, |_, _| {
-            calls += 1;
-            Err("solver down".into())
-        });
+        let out =
+            repair(&g2, &active, old, &applied, 9, &RepairConfig { max_retries: 2 }, |_, _| {
+                calls += 1;
+                Err("solver down".into())
+            });
         assert!(!out.correct);
         assert_eq!(out.error.as_deref(), Some("solver down"));
         assert_eq!(calls, 3); // first attempt + 2 retries
         assert_eq!(out.retries, 2);
+    }
+
+    #[test]
+    fn failed_retries_fall_back_to_a_valid_greedy_mis() {
+        // Path 0-1-2-3 with MIS {0, 2}; deleting (0, 1) and (1, 2)
+        // isolates node 1, and a solver that answers with undecided
+        // states never verifies.
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let old = mis_states(&g);
+        let mut b = DeltaBatch::new();
+        b.delete_edge(0, 1).delete_edge(1, 2);
+        let (g2, applied) = g.apply_deltas(&b).unwrap();
+        let active = vec![true; 4];
+        let cfg = RepairConfig { max_retries: 1 };
+        let out = repair(&g2, &active, old, &applied, 4, &cfg, |sub, _| {
+            Ok(SubSolution { states: vec![MisState::Undecided; sub.n()], ..Default::default() })
+        });
+        assert!(!out.correct);
+        assert!(out.fallback);
+        assert_eq!(out.error.as_deref(), Some("node 1 is undecided"));
+        assert_eq!(out.retries, 1);
+        check_mis_survivors(&g2, &out.states, &active).unwrap();
+        assert_eq!(out.joined, vec![1]);
+        assert!(out.left.is_empty());
     }
 
     #[test]

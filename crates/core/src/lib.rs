@@ -71,7 +71,7 @@ pub use matching::{is_matching, is_maximal_matching, maximal_matching, na_maxima
 pub use naive::NaiveGreedy;
 pub use state::{MisMsg, MisState};
 pub use verify::{
-    check_maximal, check_mis, check_mis_survivors, is_independent, is_lfmis, is_maximal, is_mis,
-    states_to_set,
+    check_maximal, check_mis, check_mis_at, check_mis_survivors, is_independent, is_lfmis,
+    is_maximal, is_mis, states_to_set,
 };
 pub use vt_mis::VtMis;

@@ -127,6 +127,51 @@ pub fn check_mis_survivors(g: &Graph, states: &[MisState], alive: &[bool]) -> Re
     Ok(())
 }
 
+/// Local survivor-aware MIS check: the conditions of
+/// [`check_mis_survivors`], tested only at `nodes`, each against its
+/// full neighborhood. Costs the summed degree of `nodes`, not `O(n + m)`;
+/// listing every node gives exactly the global verdict.
+///
+/// A violation is always seen at some node it involves, so this decides
+/// the global question whenever every violation must involve a listed
+/// node — the case for incremental repair, which lists every node whose
+/// state or adjacency a batch changed
+/// ([`incremental`](crate::incremental)).
+///
+/// # Errors
+///
+/// Describes the first violation at a listed alive node: it is
+/// undecided, it and an alive neighbor are both in the set, or it is
+/// neither in the set nor adjacent to an alive set member.
+pub fn check_mis_at(
+    g: &Graph,
+    states: &[MisState],
+    alive: &[bool],
+    nodes: &[NodeId],
+) -> Result<(), String> {
+    let in_set = |u: NodeId| alive[u as usize] && states[u as usize] == MisState::InMis;
+    for &v in nodes {
+        if !alive[v as usize] {
+            continue;
+        }
+        match states[v as usize] {
+            MisState::Undecided => return Err(format!("node {v} is undecided")),
+            MisState::InMis => {
+                if let Some(&u) = g.neighbors(v).iter().find(|&&u| in_set(u)) {
+                    let (a, b) = (u.min(v), u.max(v));
+                    return Err(format!("nodes {a} and {b} are adjacent and both in the set"));
+                }
+            }
+            MisState::NotInMis => {
+                if !g.neighbors(v).iter().any(|&u| in_set(u)) {
+                    return Err(format!("node {v} is neither in the set nor dominated"));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,6 +254,47 @@ mod tests {
         let alive = [true, false, true, true];
         let err = check_mis_survivors(&g, &states, &alive).unwrap_err();
         assert!(err.contains("undecided"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn local_check_over_every_node_is_the_global_check() {
+        use MisState::*;
+        let g = generators::path(4);
+        let every: Vec<NodeId> = (0..4).collect();
+        for alive in [[true; 4], [true, false, true, true]] {
+            for states in [
+                [InMis, NotInMis, InMis, NotInMis],
+                [InMis, InMis, NotInMis, InMis],
+                [NotInMis, NotInMis, InMis, NotInMis],
+                [InMis, Undecided, InMis, NotInMis],
+                [NotInMis, InMis, InMis, NotInMis],
+            ] {
+                assert_eq!(
+                    check_mis_at(&g, &states, &alive, &every).is_ok(),
+                    check_mis_survivors(&g, &states, &alive).is_ok(),
+                    "divergence on {states:?} alive {alive:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn local_check_sees_only_the_listed_nodes() {
+        use MisState::*;
+        let g = generators::path(4);
+        let alive = [true; 4];
+        // Node 3 is undominated; nodes 0 and 1 are fine.
+        let states = [InMis, NotInMis, NotInMis, NotInMis];
+        check_mis_at(&g, &states, &alive, &[0, 1]).unwrap();
+        let err = check_mis_at(&g, &states, &alive, &[0, 3]).unwrap_err();
+        assert!(err.contains("node 3") && err.contains("dominated"), "{err}");
+        // An intra-set edge is seen from either endpoint.
+        let states = [NotInMis, InMis, InMis, NotInMis];
+        for v in [1, 2] {
+            let err = check_mis_at(&g, &states, &alive, &[v]).unwrap_err();
+            assert!(err.contains("nodes 1 and 2"), "{err}");
+        }
+        assert!(check_mis_at(&g, &states, &alive, &[]).is_ok());
     }
 
     #[test]

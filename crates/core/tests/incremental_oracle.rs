@@ -4,6 +4,11 @@
 //! from-scratch run on the same graph is equally valid (same *validity*,
 //! not the same set). Also pins the delete-to-empty and isolated-node
 //! edge cases that frontier logic tends to get wrong.
+//!
+//! A noisy solver that is wrong two times in three drives repair's
+//! rejecting branch and its greedy fallback. Repair checks each attempt
+//! locally, at its candidate set only; in these debug-build tests it
+//! also asserts on every attempt that the global checker agrees.
 
 use awake_mis_core::incremental::{repair, RepairConfig, SubSolution};
 use awake_mis_core::{check_mis_survivors, greedy, MisState};
@@ -24,6 +29,78 @@ fn greedy_solve(sub: &Graph, _seed: u64) -> Result<SubSolution, String> {
         awake_total: sub.n() as u64,
         messages: 0,
     })
+}
+
+/// A frontier solver that is right only a third of the time: greedy
+/// states, or else a random `InMis`/`NotInMis`/`Undecided` state per
+/// node, chosen by the attempt's seed.
+fn noisy_solve(sub: &Graph, seed: u64) -> Result<SubSolution, String> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    if rng.gen_range(0..3u32) == 0 {
+        return greedy_solve(sub, seed);
+    }
+    let states = (0..sub.n())
+        .map(|_| match rng.gen_range(0..3u32) {
+            0 => MisState::InMis,
+            1 => MisState::NotInMis,
+            _ => MisState::Undecided,
+        })
+        .collect();
+    Ok(SubSolution { states, rounds: 1, awake_max: 1, awake_total: sub.n() as u64, messages: 0 })
+}
+
+/// Runs a delta stream repaired by [`noisy_solve`] and checks every
+/// epoch: the states are a valid MIS even when every attempt failed,
+/// a failure is reported and healed by the fallback, and `joined`/`left`
+/// are exactly the membership changes. Returns the stream's total
+/// retries and fallbacks.
+fn noisy_stream(
+    n: usize,
+    graph_seed: u64,
+    p: f64,
+    stream_seed: u64,
+    epochs: usize,
+    ops: usize,
+) -> Result<(u64, u64), TestCaseError> {
+    let mut rng = SmallRng::seed_from_u64(graph_seed);
+    let mut d = DynGraph::new(graphgen::generators::gnp(n, p, &mut rng));
+    let mut states = from_scratch(&d);
+    let (mut retries, mut fallbacks) = (0, 0);
+    let mut rng = SmallRng::seed_from_u64(stream_seed);
+    for epoch in 0..epochs {
+        let batch = random_batch(&d, ops, &mut rng);
+        let applied = d.apply(&batch).unwrap();
+        let mut before = states.clone();
+        before.resize(d.n(), MisState::Undecided);
+        let out = repair(
+            d.graph(),
+            d.active(),
+            states,
+            &applied,
+            stream_seed ^ epoch as u64,
+            &RepairConfig::default(),
+            noisy_solve,
+        );
+        check_mis_survivors(d.graph(), &out.states, d.active())
+            .map_err(|e| TestCaseError::fail(format!("epoch {epoch}: {e}")))?;
+        prop_assert_eq!(out.fallback, !out.correct, "epoch {}", epoch);
+        prop_assert_eq!(out.error.is_some(), !out.correct, "epoch {}", epoch);
+        let in_mis = |s: &[MisState], v: usize| s[v] == MisState::InMis;
+        let joined: Vec<NodeId> = (0..d.n())
+            .filter(|&v| in_mis(&out.states, v) && !in_mis(&before, v))
+            .map(|v| v as NodeId)
+            .collect();
+        let left: Vec<NodeId> = (0..d.n())
+            .filter(|&v| !in_mis(&out.states, v) && in_mis(&before, v))
+            .map(|v| v as NodeId)
+            .collect();
+        prop_assert_eq!(&out.joined, &joined, "epoch {}", epoch);
+        prop_assert_eq!(&out.left, &left, "epoch {}", epoch);
+        retries += out.retries;
+        fallbacks += u64::from(out.fallback);
+        states = out.states;
+    }
+    Ok((retries, fallbacks))
 }
 
 /// From-scratch MIS on the active subgraph, mapped back to global ids.
@@ -144,7 +221,7 @@ proptest! {
             let out = repair(
                 d.graph(),
                 d.active(),
-                &states,
+                states,
                 &applied,
                 stream_seed ^ epoch as u64,
                 &RepairConfig::default(),
@@ -166,6 +243,37 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Repair with a solver that is usually wrong still leaves a valid
+    /// MIS after every epoch, with the MIS delta it reports.
+    #[test]
+    fn repair_survives_a_noisy_solver(
+        n in 2usize..40,
+        graph_seed in any::<u64>(),
+        p in 0.0f64..0.4,
+        stream_seed in any::<u64>(),
+        epochs in 1usize..6,
+        ops in 1usize..12,
+    ) {
+        noisy_stream(n, graph_seed, p, stream_seed, epochs, ops)?;
+    }
+}
+
+#[test]
+fn noisy_solver_reaches_rejection_and_fallback() {
+    // Seeded, so the rejecting branch and the fallback provably ran.
+    let (mut retries, mut fallbacks) = (0, 0);
+    for seed in 0..32u64 {
+        let (r, f) = noisy_stream(30, seed, 0.15, seed ^ 0x5eed, 4, 10).unwrap();
+        retries += r;
+        fallbacks += f;
+    }
+    assert!(retries > 0, "no attempt was ever rejected");
+    assert!(fallbacks > 0, "no repair ever fell back to greedy");
+}
+
 #[test]
 fn delete_to_empty_graph() {
     // Delete every edge of a clique one epoch at a time; the MIS must
@@ -183,7 +291,7 @@ fn delete_to_empty_graph() {
         let out = repair(
             d.graph(),
             d.active(),
-            &states,
+            states,
             &applied,
             11,
             &RepairConfig::default(),
@@ -210,7 +318,7 @@ fn isolated_nodes_always_join() {
     let out = repair(
         d.graph(),
         d.active(),
-        &states,
+        states,
         &applied,
         5,
         &RepairConfig::default(),

@@ -1,14 +1,30 @@
 //! Topology deltas for dynamic graphs.
 //!
 //! A [`DeltaBatch`] collects edge insertions/deletions and node
-//! additions/removals; [`Graph::apply_deltas`] rebuilds the CSR
-//! incrementally — untouched nodes' neighbor slices are copied verbatim
-//! (no re-sort), so their **ports are stable**: ports are indices into
-//! the sorted neighbor list, and a node whose list did not change keeps
-//! every port meaning exactly what it meant before. Only the reverse
-//! ports are recomputed, by the same shared linear pass every
-//! construction path uses ([`Graph::from_sorted_halves`] /
-//! [`Graph::from_csr_parts`]).
+//! additions/removals; [`Graph::apply_deltas`] rebuilds the CSR by
+//! editing the old one. Ports are indices into the sorted neighbor
+//! list, so an untouched node — one no effective edit names — keeps
+//! every port meaning exactly what it meant before.
+//!
+//! # Rebuild strategy
+//!
+//! The effective edits are sorted once as `(node, other, is_insert)`
+//! half-edges, so each touched node's edits form one run, ascending in
+//! `other`. The new CSR is then written front to back:
+//!
+//! * each run of untouched nodes between two touched ones is one
+//!   `extend_from_slice` into `targets` and one into `rev_port`, with
+//!   the run's offsets shifted by where it now starts;
+//! * each touched node merges its old (sorted) neighbor list with its
+//!   edits, so its new list comes out sorted without a re-sort;
+//! * finally only the reverse ports of half-edges at touched nodes are
+//!   fixed, in both directions, each found by binary search in the
+//!   neighbor's new list. Every other reverse port points into an
+//!   untouched list and is copied correct.
+//!
+//! A batch of `k` edits therefore costs one copy of the CSR plus
+//! `O(k log Δ)`, and the result equals what [`Graph::from_edges`] builds
+//! from the same edge set, vector for vector.
 //!
 //! Node ids are **stable**: removing a node does not renumber anyone.
 //! At the [`Graph`] level a removed node simply becomes isolated; the
@@ -25,8 +41,7 @@
 //! endpoints, the same edge both inserted and deleted in one batch, and
 //! inserting an edge at a node the same batch removes.
 
-use crate::graph::{Graph, NodeId};
-use std::collections::HashMap;
+use crate::graph::{Graph, NodeId, Port};
 use std::fmt;
 
 /// Error returned when a [`DeltaBatch`] cannot be applied.
@@ -233,8 +248,9 @@ impl Graph {
     /// Applies a delta batch, returning the new graph and the effective
     /// changes. Node ids are stable; removed nodes become isolated; new
     /// nodes take ids `n..n+k`. Untouched nodes keep their neighbor
-    /// slices (and therefore their ports) verbatim — the CSR is rebuilt
-    /// by per-node merge, not by a global re-sort.
+    /// slices (and therefore their ports) verbatim — the CSR is copied
+    /// run by run and edited only at touched nodes (see the
+    /// [module docs](crate::delta)), never re-sorted.
     ///
     /// # Errors
     ///
@@ -250,10 +266,6 @@ impl Graph {
         removed.dedup();
         if let Some(&v) = removed.iter().find(|&&v| v as usize >= n) {
             return Err(DeltaError::NodeOutOfRange { node: v, n });
-        }
-        let mut is_removed = vec![false; n_new];
-        for &v in &removed {
-            is_removed[v as usize] = true;
         }
 
         // Validate + canonicalize the edge lists.
@@ -279,7 +291,7 @@ impl Graph {
         }
         for &(a, b) in &ins {
             for v in [a, b] {
-                if is_removed[v as usize] {
+                if removed.binary_search(&v).is_ok() {
                     return Err(DeltaError::EdgeToRemovedNode { edge: (a, b), node: v });
                 }
             }
@@ -300,54 +312,88 @@ impl Graph {
         deleted.sort_unstable();
         deleted.dedup();
 
-        // Per-node effective delta lists, touched nodes only — an
-        // untouched node's slice is copied verbatim below, which is what
-        // keeps its ports stable.
-        let mut touched: HashMap<NodeId, (Vec<NodeId>, Vec<NodeId>)> = HashMap::new();
-        for &(a, b) in &inserted {
-            touched.entry(a).or_default().0.push(b);
-            touched.entry(b).or_default().0.push(a);
+        // One edit per half-edge. `(node, other)` pairs are distinct —
+        // an edge is either inserted or deleted — so sorting groups each
+        // touched node's edits into one run, ascending in `other`.
+        let mut edits: Vec<(NodeId, NodeId, bool)> =
+            Vec::with_capacity(2 * (inserted.len() + deleted.len()));
+        for (edges, is_insert) in [(&inserted, true), (&deleted, false)] {
+            for &(a, b) in edges {
+                edits.push((a, b, is_insert));
+                edits.push((b, a, is_insert));
+            }
         }
-        for &(a, b) in &deleted {
-            touched.entry(a).or_default().1.push(b);
-            touched.entry(b).or_default().1.push(a);
-        }
+        edits.sort_unstable();
 
         let half_count = (self.m() + inserted.len()).saturating_sub(deleted.len()) * 2;
         let mut offsets = Vec::with_capacity(n_new + 1);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(half_count);
-        offsets.push(0usize);
-        for v in 0..n_new as NodeId {
-            let old: &[NodeId] = if (v as usize) < n { self.neighbors(v) } else { &[] };
-            match touched.get_mut(&v) {
-                None => targets.extend_from_slice(old),
-                Some((adds, dels)) => {
-                    adds.sort_unstable();
-                    dels.sort_unstable();
-                    // Merge: old neighbors minus dels, interleaved with
-                    // adds, both ascending — output stays sorted.
-                    let mut ai = 0;
-                    let mut di = 0;
-                    for &u in old {
-                        while ai < adds.len() && adds[ai] < u {
-                            targets.push(adds[ai]);
-                            ai += 1;
-                        }
-                        if di < dels.len() && dels[di] == u {
-                            di += 1;
-                        } else {
-                            targets.push(u);
-                        }
-                    }
-                    targets.extend_from_slice(&adds[ai..]);
-                }
+        offsets.push(0);
+        let mut g = Graph {
+            offsets,
+            targets: Vec::with_capacity(half_count),
+            rev_port: Vec::with_capacity(half_count),
+        };
+        let mut touched: Vec<NodeId> = Vec::new();
+        for run in edits.chunk_by(|x, y| x.0 == y.0) {
+            let v = run[0].0;
+            g.extend_untouched(self, v as usize);
+            g.push_edited(self, run);
+            touched.push(v);
+        }
+        g.extend_untouched(self, n_new);
+        // Reverse ports that can have moved: those of half-edges at a
+        // touched node, and those of their twins at the other end.
+        for &v in &touched {
+            let (lo, hi) = (g.offsets[v as usize], g.offsets[v as usize + 1]);
+            for e in lo..hi {
+                let u = g.targets[e];
+                let q = g.port_to(u, v).expect("neighbor lists are symmetric");
+                g.rev_port[e] = q;
+                g.rev_port[g.offsets[u as usize] + q as usize] = (e - lo) as Port;
             }
-            offsets.push(targets.len());
         }
 
         let added: Vec<NodeId> = (n as NodeId..n_new as NodeId).collect();
         let applied = AppliedDelta { inserted, deleted, added, removed };
-        Ok((Graph::from_csr_parts(offsets, targets), applied))
+        Ok((g, applied))
+    }
+
+    /// Appends nodes `self.n()..hi` with the neighbor lists and reverse
+    /// ports they have in `old`: one slice copy per vector, then the
+    /// run's offsets shifted to where it now starts. Ids `>= old.n()`
+    /// get empty lists.
+    fn extend_untouched(&mut self, old: &Graph, hi: usize) {
+        let (a, b) = (self.n().min(old.n()), hi.min(old.n()));
+        let (start, end) = (old.offsets[a], old.offsets[b]);
+        let base = self.targets.len();
+        self.targets.extend_from_slice(&old.targets[start..end]);
+        self.rev_port.extend_from_slice(&old.rev_port[start..end]);
+        self.offsets.extend(old.offsets[a + 1..=b].iter().map(|&o| o - start + base));
+        self.offsets.resize(hi + 1, self.targets.len());
+    }
+
+    /// Appends node `v = self.n()` with its list in `old` merged with
+    /// `edits` — `(v, other, is_insert)`, ascending in `other` — so the
+    /// result stays sorted. Its reverse ports are left as placeholders
+    /// for [`Graph::apply_deltas`] to fix.
+    fn push_edited(&mut self, old: &Graph, edits: &[(NodeId, NodeId, bool)]) {
+        let v = self.n();
+        let list: &[NodeId] = if v < old.n() { old.neighbors(v as NodeId) } else { &[] };
+        let mut i = 0;
+        for &(_, u, is_insert) in edits {
+            let j = i + list[i..].partition_point(|&w| w < u);
+            self.targets.extend_from_slice(&list[i..j]);
+            i = j;
+            if is_insert {
+                self.targets.push(u);
+            } else {
+                debug_assert_eq!(list.get(i), Some(&u), "deleted edge must exist");
+                i += 1;
+            }
+        }
+        self.targets.extend_from_slice(&list[i..]);
+        self.rev_port.resize(self.targets.len(), 0);
+        self.offsets.push(self.targets.len());
     }
 }
 

@@ -42,9 +42,9 @@ impl std::error::Error for GraphError {}
 /// replies without any lookup.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
-    offsets: Vec<usize>,
-    targets: Vec<NodeId>,
-    rev_port: Vec<Port>,
+    pub(crate) offsets: Vec<usize>,
+    pub(crate) targets: Vec<NodeId>,
+    pub(crate) rev_port: Vec<Port>,
 }
 
 impl fmt::Debug for Graph {
@@ -90,10 +90,10 @@ impl Graph {
     }
 
     /// Builds the CSR from half-edges that are already sorted by
-    /// `(source, target)` and deduplicated. This is the single rebuild
-    /// path shared by [`Graph::from_edges`], [`Graph::induced`], and the
-    /// delta machinery ([`Graph::apply_deltas`](crate::delta)) — port
-    /// assignment lives here and nowhere else.
+    /// `(source, target)` and deduplicated. This is the construction
+    /// path shared by [`Graph::from_edges`] and [`Graph::induced`];
+    /// [`Graph::apply_deltas`](crate::delta) edits an existing CSR
+    /// instead and must produce exactly the graph this path would.
     pub(crate) fn from_sorted_halves(n: usize, halves: &[(NodeId, NodeId)]) -> Graph {
         let mut offsets = vec![0usize; n + 1];
         for &(a, _) in halves {
@@ -107,7 +107,7 @@ impl Graph {
     }
 
     /// Finishes a CSR whose `offsets`/`targets` are already laid out
-    /// (per-source neighbor lists sorted ascending) by computing the
+    /// (per-source neighbor lists sorted ascending) by computing all
     /// reverse ports.
     ///
     /// Reverse ports: position of `a` within `b`'s (sorted) neighbor
@@ -117,7 +117,7 @@ impl Graph {
     /// One linear counting pass therefore replaces a binary search per
     /// half-edge, keeping construction at 10^6–10^7 nodes off the
     /// profile.
-    pub(crate) fn from_csr_parts(offsets: Vec<usize>, targets: Vec<NodeId>) -> Graph {
+    fn from_csr_parts(offsets: Vec<usize>, targets: Vec<NodeId>) -> Graph {
         let n = offsets.len() - 1;
         let mut rev_port = vec![0 as Port; targets.len()];
         let mut seen = vec![0 as Port; n];

@@ -1,9 +1,10 @@
 //! Property tests on the graph substrate.
 
-use graphgen::{generators, io, products, props, Graph};
+use graphgen::{generators, io, products, props, DeltaBatch, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (1usize..80, any::<u64>(), 0.0f64..0.5).prop_map(|(n, seed, p)| {
@@ -12,7 +13,87 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// A random valid batch against `g` and the edge set it must leave
+/// behind. The batch mixes inserts and deletes — including inserts of
+/// present edges, deletes of absent ones, and duplicates in both
+/// orientations — with node additions and node removals.
+fn random_batch(g: &Graph, seed: u64) -> (DeltaBatch, usize, BTreeSet<(NodeId, NodeId)>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let n = g.n();
+    let added = rng.gen_range(0..3usize);
+    let n_new = n + added;
+    let mut batch = DeltaBatch::new();
+    batch.add_nodes(added);
+    let removed: BTreeSet<NodeId> = (0..n as NodeId).filter(|_| rng.gen_bool(0.08)).collect();
+    for &v in &removed {
+        batch.remove_node(v);
+    }
+    let mut expect: BTreeSet<(NodeId, NodeId)> = g.edges().collect();
+    let (mut inserts, mut deletes) = (BTreeSet::new(), BTreeSet::new());
+    for _ in 0..rng.gen_range(0..3 * n_new) {
+        let a = rng.gen_range(0..n_new as NodeId);
+        let b = rng.gen_range(0..n_new as NodeId);
+        let e = (a.min(b), a.max(b));
+        if a == b || inserts.contains(&e) || deletes.contains(&e) {
+            continue;
+        }
+        if rng.gen_bool(0.5) && !removed.contains(&a) && !removed.contains(&b) {
+            inserts.insert(e);
+        } else {
+            deletes.insert(e);
+        }
+    }
+    // Deletes of present edges, so the batch does more than no-ops.
+    for e in g.edges() {
+        if !inserts.contains(&e) && rng.gen_bool(0.1) {
+            deletes.insert(e);
+        }
+    }
+    for &(a, b) in &inserts {
+        batch.insert_edge(a, b);
+        if rng.gen_bool(0.3) {
+            batch.insert_edge(b, a);
+        }
+        expect.insert((a, b));
+    }
+    for &(a, b) in &deletes {
+        batch.delete_edge(b, a);
+        if rng.gen_bool(0.3) {
+            batch.delete_edge(a, b);
+        }
+        expect.remove(&(a, b));
+    }
+    expect.retain(|(a, b)| !removed.contains(a) && !removed.contains(b));
+    (batch, n_new, expect)
+}
+
 proptest! {
+    /// `apply_deltas` edits the CSR in place of a rebuild, and must
+    /// still build exactly the graph `from_edges` builds on the
+    /// resulting edge set — offsets, targets and reverse ports alike —
+    /// report exactly the edges that changed, and leave the neighbor
+    /// list of every node outside the effective edits as it was.
+    #[test]
+    fn apply_deltas_matches_from_edges(g in arb_graph(), seed in any::<u64>()) {
+        let (batch, n_new, expect) = random_batch(&g, seed);
+        let (h, applied) = g.apply_deltas(&batch).unwrap();
+        let edges: Vec<(NodeId, NodeId)> = expect.iter().copied().collect();
+        prop_assert_eq!(&h, &Graph::from_edges(n_new, &edges).unwrap());
+
+        let before: BTreeSet<(NodeId, NodeId)> = g.edges().collect();
+        let inserted: Vec<_> = expect.difference(&before).copied().collect();
+        let deleted: Vec<_> = before.difference(&expect).copied().collect();
+        prop_assert_eq!(&applied.inserted, &inserted);
+        prop_assert_eq!(&applied.deleted, &deleted);
+
+        let touched: BTreeSet<NodeId> =
+            inserted.iter().chain(&deleted).flat_map(|&(a, b)| [a, b]).collect();
+        for v in (0..n_new as NodeId).filter(|v| !touched.contains(v)) {
+            let old: &[NodeId] = if (v as usize) < g.n() { g.neighbors(v) } else { &[] };
+            prop_assert_eq!(h.neighbors(v), old);
+        }
+    }
+
     /// Port numbering is an involution: following a port and its
     /// reverse returns to the start.
     #[test]
