@@ -908,6 +908,26 @@ mod tests {
     }
 
     #[test]
+    fn rejected_batch_leaves_the_service_unchanged() {
+        let g = GraphFamily::Er.generate(64, 3);
+        let runner = default_registry().resolve("luby").unwrap();
+        let mut scratch = ScratchArena::new();
+        let (mut service, _) = MisService::bootstrap(runner, g, 3, &mut scratch).unwrap();
+        let (graph, states) = (service.graph().clone(), service.states().to_vec());
+        let mut batch = DeltaBatch::new();
+        batch.delete_edge(0, 1).insert_edge(5, 5);
+        assert!(service.apply(&batch, &mut scratch).is_err());
+        assert_eq!(service.graph(), &graph);
+        assert_eq!(service.states(), states.as_slice());
+        // The next valid batch is epoch 1 and repairs the intact state.
+        let batch = random_batch(service.graph(), 8, 0.5, 0.2, 7);
+        let rep = service.apply(&batch, &mut scratch).unwrap();
+        assert_eq!(rep.epoch, 1);
+        assert!(rep.correct, "{:?}", rep.error);
+        service.audit().unwrap();
+    }
+
+    #[test]
     fn random_batch_is_deterministic() {
         let d = DynGraph::new(GraphFamily::Er.generate(32, 5));
         let a = random_batch(&d, 10, 0.5, 0.1, 42);
