@@ -3,19 +3,16 @@
 //! The repo pins four regression-gated artifacts — `BENCH_grid.json`
 //! (schema `awake-mis/bench-grid/v1`–`v3`), `BENCH_sweep.json`
 //! (`bench-sweep/v1`), `BENCH_faults.json` (`bench-faults/v1`) and
-//! `BENCH_churn.json` (`bench-churn/v1`). `bench-diff` compares two
+//! `BENCH_churn.json` (`bench-churn/v1`). `bench-diff` gates two
 //! revisions of one artifact; `bench-report` trends *every* committed
-//! revision. Both consume documents through this module so there is
+//! revision. Both read documents through this module, so there is
 //! exactly one place that knows how to sniff a schema, group points
-//! into cells, and aggregate a cell into its gated measures.
+//! into cells, and aggregate a cell into its measures.
 //!
-//! Two views are offered:
-//!
-//! * **Typed views** ([`Artifact::point_cells`], [`Artifact::sweep_cells`])
-//!   keep the per-kind shape `bench-diff`'s verdict logic needs.
-//! * **The trend view** ([`Artifact::series_cells`]) flattens any kind
-//!   into `(cell key, measure name, value, gate)` rows — the unit the
-//!   trajectory pipeline samples once per git revision.
+//! [`Artifact::series_cells`] flattens any kind into
+//! `(cell key, measure name, value, gate)` rows, the unit both tools
+//! sample once per revision. Its per-kind arms are the one gate table:
+//! which measures each kind has and how growth of each is judged.
 //!
 //! Cell-key field lists come from the `analysis` result types
 //! ([`GridCell::KEY_FIELDS`] et al.), so the writer and both readers
@@ -131,46 +128,24 @@ impl Artifact {
 
     /// The document's `points` array (empty for documents without one).
     pub fn points(&self) -> &[Value] {
-        self.doc.get("points").and_then(Value::as_arr).unwrap_or(&[])
+        arr(&self.doc, "points")
     }
 
     /// Groups `points` into cells by this kind's key fields, in
     /// first-seen (payload) order. Meaningful for the point-indexed
-    /// kinds (grid, faults, churn); a sweep's per-seed points are not
-    /// its unit of comparison — use [`Artifact::sweep_cells`].
-    pub fn point_cells(&self) -> Vec<(Vec<String>, Vec<&Value>)> {
+    /// kinds (grid, faults, churn); a sweep compares its per-cell
+    /// entries instead.
+    fn point_cells(&self) -> Vec<(Vec<String>, Vec<&Value>)> {
         json::index_by(self.points(), self.kind.key_fields())
     }
 
-    /// Sweep documents: the `{family, n}` cells with their frontier
-    /// key lists, in payload order.
-    pub fn sweep_cells(&self) -> Vec<SweepCellView<'_>> {
-        self.doc
-            .get("cells")
-            .and_then(Value::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|cell| SweepCellView {
-                family: cell.get("family").and_then(Value::as_str).unwrap_or("?").to_string(),
-                n: cell
-                    .get("n")
-                    .and_then(Value::as_f64)
-                    .map_or("?".to_string(), |n| format!("{n}")),
-                frontier: cell
-                    .get("frontier")
-                    .and_then(Value::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(|v| v.as_str().map(str::to_string))
-                    .collect(),
-                cell,
-            })
-            .collect()
-    }
-
-    /// The trend view: every cell flattened to gated measures, exactly
-    /// the aggregates `bench-diff` scores (means over points for the
-    /// point-indexed kinds, entry summary means for sweeps).
+    /// Every cell flattened to its measures: means over points for the
+    /// point-indexed kinds, entry summary means for sweeps. A correct
+    /// cell must stay correct, so grid and churn failure rates and a
+    /// sweep entry's `broken` flag are zero-anchored; fault cells
+    /// legitimately fail, so only their rate's growth in percentage
+    /// points gates. A sweep entry's 0/1 `dominated` flag pins the
+    /// Pareto frontier.
     pub fn series_cells(&self) -> Vec<CellSeries> {
         match self.kind {
             ArtifactKind::Grid => self
@@ -192,7 +167,7 @@ impl Artifact {
                     ));
                     measures.push(Measure::new(
                         "failure_rate",
-                        Gate::Pp,
+                        Gate::RelativeZero,
                         failure_rate(&pts),
                     ));
                     measures.push(Measure::new("rounds", Gate::Info, mean(&pts, "rounds")));
@@ -229,28 +204,25 @@ impl Artifact {
                             Gate::Relative,
                             mean(&pts, "awake_per_delta"),
                         ),
-                        Measure::new("failure_rate", Gate::Pp, failure_rate(&pts)),
+                        Measure::new("failure_rate", Gate::RelativeZero, failure_rate(&pts)),
                     ],
                 })
                 .collect(),
             ArtifactKind::Sweep => {
+                let flag = |b: bool| if b { 1.0 } else { 0.0 };
                 let mut out = Vec::new();
-                for view in self.sweep_cells() {
-                    for entry in view.entries() {
+                for cell in arr(&self.doc, "cells") {
+                    let family = cell.get("family").and_then(Value::as_str).unwrap_or("?");
+                    let n = cell.get("n").and_then(Value::as_f64);
+                    let n = n.map_or("?".to_string(), |n| n.to_string());
+                    let frontier = arr(cell, "frontier");
+                    for entry in arr(cell, "entries") {
                         let Some(algo) = entry.get("algorithm").and_then(Value::as_str) else {
                             continue;
                         };
-                        let cell =
-                            vec![view.family.clone(), view.n.clone(), algo.to_string()];
-                        let broken = entry.get("all_correct").and_then(Value::as_bool)
-                            != Some(true);
                         let mut measures = Vec::new();
-                        for (name, field) in [
-                            ("awake_max", "awake_max"),
-                            ("awake_avg", "awake_avg"),
-                            ("energy_max_mj", "energy_max_mj"),
-                        ] {
-                            if let Some(v) = entry_mean(entry, field) {
+                        for name in ["awake_max", "awake_avg", "energy_max_mj"] {
+                            if let Some(v) = entry_mean(entry, name) {
                                 measures.push(Measure::new(name, Gate::Relative, v));
                             }
                         }
@@ -261,15 +233,18 @@ impl Artifact {
                         ));
                         measures.push(Measure::new(
                             "broken",
-                            Gate::Pp,
-                            if broken { 1.0 } else { 0.0 },
+                            Gate::RelativeZero,
+                            flag(entry.get("all_correct").and_then(Value::as_bool) != Some(true)),
                         ));
                         measures.push(Measure::new(
-                            "frontier",
-                            Gate::Info,
-                            if view.frontier.iter().any(|k| k == algo) { 1.0 } else { 0.0 },
+                            "dominated",
+                            Gate::RelativeZero,
+                            flag(!frontier.iter().any(|k| k.as_str() == Some(algo))),
                         ));
-                        out.push(CellSeries { cell, measures });
+                        out.push(CellSeries {
+                            cell: vec![family.to_string(), n.clone(), algo.to_string()],
+                            measures,
+                        });
                     }
                 }
                 out
@@ -278,45 +253,18 @@ impl Artifact {
     }
 }
 
-/// One `{family, n}` sweep cell: identity, frontier keys, and the raw
-/// cell object for entry lookups.
-#[derive(Debug, Clone)]
-pub struct SweepCellView<'a> {
-    /// Family key of the cell.
-    pub family: String,
-    /// Node count, as the payload spells it.
-    pub n: String,
-    /// Keys of the non-dominated entries.
-    pub frontier: Vec<String>,
-    /// The underlying cell object.
-    pub cell: &'a Value,
-}
-
-impl<'a> SweepCellView<'a> {
-    /// The cell's entry objects, in sweep order.
-    pub fn entries(&self) -> &'a [Value] {
-        self.cell.get("entries").and_then(Value::as_arr).unwrap_or(&[])
-    }
-
-    /// Finds the entry for one spec-point key.
-    pub fn find_entry(&self, key: &str) -> Option<&'a Value> {
-        self.entries()
-            .iter()
-            .find(|e| e.get("algorithm").and_then(Value::as_str) == Some(key))
-    }
-}
-
-/// How a measure's growth is judged — the same semantics `bench-diff`
-/// applies between two adjacent revisions, reused by the trajectory
-/// drift gate over any revision span.
+/// How a measure's growth from its baseline is judged — by `bench-diff`
+/// across one PR and by the `bench-report` drift gate across the whole
+/// committed history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
     /// Relative growth in percent beyond the threshold regresses (only
-    /// from a strictly positive baseline, as in `bench-diff`).
+    /// from a strictly positive baseline).
     Relative,
     /// [`Gate::Relative`], plus "zero stays zero": any growth from a
-    /// zero baseline regresses regardless of threshold (the churn
-    /// locality rule — waking anyone on a delta-free stream is a bug).
+    /// zero baseline regresses regardless of threshold (waking anyone on
+    /// a delta-free stream, or one failing seed in a correct cell, is a
+    /// bug, not drift).
     RelativeZero,
     /// Absolute growth in percentage points beyond the threshold
     /// regresses (failure rates; values are fractions in `[0, 1]`).
@@ -355,15 +303,20 @@ pub struct CellSeries {
     pub measures: Vec<Measure>,
 }
 
+/// The array at `field` of `v`; empty when absent.
+fn arr<'a>(v: &'a Value, field: &str) -> &'a [Value] {
+    v.get(field).and_then(Value::as_arr).unwrap_or(&[])
+}
+
 /// Mean of a numeric field over a cell's points.
-pub fn mean(points: &[&Value], field: &str) -> f64 {
+fn mean(points: &[&Value], field: &str) -> f64 {
     let sum: f64 = points.iter().filter_map(|p| p.get(field).and_then(Value::as_f64)).sum();
     sum / points.len().max(1) as f64
 }
 
 /// Mean of a field nested in each point's `awake_dist` object; `None`
 /// when no point carries it (a legacy v1 grid document).
-pub fn mean_dist(points: &[&Value], field: &str) -> Option<f64> {
+fn mean_dist(points: &[&Value], field: &str) -> Option<f64> {
     let values: Vec<f64> = points
         .iter()
         .filter_map(|p| p.get("awake_dist").and_then(|d| d.get(field)).and_then(Value::as_f64))
@@ -376,24 +329,15 @@ pub fn mean_dist(points: &[&Value], field: &str) -> Option<f64> {
 }
 
 /// Max of a numeric field over a cell's points.
-pub fn max(points: &[&Value], field: &str) -> f64 {
+fn max(points: &[&Value], field: &str) -> f64 {
     points
         .iter()
         .filter_map(|p| p.get(field).and_then(Value::as_f64))
         .fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// True when every point in the cell verified correct and none carries
-/// an engine error. Broken cells must never be scored by their
-/// (zeroed) measurements.
-pub fn all_correct(points: &[&Value]) -> bool {
-    points.iter().all(|p| {
-        p.get("correct").and_then(Value::as_bool) == Some(true) && p.get("sim_error").is_none()
-    })
-}
-
 /// Fraction of a cell's points that did not verify correct.
-pub fn failure_rate(points: &[&Value]) -> f64 {
+fn failure_rate(points: &[&Value]) -> f64 {
     let bad = points
         .iter()
         .filter(|p| {
@@ -405,7 +349,7 @@ pub fn failure_rate(points: &[&Value]) -> f64 {
 }
 
 /// Mean of a summary field (`{"mean": …}`) on a sweep-cell entry.
-pub fn entry_mean(entry: &Value, field: &str) -> Option<f64> {
+fn entry_mean(entry: &Value, field: &str) -> Option<f64> {
     entry.get(field).and_then(|s| s.get("mean")).and_then(Value::as_f64)
 }
 
@@ -476,7 +420,7 @@ mod tests {
         assert_eq!(get("awake_avg"), Some((Gate::Relative, 3.5)));
         assert_eq!(get("awake_p95"), Some((Gate::Relative, 8.0)));
         assert_eq!(get("max_message_bits"), Some((Gate::Bits, 21.0)));
-        assert_eq!(get("failure_rate"), Some((Gate::Pp, 0.0)));
+        assert_eq!(get("failure_rate"), Some((Gate::RelativeZero, 0.0)));
         assert_eq!(get("rounds"), Some((Gate::Info, 10.0)));
     }
 
@@ -494,21 +438,16 @@ mod tests {
     #[test]
     fn sweep_series_flattens_entries_with_frontier_membership() {
         let a = Artifact::parse(SWEEP_DOC, "t").unwrap();
-        let views = a.sweep_cells();
-        assert_eq!(views.len(), 1);
-        assert_eq!(views[0].frontier, ["luby"]);
-        assert!(views[0].find_entry("le?bits=6").is_some());
-        assert!(views[0].find_entry("nope").is_none());
-
         let series = a.series_cells();
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].cell, ["er", "64", "luby"]);
         assert_eq!(series[1].cell, ["er", "64", "le?bits=6"]);
-        let frontier = |s: &CellSeries| {
-            s.measures.iter().find(|m| m.name == "frontier").unwrap().value
+        let dominated = |s: &CellSeries| {
+            let m = s.measures.iter().find(|m| m.name == "dominated").unwrap();
+            (m.gate, m.value)
         };
-        assert_eq!(frontier(&series[0]), 1.0);
-        assert_eq!(frontier(&series[1]), 0.0);
+        assert_eq!(dominated(&series[0]), (Gate::RelativeZero, 0.0));
+        assert_eq!(dominated(&series[1]), (Gate::RelativeZero, 1.0));
         let energy = series[0].measures.iter().find(|m| m.name == "energy_max_mj").unwrap();
         assert_eq!((energy.gate, energy.value), (Gate::Relative, 1.5));
     }

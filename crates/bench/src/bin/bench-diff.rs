@@ -1,42 +1,20 @@
-//! `bench-diff` — compare two `BENCH_grid.json`, `BENCH_sweep.json`,
-//! **or** `BENCH_faults.json` files and flag regressions.
+//! `bench-diff` — the per-PR regression gate: compares two revisions of
+//! one benchmark artifact (`BENCH_grid.json`, `BENCH_sweep.json`,
+//! `BENCH_faults.json` or `BENCH_churn.json`).
 //!
-//! For grid documents: prints, per `(algorithm, family, n)` cell present
-//! in both files, the delta in mean worst-case awake rounds, in mean
-//! *node-averaged* awake rounds, in the mean per-run p95 of the awake
-//! distribution, and in CONGEST bits (largest message), then exits
-//! nonzero when the new file regresses beyond the thresholds. This is
-//! the perf-trajectory gate: commit a baseline, regenerate after a
-//! change, diff.
+//! It is `bench-report --gate` run over two revisions held in memory:
+//! OLD and NEW become a two-sample [`ArtifactHistory`], every
+//! `(cell, measure)` becomes a [`bench::trend::TrendSeries`], and
+//! [`gate_drift`] judges each series with
+//! [`bench::trend::TrendSeries::gate_violation`] under the gate that
+//! [`Artifact::series_cells`] assigns its measure.
+//! The per-PR gate and the drift gate therefore agree by construction;
+//! they only look across different spans.
 //!
-//! For sweep documents (`awake-mis/bench-sweep/v1`): compares the
-//! per-`{family, n}` **Pareto frontiers**. A baseline frontier point
-//! that disappears from the new sweep, or drops off the frontier
-//! (becomes dominated), is a regression; so is a frontier point whose
-//! mean worst-case awake, node-averaged awake, or worst-node energy
-//! regresses beyond the threshold. New frontier points are reported as
-//! coverage, not failures.
-//!
-//! For fault documents (`awake-mis/bench-faults/v1`): compares, per
-//! `(fault level, family, n)` cell, the **failure rate** (fraction of
-//! seeds that did not verify on the survivor subgraph) and the mean
-//! awake measures. This is the robustness gate: a failure-rate increase
-//! beyond `--threshold` percentage points at *any* swept loss/crash
-//! level is a regression and exits 1, as is lost cell coverage. Lossy
-//! cells legitimately contain incorrect runs, so — unlike the grid path
-//! — incorrectness alone is not "BROKEN" here; only its growth is.
-//!
-//! For churn documents (`awake-mis/bench-churn/v1`): compares, per
-//! `(algorithm, family, n, rate)` cell, the **woken ratio** (nodes the
-//! incremental repair woke vs what a full recompute would wake) and the
-//! awake-per-delta cost. This is the locality gate: repair quietly
-//! waking more of the graph than the committed baseline is a
-//! regression, as is any cell whose epochs stopped verifying.
-//!
-//! Schema sniffing, cell grouping, and the measure aggregates all come
-//! from [`bench::artifact`] — the same reader `bench-report` trends
-//! over git history, so the per-PR gate and the trajectory gate cannot
-//! disagree about what a document means.
+//! Coverage is judged per cell. A cell of OLD with no measure in NEW is
+//! lost coverage and fails (`MISSING`); a cell only in NEW is new
+//! coverage and passes. A measure on one side only (v1 grids lack
+//! `awake_p95`) is shown but not gated.
 //!
 //! Usage:
 //!
@@ -45,37 +23,23 @@
 //!     OLD.json NEW.json [--threshold PCT] [--bits-slack N] [--exact]
 //! ```
 //!
-//! * `--threshold PCT` — allowed relative increase per cell in each
-//!   gated measure before it counts as a regression (default 5).
-//! * `--bits-slack N` — allowed absolute increase in max message bits
-//!   per cell (default 0: any CONGEST growth is a regression).
-//! * `--exact` — additionally require the two deterministic payloads to
-//!   agree exactly: same spec echo, same cells, same points
-//!   (`meta`/`timing` are ignored). This is how CI pins the default
-//!   registry's byte-compatibility against the committed grid *and* the
-//!   committed sweep.
+//! * `--threshold PCT` — allowed growth of each gated measure: percent
+//!   for relative gates, percentage points for fault failure rates
+//!   (default 5).
+//! * `--bits-slack N` — allowed absolute growth of max message bits
+//!   (default 0: any CONGEST growth is a regression).
+//! * `--exact` — additionally require the deterministic payloads
+//!   ([`PAYLOAD_SECTIONS`]; `meta`/`timing` are ignored) to agree
+//!   exactly. This is how CI pins each committed artifact's
+//!   byte-compatibility.
 //!
-//! Baseline cells absent from the new file always count as failures
-//! (lost coverage must not pass as "0 regressions"); cells only in the
-//! new file are reported but don't fail the run. Both files must be the
-//! same kind of document.
-//!
-//! `awake-mis/bench-grid/v3` documents and legacy `v2`/`v1` documents
-//! (v2 predates the per-point fault counters, v1 the `awake_dist`
-//! object) are accepted; the node-averaged and p95 columns show `-`
-//! where a side lacks the data, and those comparisons are skipped for
-//! that cell.
-//!
-//! Exit codes: `0` no regression, `1` regression or `--exact` mismatch,
-//! `2` usage or parse error.
+//! Exit codes: `0` no regression, `1` regression, lost coverage or
+//! `--exact` mismatch, `2` usage or parse error.
 
-use analysis::Table;
-use bench::artifact::{
-    all_correct, entry_mean, failure_rate, max, mean, mean_dist, Artifact, ArtifactKind,
-    PAYLOAD_SECTIONS,
-};
-use bench::json::Value;
-use std::collections::{HashMap, HashSet};
+use bench::artifact::{Artifact, PAYLOAD_SECTIONS};
+use bench::history::{ArtifactHistory, Revision, RevisionSample};
+use bench::report::ascii_report;
+use bench::trend::{gate_drift, series_from_history};
 use std::process::ExitCode;
 
 fn fail_usage(msg: &str) -> ExitCode {
@@ -84,20 +48,6 @@ fn fail_usage(msg: &str) -> ExitCode {
         "usage: bench-diff OLD.json NEW.json [--threshold PCT] [--bits-slack N] [--exact]"
     );
     ExitCode::from(2)
-}
-
-/// Formats an optional measurement for the table.
-fn opt_cell(v: Option<f64>) -> String {
-    v.map_or_else(|| "-".to_string(), |x| format!("{x:.2}"))
-}
-
-/// Relative regression check on an optionally-present measure: only a
-/// pair of present values can regress.
-fn regressed(old: Option<f64>, new: Option<f64>, threshold: f64) -> bool {
-    match (old, new) {
-        (Some(o), Some(n)) if o > 0.0 => 100.0 * (n - o) / o > threshold,
-        _ => false,
-    }
 }
 
 fn main() -> ExitCode {
@@ -137,20 +87,64 @@ fn main() -> ExitCode {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => return fail_usage(&e),
     };
+    let kind = old.kind.short();
     if old.kind != new.kind {
-        return fail_usage("cannot compare documents of different kinds (grid/sweep/faults)");
+        return fail_usage(&format!(
+            "cannot compare a {kind} document with a {} document",
+            new.kind.short()
+        ));
+    }
+    // Sample 0 is OLD, sample 1 is NEW; the paths stand in for hashes.
+    let sample = |path: &str, artifact| RevisionSample {
+        rev: Revision { hash: path.to_string(), date: String::new() },
+        artifact,
+    };
+    let history = ArtifactHistory {
+        path: new_path.to_string(),
+        samples: vec![sample(old_path, old), sample(new_path, new)],
+        skipped: Vec::new(),
+    };
+    let series = series_from_history(&history);
+    print!("{}", ascii_report(kind, &series));
+
+    let regressions = gate_drift(&series, threshold, bits_slack);
+    for r in &regressions {
+        println!("REGRESSED {}: {}", r.label, r.detail);
     }
 
-    let mut failed = match old.kind {
-        ArtifactKind::Grid => diff_grid(&old, &new, old_path, new_path, threshold, bits_slack),
-        ArtifactKind::Sweep => diff_sweep(&old, &new, old_path, new_path, threshold, bits_slack),
-        ArtifactKind::Faults => diff_faults(&old, &new, old_path, new_path, threshold),
-        ArtifactKind::Churn => diff_churn(&old, &new, old_path, new_path, threshold),
+    let mut cells: Vec<&[String]> = Vec::new();
+    for s in &series {
+        if !cells.contains(&s.cell.as_slice()) {
+            cells.push(&s.cell);
+        }
+    }
+    let covers = |cell: &[String], seq: usize| {
+        series.iter().any(|s| s.cell == cell && s.samples.iter().any(|p| p.seq == seq))
     };
+    let (mut compared, mut missing) = (0usize, 0usize);
+    for cell in &cells {
+        let label = cell.join("/");
+        match (covers(cell, 0), covers(cell, 1)) {
+            (true, true) => compared += 1,
+            (true, false) => {
+                println!("MISSING: cell {label} only in {old_path}");
+                missing += 1;
+            }
+            _ => println!("cell {label} only in {new_path} (new coverage, not a failure)"),
+        }
+    }
+    println!(
+        "\ncompared {compared} {kind} cells: {} regressions, {missing} baseline cells missing \
+         (threshold {threshold}, bits slack {bits_slack})",
+        regressions.len()
+    );
+
+    let mut failed = !regressions.is_empty() || missing > 0;
     if exact {
         // The deterministic payload is everything but meta/timing.
+        let [old, new] = [0, 1].map(|i| &history.samples[i].artifact.doc);
         for section in PAYLOAD_SECTIONS {
-            if old.doc.get(section) != new.doc.get(section) {
+            if old.get(section) != new.get(section) {
                 println!("--exact: section {section:?} differs");
                 failed = true;
             }
@@ -164,406 +158,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Grid-document comparison: per `(algorithm, family, n)` cell deltas
-/// over the awake measures and CONGEST bits. Returns whether anything
-/// regressed.
-fn diff_grid(
-    old: &Artifact,
-    new: &Artifact,
-    old_path: &str,
-    new_path: &str,
-    threshold: f64,
-    bits_slack: f64,
-) -> bool {
-    let old_cells = old.point_cells();
-    let new_cells = new.point_cells();
-    let new_by_key: HashMap<&[String], &Vec<&Value>> =
-        new_cells.iter().map(|(k, v)| (k.as_slice(), v)).collect();
-
-    let mut t = Table::new(vec![
-        "algorithm", "family", "n", "awake old", "awake new", "Δ%", "avg old", "avg new",
-        "p95 old", "p95 new", "bits old", "bits new", "verdict",
-    ]);
-    let mut regressions = 0usize;
-    let mut compared = 0usize;
-    for (key, old_pts) in &old_cells {
-        let Some(new_pts) = new_by_key.get(key.as_slice()) else {
-            continue;
-        };
-        compared += 1;
-        let (a_old, a_new) = (mean(old_pts, "awake_max"), mean(new_pts, "awake_max"));
-        let (v_old, v_new) = (mean(old_pts, "awake_avg"), mean(new_pts, "awake_avg"));
-        let (p_old, p_new) = (mean_dist(old_pts, "p95"), mean_dist(new_pts, "p95"));
-        let (b_old, b_new) =
-            (max(old_pts, "max_message_bits"), max(new_pts, "max_message_bits"));
-        let delta = a_new - a_old;
-        let pct = if a_old > 0.0 { 100.0 * delta / a_old } else { 0.0 };
-        let awake_bad = pct > threshold
-            || regressed(Some(v_old), Some(v_new), threshold)
-            || regressed(p_old, p_new, threshold);
-        let bits_bad = b_new > b_old + bits_slack;
-        // Correctness dominates the numbers: a cell whose new runs fail
-        // (sim_error zeroes the measurements) must not read as an
-        // "improvement"; an errored baseline makes deltas meaningless.
-        let verdict = if !all_correct(new_pts) {
-            regressions += 1;
-            "BROKEN"
-        } else if !all_correct(old_pts) {
-            "fixed (baseline was broken)"
-        } else if awake_bad || bits_bad {
-            regressions += 1;
-            "REGRESSED"
-        } else if delta < 0.0 || v_new < v_old || b_new < b_old {
-            "improved"
-        } else {
-            "ok"
-        };
-        t.row(vec![
-            key[0].clone(),
-            key[1].clone(),
-            key[2].clone(),
-            format!("{a_old:.2}"),
-            format!("{a_new:.2}"),
-            format!("{pct:+.1}%"),
-            format!("{v_old:.2}"),
-            format!("{v_new:.2}"),
-            opt_cell(p_old),
-            opt_cell(p_new),
-            format!("{b_old:.0}"),
-            format!("{b_new:.0}"),
-            verdict.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-
-    let old_keys: HashSet<&[String]> = old_cells.iter().map(|(k, _)| k.as_slice()).collect();
-    let only_old: Vec<&Vec<String>> = old_cells
-        .iter()
-        .map(|(k, _)| k)
-        .filter(|k| !new_by_key.contains_key(k.as_slice()))
-        .collect();
-    let only_new: Vec<&Vec<String>> = new_cells
-        .iter()
-        .map(|(k, _)| k)
-        .filter(|k| !old_keys.contains(k.as_slice()))
-        .collect();
-    // Baseline cells the new run no longer covers are a failure, not a
-    // footnote: a renamed key or dropped axis must not slip through as
-    // "0 regressions over 0 cells".
-    for k in &only_old {
-        println!("MISSING: cell {} only in {old_path}", k.join("/"));
-    }
-    for k in &only_new {
-        println!("cell {} only in {new_path} (new coverage, not a failure)", k.join("/"));
-    }
-
-    println!(
-        "\ncompared {compared} cells: {regressions} regressions, {} baseline cells missing \
-         (threshold {threshold}%, bits slack {bits_slack})",
-        only_old.len()
-    );
-    regressions > 0 || !only_old.is_empty()
-}
-
-/// Sweep-document comparison: per `{family, n}` cell, the baseline
-/// Pareto frontier must survive — every old frontier point must still
-/// exist, still be non-dominated, and not regress beyond the threshold
-/// on mean worst-case awake, node-averaged awake, or worst-node energy.
-/// Returns whether anything regressed.
-fn diff_sweep(
-    old: &Artifact,
-    new: &Artifact,
-    old_path: &str,
-    new_path: &str,
-    threshold: f64,
-    bits_slack: f64,
-) -> bool {
-    let old_cells = old.sweep_cells();
-    let new_cells = new.sweep_cells();
-    let mut t = Table::new(vec![
-        "family", "n", "frontier point", "awake old", "awake new", "avg old", "avg new",
-        "energy old", "energy new", "bits old", "bits new", "verdict",
-    ]);
-    let mut regressions = 0usize;
-    let mut missing_cells = 0usize;
-    let mut compared = 0usize;
-    for oc in &old_cells {
-        let Some(nc) = new_cells.iter().find(|c| (c.family == oc.family) && (c.n == oc.n))
-        else {
-            println!("MISSING: cell {}/{} only in {old_path}", oc.family, oc.n);
-            missing_cells += 1;
-            continue;
-        };
-        compared += 1;
-        for key in &oc.frontier {
-            // A frontier key with no matching entry is a malformed
-            // baseline; flag it as a regression rather than panicking.
-            let Some(old_e) = oc.find_entry(key) else {
-                println!(
-                    "MALFORMED: cell {}/{} frontier key {key} has no entry in {old_path}",
-                    oc.family, oc.n
-                );
-                regressions += 1;
-                continue;
-            };
-            let Some(new_e) = nc.find_entry(key) else {
-                t.row(vec![
-                    oc.family.clone(),
-                    oc.n.clone(),
-                    key.clone(),
-                    opt_cell(entry_mean(old_e, "awake_max")),
-                    "-".into(),
-                    opt_cell(entry_mean(old_e, "awake_avg")),
-                    "-".into(),
-                    opt_cell(entry_mean(old_e, "energy_max_mj")),
-                    "-".into(),
-                    opt_cell(old_e.get("max_message_bits").and_then(Value::as_f64)),
-                    "-".into(),
-                    "MISSING".into(),
-                ]);
-                regressions += 1;
-                continue;
-            };
-            let (a_old, a_new) =
-                (entry_mean(old_e, "awake_max"), entry_mean(new_e, "awake_max"));
-            let (v_old, v_new) =
-                (entry_mean(old_e, "awake_avg"), entry_mean(new_e, "awake_avg"));
-            let (e_old, e_new) =
-                (entry_mean(old_e, "energy_max_mj"), entry_mean(new_e, "energy_max_mj"));
-            let (b_old, b_new) = (
-                old_e.get("max_message_bits").and_then(Value::as_f64).unwrap_or(0.0),
-                new_e.get("max_message_bits").and_then(Value::as_f64).unwrap_or(0.0),
-            );
-            let dropped = !nc.frontier.contains(key);
-            let broken = new_e.get("all_correct").and_then(Value::as_bool) != Some(true);
-            let measure_bad = regressed(a_old, a_new, threshold)
-                || regressed(v_old, v_new, threshold)
-                || regressed(e_old, e_new, threshold)
-                || b_new > b_old + bits_slack;
-            let verdict = if broken {
-                regressions += 1;
-                "BROKEN"
-            } else if dropped {
-                regressions += 1;
-                "DOMINATED (was frontier)"
-            } else if measure_bad {
-                regressions += 1;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            t.row(vec![
-                oc.family.clone(),
-                oc.n.clone(),
-                key.clone(),
-                opt_cell(a_old),
-                opt_cell(a_new),
-                opt_cell(v_old),
-                opt_cell(v_new),
-                opt_cell(e_old),
-                opt_cell(e_new),
-                format!("{b_old:.0}"),
-                format!("{b_new:.0}"),
-                verdict.to_string(),
-            ]);
-        }
-        // New frontier points are coverage, not failures.
-        for key in &nc.frontier {
-            if !oc.frontier.contains(key) {
-                println!(
-                    "cell {}/{}: {key} newly on the frontier in {new_path} (not a failure)",
-                    oc.family, oc.n
-                );
-            }
-        }
-    }
-    // Cells only in the new file are coverage, not failures — reported
-    // like the grid path does.
-    for nc in &new_cells {
-        if !old_cells.iter().any(|c| (c.family == nc.family) && (c.n == nc.n)) {
-            println!(
-                "cell {}/{} only in {new_path} (new coverage, not a failure)",
-                nc.family, nc.n
-            );
-        }
-    }
-    println!("{}", t.render());
-    println!(
-        "compared {compared} cells: {regressions} frontier regressions, {missing_cells} \
-         baseline cells missing (threshold {threshold}%, bits slack {bits_slack})"
-    );
-    regressions > 0 || missing_cells > 0
-}
-
-/// Fault-document comparison: per `(fault level, family, n)` cell, the
-/// failure rate must not grow by more than `threshold` percentage
-/// points, and the awake means must not regress beyond `threshold`
-/// percent. Unlike [`diff_grid`], incorrect points are expected here
-/// (that is what a robustness surface measures) — only their *growth*
-/// fails the diff. Returns whether anything regressed.
-fn diff_faults(
-    old: &Artifact,
-    new: &Artifact,
-    old_path: &str,
-    new_path: &str,
-    threshold: f64,
-) -> bool {
-    let old_cells = old.point_cells();
-    let new_cells = new.point_cells();
-    let new_by_key: HashMap<&[String], &Vec<&Value>> =
-        new_cells.iter().map(|(k, v)| (k.as_slice(), v)).collect();
-
-    let mut t = Table::new(vec![
-        "fault level", "family", "n", "rate old", "rate new", "Δpp", "awake old", "awake new",
-        "crashed old", "crashed new", "verdict",
-    ]);
-    let mut regressions = 0usize;
-    let mut compared = 0usize;
-    for (key, old_pts) in &old_cells {
-        let Some(new_pts) = new_by_key.get(key.as_slice()) else {
-            continue;
-        };
-        compared += 1;
-        let (r_old, r_new) = (failure_rate(old_pts), failure_rate(new_pts));
-        let delta_pp = 100.0 * (r_new - r_old);
-        let (a_old, a_new) = (mean(old_pts, "awake_max"), mean(new_pts, "awake_max"));
-        let (c_old, c_new) = (mean(old_pts, "crashed"), mean(new_pts, "crashed"));
-        let rate_bad = delta_pp > threshold;
-        let awake_bad = regressed(Some(a_old), Some(a_new), threshold);
-        let verdict = if rate_bad {
-            regressions += 1;
-            "REGRESSED (failure rate)"
-        } else if awake_bad {
-            regressions += 1;
-            "REGRESSED"
-        } else if r_new < r_old || a_new < a_old {
-            "improved"
-        } else {
-            "ok"
-        };
-        t.row(vec![
-            key[0].clone(),
-            key[1].clone(),
-            key[2].clone(),
-            format!("{r_old:.3}"),
-            format!("{r_new:.3}"),
-            format!("{delta_pp:+.1}"),
-            format!("{a_old:.2}"),
-            format!("{a_new:.2}"),
-            format!("{c_old:.2}"),
-            format!("{c_new:.2}"),
-            verdict.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-
-    let old_keys: HashSet<&[String]> = old_cells.iter().map(|(k, _)| k.as_slice()).collect();
-    let only_old: Vec<&Vec<String>> = old_cells
-        .iter()
-        .map(|(k, _)| k)
-        .filter(|k| !new_by_key.contains_key(k.as_slice()))
-        .collect();
-    for k in &only_old {
-        println!("MISSING: cell {} only in {old_path}", k.join("/"));
-    }
-    for (k, _) in &new_cells {
-        if !old_keys.contains(k.as_slice()) {
-            println!("cell {} only in {new_path} (new coverage, not a failure)", k.join("/"));
-        }
-    }
-    println!(
-        "\ncompared {compared} fault cells: {regressions} robustness regressions, {} baseline \
-         cells missing (threshold {threshold} pp / %)",
-        only_old.len()
-    );
-    regressions > 0 || !only_old.is_empty()
-}
-
-/// Churn-document comparison: per `(algorithm, family, n, rate)` cell,
-/// the mean woken ratio (incremental repair vs full recompute) and the
-/// awake-per-delta cost must not regress beyond the threshold, and
-/// every epoch must still verify. A baseline ratio of 0 (zero-rate
-/// cells) must stay 0 — any wake-up on a delta-free stream is a
-/// locality bug, not a tolerable drift. Returns whether anything
-/// regressed.
-fn diff_churn(
-    old: &Artifact,
-    new: &Artifact,
-    old_path: &str,
-    new_path: &str,
-    threshold: f64,
-) -> bool {
-    let old_cells = old.point_cells();
-    let new_cells = new.point_cells();
-    let new_by_key: HashMap<&[String], &Vec<&Value>> =
-        new_cells.iter().map(|(k, v)| (k.as_slice(), v)).collect();
-
-    let mut t = Table::new(vec![
-        "algorithm", "family", "n", "rate", "ratio old", "ratio new", "Δ%", "awake/Δ old",
-        "awake/Δ new", "verdict",
-    ]);
-    let mut regressions = 0usize;
-    let mut compared = 0usize;
-    for (key, old_pts) in &old_cells {
-        let Some(new_pts) = new_by_key.get(key.as_slice()) else {
-            continue;
-        };
-        compared += 1;
-        let (r_old, r_new) = (mean(old_pts, "woken_ratio"), mean(new_pts, "woken_ratio"));
-        let (a_old, a_new) =
-            (mean(old_pts, "awake_per_delta"), mean(new_pts, "awake_per_delta"));
-        let pct = if r_old > 0.0 { 100.0 * (r_new - r_old) / r_old } else { 0.0 };
-        let ratio_bad = regressed(Some(r_old), Some(r_new), threshold)
-            || (r_old == 0.0 && r_new > 0.0);
-        let awake_bad = regressed(Some(a_old), Some(a_new), threshold);
-        let verdict = if !all_correct(new_pts) {
-            regressions += 1;
-            "BROKEN"
-        } else if !all_correct(old_pts) {
-            "fixed (baseline was broken)"
-        } else if ratio_bad || awake_bad {
-            regressions += 1;
-            "REGRESSED"
-        } else if r_new < r_old || a_new < a_old {
-            "improved"
-        } else {
-            "ok"
-        };
-        t.row(vec![
-            key[0].clone(),
-            key[1].clone(),
-            key[2].clone(),
-            key[3].clone(),
-            format!("{r_old:.4}"),
-            format!("{r_new:.4}"),
-            format!("{pct:+.1}%"),
-            format!("{a_old:.2}"),
-            format!("{a_new:.2}"),
-            verdict.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-
-    let old_keys: HashSet<&[String]> = old_cells.iter().map(|(k, _)| k.as_slice()).collect();
-    let only_old: Vec<&Vec<String>> = old_cells
-        .iter()
-        .map(|(k, _)| k)
-        .filter(|k| !new_by_key.contains_key(k.as_slice()))
-        .collect();
-    for k in &only_old {
-        println!("MISSING: cell {} only in {old_path}", k.join("/"));
-    }
-    for (k, _) in &new_cells {
-        if !old_keys.contains(k.as_slice()) {
-            println!("cell {} only in {new_path} (new coverage, not a failure)", k.join("/"));
-        }
-    }
-    println!(
-        "\ncompared {compared} churn cells: {regressions} locality regressions, {} baseline \
-         cells missing (threshold {threshold}%)",
-        only_old.len()
-    );
-    regressions > 0 || !only_old.is_empty()
 }

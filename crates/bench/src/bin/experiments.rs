@@ -4,7 +4,8 @@
 //! section of arXiv:2204.08359 it checks.
 //!
 //! Usage: `cargo run -p bench --release --bin experiments [-- e1 e4 …]`
-//! (no arguments = run everything).
+//! (no arguments = run everything; `--help` lists the experiments). An
+//! argument that names no experiment prints usage and exits 2.
 
 use analysis::fit::{compare_growth_laws, growth_exponent};
 use analysis::grid::{run_grid, GridSpec};
@@ -22,11 +23,29 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sleeping_congest::batch::run_batch;
 use sleeping_congest::{SimConfig, Simulator, Standalone};
+use std::process::ExitCode;
 
 const SEEDS: [u64; 3] = [11, 22, 33];
 
-fn main() {
+/// Experiments are named `E1` … `E17` (case-insensitive).
+const EXPERIMENTS: usize = 17;
+
+fn usage() -> String {
+    let ids: Vec<String> = (1..=EXPERIMENTS).map(|k| format!("E{k}")).collect();
+    format!("usage: experiments [ID]...  (no ID runs them all)\nIDs: {}", ids.join(" "))
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let known = |a: &str| (1..=EXPERIMENTS).any(|k| a.eq_ignore_ascii_case(&format!("e{k}")));
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        eprintln!("experiments: no experiment named {bad:?}\n{}", usage());
+        return ExitCode::from(2);
+    }
     let all = args.is_empty();
     let want = |id: &str| all || args.iter().any(|a| a.eq_ignore_ascii_case(id));
 
@@ -89,6 +108,7 @@ fn main() {
     if want("e17") {
         e17();
     }
+    ExitCode::SUCCESS
 }
 
 fn header(id: &str, claim: &str) {

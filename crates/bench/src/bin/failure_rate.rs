@@ -5,12 +5,18 @@
 //! The 50k independent runs go through the registry-resolved `awake`
 //! runner and fan out over all hardware threads with per-worker scratch
 //! reuse; the failure count is deterministic (each run depends only on
-//! its seed).
+//! its seed). It takes no arguments; any argument prints usage and
+//! exits 2.
 use analysis::spec::default_registry;
 use sleeping_congest::batch::{available_threads, run_batch};
 use sleeping_congest::ScratchArena;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    if std::env::args().len() > 1 {
+        eprintln!("usage: failure_rate  (takes no arguments)");
+        return ExitCode::from(2);
+    }
     let g = graphgen::Graph::from_edges(5, &[(0, 1)]).unwrap();
     let runner = default_registry().resolve("awake").expect("builtin");
     const RUNS: u64 = 50_000;
@@ -23,4 +29,5 @@ fn main() {
     );
     let fails = failed.iter().filter(|&&f| f).count();
     println!("failure rate on the adversarial pair graph: {fails}/{RUNS}");
+    ExitCode::SUCCESS
 }

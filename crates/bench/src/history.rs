@@ -1,7 +1,8 @@
 //! Git-history ingestion: every committed revision of an artifact.
 //!
-//! `bench-diff` compares exactly two revisions; the trajectory pipeline
-//! needs all of them. This module shells out to the repository's own
+//! `bench-report` trends every committed revision of an artifact
+//! (`bench-diff` builds a two-sample [`ArtifactHistory`] in memory
+//! instead). This module shells out to the repository's own
 //! `git` — `git log --reverse` to enumerate the commits that touched an
 //! artifact path (oldest first, so series read left to right in time)
 //! and `git show <rev>:<path>` to read each committed blob without

@@ -1,18 +1,19 @@
-//! Shared helpers for the experiment binaries and the Criterion benches.
+//! Shared helpers for the experiment binaries.
 //!
 //! The workload families live in [`graphgen::families`]; binaries use
 //! [`graphgen::GraphFamily`] directly. [`json`] is the registry-free
-//! JSON reader behind the `bench-diff` regression tool, and
-//! [`parse_list`] / [`with_profile`] are the command-line helpers the
-//! grid, sweep, faults and churn binaries share.
+//! JSON reader behind the bench tools, and [`parse_list`] /
+//! [`with_profile`] are the command-line helpers the grid, sweep,
+//! faults and churn binaries share.
 //!
 //! The bench-trajectory pipeline lives here too: [`artifact`] is the
-//! one reader for all four committed `BENCH_*.json` schemas (shared by
-//! `bench-diff` and `bench-report`), [`history`] walks every committed
-//! revision of an artifact out of git, [`trend`] builds per-cell
-//! [`trend::TrendSeries`] with drift statistics and the multi-PR drift
-//! gate, and [`report`] renders the series as CSV, ASCII sparklines,
-//! and gnuplot scripts.
+//! one reader for all four committed `BENCH_*.json` schemas and holds
+//! the one gate table, [`history`] walks every committed revision of an
+//! artifact out of git, [`trend`] builds per-cell
+//! [`trend::TrendSeries`] with drift statistics and the gate, and
+//! [`report`] renders the series as CSV, ASCII sparklines, and gnuplot
+//! scripts. `bench-report` runs the pipeline over git history and
+//! `bench-diff` over two files.
 
 pub mod artifact;
 pub mod history;

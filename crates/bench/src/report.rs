@@ -86,9 +86,12 @@ pub fn ascii_report(artifact: &str, series: &[TrendSeries]) -> String {
     ]);
     for s in &rows {
         let values: Vec<f64> = s.samples.iter().map(|p| p.value).collect();
-        let drift = s
-            .drift()
-            .map_or("no trend".to_string(), |(d, unit)| format!("{d:+.2}{unit}"));
+        let drift = match s.drift() {
+            Some((d, unit)) => format!("{d:+.2}{unit}"),
+            None if values.len() < 2 => "no trend".to_string(),
+            // Growth off a zero baseline has no percentage.
+            None => "-".to_string(),
+        };
         table.row(vec![
             s.cell.join("/"),
             s.measure.to_string(),

@@ -1,26 +1,25 @@
-//! The unified trend model and the multi-PR drift gate.
+//! The unified trend model and the gate both bench tools share.
 //!
 //! A [`TrendSeries`] is one `(artifact, cell key, measure)` line through
-//! history: one sample per committed revision (short hash, author date,
-//! value), built by replaying [`crate::artifact::Artifact::series_cells`]
-//! over a [`crate::history::ArtifactHistory`]. On top of the raw
-//! samples, each series reports
+//! history: one sample per revision (short hash, author date, value),
+//! built by replaying [`crate::artifact::Artifact::series_cells`] over
+//! a [`crate::history::ArtifactHistory`]. On top of the raw samples,
+//! each series reports
 //!
-//! * **delta vs previous** — the last inter-revision step, what
-//!   `bench-diff` would have scored on the final pair;
+//! * **delta vs previous** — the last inter-revision step;
 //! * **cumulative drift vs baseline** — latest against the *first*
-//!   committed sample, in the measure's gate unit (`%`, `pp`, or
-//!   absolute);
+//!   sample, in the measure's gate unit (`%`, `pp`, or absolute);
 //! * **least-squares slope per revision** — [`analysis::fit_linear`]
 //!   over `(revision index, value)`, `None` below two samples.
 //!
-//! The drift gate ([`gate_drift`]) closes the hole per-PR gating leaves
-//! open: a measure that creeps +2% per PR passes every adjacent
-//! `bench-diff` at the default 5% threshold, yet after five PRs sits
-//! +10% over the committed baseline. Cumulative drift is judged with
-//! the *same* gate semantics `bench-diff` applies to a single step
-//! ([`Gate`]), so the two tools agree about what a regression means —
-//! they just look across different spans.
+//! [`TrendSeries::gate_violation`] judges that drift under the
+//! measure's [`Gate`]. `bench-report --gate` ([`gate_drift`]) applies
+//! it across every committed revision, and `bench-diff` applies it to
+//! a two-sample history of OLD and NEW, so the two tools agree about
+//! what a regression means and differ only in span. The long span
+//! closes the hole per-PR gating leaves open: a measure that creeps +2%
+//! per PR passes every `bench-diff` at the default 5% threshold, yet
+//! after five PRs sits +10% over the committed baseline.
 
 use crate::artifact::Gate;
 use crate::history::ArtifactHistory;
@@ -82,8 +81,8 @@ impl TrendSeries {
     /// Cumulative drift of `latest` from `baseline` in the gate's
     /// native unit: `(value, unit)` with unit `"%"`, `"pp"`, or `""`
     /// (absolute). `None` for one-sample series ("no trend") and for
-    /// relative gates on a non-positive baseline, where a percentage
-    /// is undefined — the zero-anchored rule still fires in
+    /// relative gates that moved off a non-positive baseline, where a
+    /// percentage is undefined — the zero-anchored rule still fires in
     /// [`TrendSeries::gate_violation`].
     pub fn drift(&self) -> Option<(f64, &'static str)> {
         if self.samples.len() < 2 {
@@ -91,9 +90,8 @@ impl TrendSeries {
         }
         let (b, l) = (self.baseline(), self.latest());
         match self.gate {
-            Gate::Relative | Gate::RelativeZero => {
-                (b > 0.0).then(|| (100.0 * (l - b) / b, "%"))
-            }
+            Gate::Relative | Gate::RelativeZero if b > 0.0 => Some((100.0 * (l - b) / b, "%")),
+            Gate::Relative | Gate::RelativeZero => (l == b).then_some((0.0, "%")),
             Gate::Pp => Some((100.0 * (l - b), "pp")),
             Gate::Bits | Gate::Info => Some((l - b, "")),
         }
@@ -110,12 +108,11 @@ impl TrendSeries {
         Some(fit_linear(&xs, &ys).a)
     }
 
-    /// Judges cumulative drift with the gate semantics `bench-diff`
-    /// applies per step. `Some(detail)` when the series violates the
-    /// gate at `threshold_pct` (percent for relative gates, percentage
-    /// points for rate gates) and `bits_slack` (absolute, for CONGEST
-    /// width). One-sample series and [`Gate::Info`] measures never
-    /// violate.
+    /// Judges the drift of `latest` from `baseline` under the series'
+    /// gate. `Some(detail)` when the series violates the gate at
+    /// `threshold_pct` (percent for relative gates, percentage points
+    /// for rate gates) and `bits_slack` (absolute, for CONGEST width).
+    /// One-sample series and [`Gate::Info`] measures never violate.
     pub fn gate_violation(&self, threshold_pct: f64, bits_slack: f64) -> Option<String> {
         if self.samples.len() < 2 {
             return None;
@@ -196,7 +193,8 @@ pub struct DriftViolation {
 }
 
 /// Applies [`TrendSeries::gate_violation`] across every series and
-/// collects the violations — the `bench-report --gate` exit criterion.
+/// collects the violations — the exit criterion of `bench-report
+/// --gate` and of `bench-diff`.
 pub fn gate_drift(
     series: &[TrendSeries],
     threshold_pct: f64,
@@ -303,6 +301,10 @@ mod tests {
         // RelativeZero: zero must stay zero regardless of threshold.
         let zero = series(Gate::RelativeZero, &[0.0, 0.001]);
         assert!(zero.gate_violation(1000.0, 0.0).is_some());
+        assert_eq!(zero.drift(), None, "no percentage of a zero baseline");
+        let flat_zero = series(Gate::RelativeZero, &[0.0, 0.0]);
+        assert_eq!(flat_zero.drift(), Some((0.0, "%")));
+        assert!(flat_zero.gate_violation(0.0, 0.0).is_none());
         // Info: never gated, still trended.
         let info = series(Gate::Info, &[10.0, 99.0]);
         assert!(info.gate_violation(0.0, 0.0).is_none());

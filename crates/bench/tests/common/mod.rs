@@ -78,7 +78,10 @@ pub fn write_doc(name: &str, body: &str) -> PathBuf {
 /// Runs the real `bench-diff` binary on `old` and `new` (written under
 /// `tag`), returning its exit code and combined output.
 pub fn bench_diff(tag: &str, old: &str, new: &str, extra: &[&str]) -> (Option<i32>, String) {
-    let (old, new) = (write_doc(&format!("{tag}-old.json"), old), write_doc(&format!("{tag}-new.json"), new));
+    let (old, new) = (
+        write_doc(&format!("{tag}-old.json"), old),
+        write_doc(&format!("{tag}-new.json"), new),
+    );
     let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
         .arg(&old)
         .arg(&new)
