@@ -141,7 +141,6 @@ fn main() -> ExitCode {
 
     let mut failed = !regressions.is_empty() || missing > 0;
     if exact {
-        // The deterministic payload is everything but meta/timing.
         let [old, new] = [0, 1].map(|i| &history.samples[i].artifact.doc);
         for section in PAYLOAD_SECTIONS {
             if old.get(section) != new.get(section) {

@@ -69,7 +69,7 @@ pub fn churn_doc(woken_ratio: f64) -> String {
 }
 
 /// Writes `body` to a per-process temp file named after `name`.
-pub fn write_doc(name: &str, body: &str) -> PathBuf {
+fn write_doc(name: &str, body: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("bench-gates-{}-{name}", std::process::id()));
     std::fs::write(&path, body).expect("write temp doc");
     path
