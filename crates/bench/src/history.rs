@@ -24,7 +24,8 @@ use crate::artifact::Artifact;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// One commit that touched an artifact.
+/// One commit that touched an artifact. `bench-diff` names its two
+/// in-memory revisions by file path, with an empty date.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Revision {
     /// Abbreviated commit hash (`git log --format=%h`).
@@ -45,7 +46,7 @@ pub struct RevisionSample {
 /// The committed history of one artifact path, oldest revision first.
 #[derive(Debug, Clone)]
 pub struct ArtifactHistory {
-    /// Repo-relative path of the artifact.
+    /// Path of the artifact (repo-relative when read from git).
     pub path: String,
     /// Parsed revisions, oldest → newest.
     pub samples: Vec<RevisionSample>,
