@@ -27,7 +27,7 @@ use crate::stats::Summary;
 use awake_mis_core::incremental::{repair, RepairConfig, SubSolution};
 use awake_mis_core::{check_mis_survivors, MisState};
 use graphgen::delta::{DeltaBatch, DeltaError, DynGraph};
-use graphgen::{Graph, GraphFamily, NodeId};
+use graphgen::{Adjacency, Graph, GraphFamily, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sleeping_congest::batch::{resolve_threads, run_batch};
@@ -220,7 +220,9 @@ impl MisService {
 
     /// Applies one delta batch and repairs the MIS in place, returning
     /// the epoch's metrics and MIS delta (joined/left). The cost tracks
-    /// the batch plus one copy of the CSR, not `n`.
+    /// the batch, not `n`: the graph rewrites only the touched nodes'
+    /// neighbor lists, and repair reads through them. Now and then a
+    /// batch ends in a compaction of those lists, one copy of the CSR.
     ///
     /// # Errors
     ///
@@ -239,7 +241,7 @@ impl MisService {
         let runner = self.runner.clone();
         let repair_t0 = std::time::Instant::now();
         let out = repair(
-            self.graph.graph(),
+            &self.graph,
             self.graph.active(),
             std::mem::take(&mut self.states),
             &applied,
@@ -290,7 +292,7 @@ impl MisService {
     ///
     /// The first violation [`check_mis_survivors`] finds.
     pub fn audit(&self) -> Result<(), String> {
-        check_mis_survivors(self.graph.graph(), &self.states, self.graph.active())
+        check_mis_survivors(&self.graph, &self.states, self.graph.active())
     }
 }
 
@@ -301,7 +303,8 @@ impl MisService {
 /// nodes shed edges proportionally more often), and `node_churn` of all
 /// ops churning nodes (alternating removals and additions; additions
 /// are wired to two random active nodes so they are not trivially
-/// isolated). Deterministic in `(graph, arguments)`.
+/// isolated). Deterministic in `(graph, arguments)`. Costs `O(deltas)`
+/// while every node is active; after a removal, one pass over the ids.
 pub fn random_batch(
     d: &DynGraph,
     deltas: usize,
@@ -311,8 +314,16 @@ pub fn random_batch(
 ) -> DeltaBatch {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut batch = DeltaBatch::new();
-    let g = d.graph();
-    let active: Vec<NodeId> = (0..d.n() as NodeId).filter(|&v| d.is_active(v)).collect();
+    // A uniform draw from the active ids in ascending order. While no
+    // node is inactive the i-th active id is `i`, so the list is not
+    // built and the draws are the same.
+    let active_count = d.active_count();
+    let listed: Option<Vec<NodeId>> =
+        (active_count < d.n()).then(|| (0..d.n() as NodeId).filter(|&v| d.is_active(v)).collect());
+    let pick = |rng: &mut SmallRng| -> NodeId {
+        let i = rng.gen_range(0..active_count);
+        listed.as_ref().map_or(i as NodeId, |ids| ids[i])
+    };
     // Guards: edges touched this batch (insert/delete conflicts), node
     // ids an inserted edge uses (cannot be removed by the same batch),
     // and nodes already removed (no further ops may touch them).
@@ -327,10 +338,10 @@ pub fn random_batch(
             let roll: f64 = rng.gen();
             if roll < node_churn {
                 if remove_next {
-                    if active.is_empty() {
+                    if active_count == 0 {
                         continue;
                     }
-                    let v = active[rng.gen_range(0..active.len())];
+                    let v = pick(&mut rng);
                     if removed.contains(&v) || pinned.contains(&v) {
                         continue;
                     }
@@ -341,7 +352,7 @@ pub fn random_batch(
                     let id = (d.n() + batch.added_count()) as NodeId;
                     batch.add_nodes(1);
                     for _ in 0..2 {
-                        let w = active[rng.gen_range(0..active.len())];
+                        let w = pick(&mut rng);
                         if !removed.contains(&w) && touched.insert((w.min(id), w.max(id))) {
                             batch.insert_edge(id, w);
                             pinned.insert(w);
@@ -351,13 +362,13 @@ pub fn random_batch(
                 }
                 break;
             } else if roll < node_churn + (1.0 - node_churn) * insert_frac {
-                if active.len() < 2 {
+                if active_count < 2 {
                     break;
                 }
-                let a = active[rng.gen_range(0..active.len())];
-                let b = active[rng.gen_range(0..active.len())];
+                let a = pick(&mut rng);
+                let b = pick(&mut rng);
                 if a == b
-                    || g.has_edge(a, b)
+                    || d.has_edge(a, b)
                     || removed.contains(&a)
                     || removed.contains(&b)
                     || touched.contains(&(a.min(b), a.max(b)))
@@ -370,14 +381,14 @@ pub fn random_batch(
                 pinned.insert(b);
                 break;
             } else {
-                if active.is_empty() {
+                if active_count == 0 {
                     break;
                 }
-                let v = active[rng.gen_range(0..active.len())];
-                if g.degree(v) == 0 || removed.contains(&v) {
+                let v = pick(&mut rng);
+                if d.degree(v) == 0 || removed.contains(&v) {
                     continue;
                 }
-                let u = g.neighbors(v)[rng.gen_range(0..g.degree(v))];
+                let u = d.neighbors(v)[rng.gen_range(0..d.degree(v))];
                 if removed.contains(&u) || !touched.insert((v.min(u), v.max(u))) {
                     continue;
                 }
@@ -606,7 +617,7 @@ pub fn run_churn_point(
             let keep: Vec<NodeId> = (0..service.graph().n() as NodeId)
                 .filter(|&v| service.graph().is_active(v))
                 .collect();
-            let (sub, _) = service.graph().graph().induced(&keep);
+            let (sub, _) = service.graph().induced(&keep);
             let _ = job.algorithm.run_with_scratch(
                 &sub,
                 mix(job.seed, 0x20_0000 + epoch as u64),
@@ -925,6 +936,30 @@ mod tests {
         assert_eq!(rep.epoch, 1);
         assert!(rep.correct, "{:?}", rep.error);
         service.audit().unwrap();
+    }
+
+    #[test]
+    fn service_audits_across_compactions() {
+        let g = GraphFamily::Er.generate(64, 5);
+        let runner = default_registry().resolve("luby").unwrap();
+        let mut scratch = ScratchArena::new();
+        let (mut service, _) = MisService::bootstrap(runner, g, 5, &mut scratch).unwrap();
+        let (mut compactions, mut standing) = (0, 0);
+        for epoch in 0..60 {
+            let before = service.graph().overlay_len();
+            let batch = random_batch(service.graph(), 4, 0.5, 0.2, 100 + epoch);
+            let rep = service.apply(&batch, &mut scratch).unwrap();
+            assert!(rep.correct, "epoch {epoch}: {:?}", rep.error);
+            // Through the overlay, then against the rebuilt CSR.
+            service.audit().unwrap();
+            let d = service.graph();
+            check_mis_survivors(d.graph(), service.states(), d.active()).unwrap();
+            // The overlay only grows between compactions.
+            compactions += usize::from(d.overlay_len() < before);
+            standing += usize::from(d.overlay_len() > 0);
+        }
+        assert!(compactions >= 3, "only {compactions} compactions");
+        assert!(standing >= 10, "the overlay stood after only {standing} epochs");
     }
 
     #[test]

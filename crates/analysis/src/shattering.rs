@@ -1,7 +1,7 @@
 //! Direct measurement of the paper's two probabilistic workhorses:
 //! residual sparsity (Lemma 2) and graph shattering (Lemma 3).
 
-use graphgen::{props, Graph, NodeId};
+use graphgen::{props, Adjacency, Graph, NodeId};
 use rand::Rng;
 
 /// One data point of the Lemma 2 measurement.

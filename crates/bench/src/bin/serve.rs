@@ -58,13 +58,34 @@
 //! nodes over the active nodes a full recompute would have woken, and
 //! `verify_ms/epoch` is the mean wall-clock of the repair's local check
 //! of its candidate nodes.
+//!
+//! `--help` prints usage and exits 0. An unknown flag, a missing or
+//! unparseable value, an unknown family or an `--algo` spec the registry
+//! cannot resolve prints usage to stderr and exits 2 before anything is
+//! served.
 
 use analysis::churn::{random_batch, EpochReport, MisService};
 use analysis::spec::default_registry;
 use graphgen::{DeltaBatch, GraphFamily};
 use sleeping_congest::ScratchArena;
 use std::io::BufRead;
+use std::str::FromStr;
 use std::time::Instant;
+
+const USAGE: &str = "usage: serve [--algo SPEC] [--family KEY] [--n N] [--seed S] [--batches B] \
+                     [--ops K] [--insert-frac F] [--node-churn F] [--stdin] [--quiet] \
+                     [--stats-every B]";
+
+/// Rejects the command line: `msg` and usage on stderr, exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("serve: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// Parses `value` as the argument of `flag`, or rejects the command line.
+fn number<T: FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| usage_error(&format!("{flag} takes a number, not {value:?}")))
+}
 
 /// Exact nearest-rank percentile over a sorted sample.
 fn pct(sorted: &[u64], q: f64) -> u64 {
@@ -210,37 +231,37 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
+        let flag = args[i].as_str();
         let value = |i: &mut usize| -> &str {
             *i += 1;
-            args.get(*i).unwrap_or_else(|| panic!("{} needs a value", args[*i - 1]))
+            args.get(*i).unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
         };
-        match args[i].as_str() {
+        match flag {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             "--algo" => algo = value(&mut i).to_string(),
             "--family" => {
                 let v = value(&mut i);
-                family = GraphFamily::parse(v).unwrap_or_else(|| panic!("unknown family {v:?}"));
+                family = GraphFamily::parse(v)
+                    .unwrap_or_else(|| usage_error(&format!("unknown family {v:?}")));
             }
-            "--n" => n = value(&mut i).parse().expect("--n takes a node count"),
-            "--seed" => seed = value(&mut i).parse().expect("--seed takes a number"),
-            "--batches" => batches = value(&mut i).parse().expect("--batches takes a count"),
-            "--ops" => ops = value(&mut i).parse().expect("--ops takes a count"),
-            "--insert-frac" => {
-                insert_frac = value(&mut i).parse().expect("--insert-frac takes a fraction");
-            }
-            "--node-churn" => {
-                node_churn = value(&mut i).parse().expect("--node-churn takes a fraction");
-            }
+            "--n" => n = number(flag, value(&mut i)),
+            "--seed" => seed = number(flag, value(&mut i)),
+            "--batches" => batches = number(flag, value(&mut i)),
+            "--ops" => ops = number(flag, value(&mut i)),
+            "--insert-frac" => insert_frac = number(flag, value(&mut i)),
+            "--node-churn" => node_churn = number(flag, value(&mut i)),
             "--stdin" => stdin_mode = true,
             "--quiet" => quiet = true,
-            "--stats-every" => {
-                stats_every = value(&mut i).parse().expect("--stats-every takes a count");
-            }
-            other => panic!("unknown argument {other:?} (see the doc comment for usage)"),
+            "--stats-every" => stats_every = number(flag, value(&mut i)),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
         i += 1;
     }
 
-    let runner = registry.resolve(&algo).unwrap_or_else(|e| panic!("--algo: {e}"));
+    let runner = registry.resolve(&algo).unwrap_or_else(|e| usage_error(&format!("--algo: {e}")));
     let g = family.generate(n, seed);
     let mut scratch = ScratchArena::new();
     println!("# bootstrapping {} on {} n={}…", runner.key(), family.key(), g.n());

@@ -1,6 +1,7 @@
-//! `experiments` and `failure_rate` reject arguments they do not know
-//! with usage and exit 2, and `experiments --help` lists E1–E17. No
-//! case here runs an experiment.
+//! `experiments`, `failure_rate` and `serve` reject arguments they do
+//! not know with usage and exit 2, `experiments --help` lists E1–E17,
+//! and `serve --help` prints usage. No case here runs an experiment or
+//! serves a batch.
 
 use std::process::{Command, Output};
 
@@ -39,5 +40,37 @@ fn failure_rate_takes_no_arguments() {
         assert_eq!(out.status.code(), Some(2), "{arg}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{arg}");
         assert!(out.stdout.is_empty(), "{arg} must run nothing");
+    }
+}
+
+#[test]
+fn serve_help_prints_usage_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = run(env!("CARGO_BIN_EXE_serve"), &[flag]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{flag}: {stdout}");
+        assert!(stdout.starts_with("usage: serve"), "{stdout}");
+    }
+}
+
+#[test]
+fn serve_rejects_bad_arguments_before_serving() {
+    for args in [
+        &["--bogus"][..],
+        &["--n"],
+        &["--n", "many"],
+        &["--seed", "-1"],
+        &["--insert-frac", "half"],
+        &["--family", "nope"],
+        &["--algo", "nosuch"],
+        &["--algo", "luby?bogus=1"],
+        &["--n", "64", "--stats-every"],
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_serve"), args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: serve"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must serve nothing");
     }
 }

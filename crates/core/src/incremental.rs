@@ -59,16 +59,17 @@
 //! # In-place state
 //!
 //! [`repair`] takes the state vector by value and writes only the
-//! entries of added, removed and candidate nodes, so an epoch allocates
-//! and scans nothing of size `n` apart from the id map of
-//! [`Graph::induced`]. The MIS delta comes back with it:
+//! entries of added, removed and candidate nodes, and it reads the graph
+//! only through [`Adjacency`] — neighbor lists of candidates and the
+//! induced frontier subgraph — so an epoch allocates and scans nothing
+//! of size `n`. The MIS delta comes back with it:
 //! [`RepairOutcome::joined`] and [`RepairOutcome::left`].
 
 use crate::greedy;
 use crate::state::MisState;
 use crate::verify::{check_mis_at, check_mis_survivors};
 use graphgen::delta::AppliedDelta;
-use graphgen::{Graph, NodeId};
+use graphgen::{Adjacency, Graph, NodeId};
 use std::time::Instant;
 
 /// A solution for a repair subgraph, as returned by the solver callback
@@ -161,7 +162,8 @@ fn mix(seed: u64, attempt: u64) -> u64 {
 
 /// Repairs a MIS after a delta batch.
 ///
-/// * `g` — the **post-delta** graph.
+/// * `g` — the **post-delta** graph, usually the
+///   [`DynGraph`](graphgen::DynGraph) the batch was applied to.
 /// * `active` — the post-delta active mask (`g.n()` entries); inactive
 ///   nodes are exempt from independence and domination.
 /// * `states` — a valid MIS of the **pre-delta** active graph (length =
@@ -179,8 +181,8 @@ fn mix(seed: u64, attempt: u64) -> u64 {
 /// `fallback = true`, the frontier completed by greedy. Debug builds
 /// also assert on every attempt that the local verdict equals the
 /// global one, which holds whenever the pre-state is valid.
-pub fn repair<F>(
-    g: &Graph,
+pub fn repair<G, F>(
+    g: &G,
     active: &[bool],
     mut states: Vec<MisState>,
     applied: &AppliedDelta,
@@ -189,6 +191,7 @@ pub fn repair<F>(
     mut solve: F,
 ) -> RepairOutcome
 where
+    G: Adjacency,
     F: FnMut(&Graph, u64) -> Result<SubSolution, String>,
 {
     let n = g.n();
@@ -350,7 +353,7 @@ where
 mod tests {
     use super::*;
     use crate::greedy;
-    use graphgen::delta::DeltaBatch;
+    use graphgen::delta::{DeltaBatch, DynGraph};
 
     /// Deterministic solver for tests: lowest-id-first greedy.
     fn greedy_solve(sub: &Graph, _seed: u64) -> Result<SubSolution, String> {
@@ -377,7 +380,8 @@ mod tests {
         let old = mis_states(&g);
         let mut b = DeltaBatch::new();
         b.insert_edge(2, 4);
-        let (g2, applied) = g.apply_deltas(&b).unwrap();
+        let mut g2 = DynGraph::new(g);
+        let applied = g2.apply(&b).unwrap();
         let active = vec![true; 5];
         let out =
             repair(&g2, &active, old.clone(), &applied, 7, &RepairConfig::default(), greedy_solve);
@@ -397,7 +401,8 @@ mod tests {
         assert_eq!(old[0], MisState::InMis);
         let mut b = DeltaBatch::new();
         b.remove_node(0);
-        let (g2, applied) = g.apply_deltas(&b).unwrap();
+        let mut g2 = DynGraph::new(g);
+        let applied = g2.apply(&b).unwrap();
         let active = vec![false, true, true, true, true];
         let out = repair(&g2, &active, old, &applied, 3, &RepairConfig::default(), greedy_solve);
         assert!(out.correct, "{:?}", out.error);
@@ -412,7 +417,8 @@ mod tests {
     fn no_op_delta_repairs_nothing() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let old = mis_states(&g);
-        let (g2, applied) = g.apply_deltas(&DeltaBatch::new()).unwrap();
+        let mut g2 = DynGraph::new(g);
+        let applied = g2.apply(&DeltaBatch::new()).unwrap();
         let active = vec![true; 4];
         let out =
             repair(&g2, &active, old.clone(), &applied, 0, &RepairConfig::default(), greedy_solve);
@@ -429,7 +435,8 @@ mod tests {
         let old = mis_states(&g);
         let mut b = DeltaBatch::new();
         b.add_nodes(2).insert_edge(1, 2).insert_edge(2, 3);
-        let (g2, applied) = g.apply_deltas(&b).unwrap();
+        let mut g2 = DynGraph::new(g);
+        let applied = g2.apply(&b).unwrap();
         let active = vec![true; 4];
         let out = repair(&g2, &active, old, &applied, 1, &RepairConfig::default(), greedy_solve);
         assert!(out.correct, "{:?}", out.error);
@@ -444,7 +451,8 @@ mod tests {
         let old = mis_states(&g);
         let mut b = DeltaBatch::new();
         b.delete_edge(0, 1);
-        let (g2, applied) = g.apply_deltas(&b).unwrap();
+        let mut g2 = DynGraph::new(g);
+        let applied = g2.apply(&b).unwrap();
         let active = vec![true; 2];
         let mut calls = 0u64;
         let out =
@@ -467,7 +475,8 @@ mod tests {
         let old = mis_states(&g);
         let mut b = DeltaBatch::new();
         b.delete_edge(0, 1).delete_edge(1, 2);
-        let (g2, applied) = g.apply_deltas(&b).unwrap();
+        let mut g2 = DynGraph::new(g);
+        let applied = g2.apply(&b).unwrap();
         let active = vec![true; 4];
         let cfg = RepairConfig { max_retries: 1 };
         let out = repair(&g2, &active, old, &applied, 4, &cfg, |sub, _| {

@@ -1,7 +1,7 @@
 //! MIS verifiers used by every test and experiment in the workspace.
 
 use crate::state::MisState;
-use graphgen::{Graph, NodeId};
+use graphgen::{Adjacency, Graph, NodeId};
 
 /// Whether `set` (membership by node) is independent in `g`.
 pub fn is_independent(g: &Graph, set: &[bool]) -> bool {
@@ -97,7 +97,11 @@ pub fn check_mis(g: &Graph, states: &[MisState]) -> Result<(), String> {
 /// # Panics
 ///
 /// Panics if `alive.len()` differs from `states.len()` or `g.n()`.
-pub fn check_mis_survivors(g: &Graph, states: &[MisState], alive: &[bool]) -> Result<(), String> {
+pub fn check_mis_survivors<G: Adjacency>(
+    g: &G,
+    states: &[MisState],
+    alive: &[bool],
+) -> Result<(), String> {
     assert_eq!(alive.len(), states.len(), "alive mask / states length mismatch");
     assert_eq!(alive.len(), g.n(), "alive mask / graph size mismatch");
     let mut set = vec![false; states.len()];
@@ -111,8 +115,10 @@ pub fn check_mis_survivors(g: &Graph, states: &[MisState], alive: &[bool]) -> Re
             MisState::Undecided => return Err(format!("node {v} is undecided")),
         }
     }
-    for (u, v) in g.edges() {
-        if alive[u as usize] && alive[v as usize] && set[u as usize] && set[v as usize] {
+    // In-set edges `(u, v)`, `u < v`, in `Graph::edges` order, as
+    // `check_mis` scans them, so both report the same first violation.
+    for u in (0..g.n() as NodeId).filter(|&u| set[u as usize]) {
+        if let Some(&v) = g.neighbors(u).iter().find(|&&v| u < v && set[v as usize]) {
             return Err(format!("nodes {u} and {v} are adjacent and both in the set"));
         }
     }
@@ -143,8 +149,8 @@ pub fn check_mis_survivors(g: &Graph, states: &[MisState], alive: &[bool]) -> Re
 /// Describes the first violation at a listed alive node: it is
 /// undecided, it and an alive neighbor are both in the set, or it is
 /// neither in the set nor adjacent to an alive set member.
-pub fn check_mis_at(
-    g: &Graph,
+pub fn check_mis_at<G: Adjacency>(
+    g: &G,
     states: &[MisState],
     alive: &[bool],
     nodes: &[NodeId],

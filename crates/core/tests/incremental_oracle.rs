@@ -8,12 +8,14 @@
 //! A noisy solver that is wrong two times in three drives repair's
 //! rejecting branch and its greedy fallback. Repair checks each attempt
 //! locally, at its candidate set only; in these debug-build tests it
-//! also asserts on every attempt that the global checker agrees.
+//! also asserts on every attempt that the global checker agrees. Repair
+//! reads the `DynGraph` through its overlay, while the oracle checks the
+//! result against the port-numbered graph `DynGraph::graph` rebuilds.
 
 use awake_mis_core::incremental::{repair, RepairConfig, SubSolution};
 use awake_mis_core::{check_mis_survivors, greedy, MisState};
 use graphgen::delta::{DeltaBatch, DynGraph};
-use graphgen::{Graph, NodeId};
+use graphgen::{Adjacency, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -73,7 +75,7 @@ fn noisy_stream(
         let mut before = states.clone();
         before.resize(d.n(), MisState::Undecided);
         let out = repair(
-            d.graph(),
+            &d,
             d.active(),
             states,
             &applied,
@@ -107,7 +109,7 @@ fn noisy_stream(
 fn from_scratch(d: &DynGraph) -> Vec<MisState> {
     let keep: Vec<NodeId> =
         (0..d.n() as NodeId).filter(|&v| d.is_active(v)).collect();
-    let (sub, map) = d.graph().induced(&keep);
+    let (sub, map) = d.induced(&keep);
     let order: Vec<NodeId> = (0..sub.n() as NodeId).collect();
     let set = greedy::lfmis(&sub, &order);
     let mut states = vec![MisState::NotInMis; d.n()];
@@ -122,7 +124,6 @@ fn from_scratch(d: &DynGraph) -> Vec<MisState> {
 /// validates (no conflicts, no ops at inactive nodes).
 fn random_batch(d: &DynGraph, ops: usize, rng: &mut SmallRng) -> DeltaBatch {
     let mut batch = DeltaBatch::new();
-    let g = d.graph();
     let active: Vec<NodeId> =
         (0..d.n() as NodeId).filter(|&v| d.is_active(v)).collect();
     let mut inserted: Vec<(NodeId, NodeId)> = Vec::new();
@@ -136,10 +137,10 @@ fn random_batch(d: &DynGraph, ops: usize, rng: &mut SmallRng) -> DeltaBatch {
                     continue;
                 }
                 let v = active[rng.gen_range(0..active.len())];
-                if g.degree(v) == 0 || removed.contains(&v) {
+                if d.degree(v) == 0 || removed.contains(&v) {
                     continue;
                 }
-                let u = g.neighbors(v)[rng.gen_range(0..g.degree(v))];
+                let u = d.neighbors(v)[rng.gen_range(0..d.degree(v))];
                 let e = (v.min(u), v.max(u));
                 if !inserted.contains(&e) && !removed.contains(&u) {
                     batch.delete_edge(v, u);
@@ -155,7 +156,7 @@ fn random_batch(d: &DynGraph, ops: usize, rng: &mut SmallRng) -> DeltaBatch {
                 let b = active[rng.gen_range(0..active.len())];
                 let e = (a.min(b), a.max(b));
                 if a != b
-                    && !g.has_edge(a, b)
+                    && !d.has_edge(a, b)
                     && !deleted.contains(&e)
                     && !removed.contains(&a)
                     && !removed.contains(&b)
@@ -219,7 +220,7 @@ proptest! {
             let batch = random_batch(&d, ops, &mut rng);
             let applied = d.apply(&batch).unwrap();
             let out = repair(
-                d.graph(),
+                &d,
                 d.active(),
                 states,
                 &applied,
@@ -288,15 +289,8 @@ fn delete_to_empty_graph() {
         let mut batch = DeltaBatch::new();
         batch.delete_edge(a, b);
         let applied = d.apply(&batch).unwrap();
-        let out = repair(
-            d.graph(),
-            d.active(),
-            states,
-            &applied,
-            11,
-            &RepairConfig::default(),
-            greedy_solve,
-        );
+        let out =
+            repair(&d, d.active(), states, &applied, 11, &RepairConfig::default(), greedy_solve);
         assert!(out.correct, "{:?}", out.error);
         states = out.states;
     }
@@ -315,15 +309,7 @@ fn isolated_nodes_always_join() {
     let mut batch = DeltaBatch::new();
     batch.add_nodes(3);
     let applied = d.apply(&batch).unwrap();
-    let out = repair(
-        d.graph(),
-        d.active(),
-        states,
-        &applied,
-        5,
-        &RepairConfig::default(),
-        greedy_solve,
-    );
+    let out = repair(&d, d.active(), states, &applied, 5, &RepairConfig::default(), greedy_solve);
     assert!(out.correct, "{:?}", out.error);
     for v in 2..5 {
         assert_eq!(out.states[v], MisState::InMis, "isolated node {v} must self-join");

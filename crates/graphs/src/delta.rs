@@ -1,37 +1,46 @@
 //! Topology deltas for dynamic graphs.
 //!
 //! A [`DeltaBatch`] collects edge insertions/deletions and node
-//! additions/removals; [`Graph::apply_deltas`] rebuilds the CSR by
-//! editing the old one. Ports are indices into the sorted neighbor
-//! list, so an untouched node — one no effective edit names — keeps
-//! every port meaning exactly what it meant before.
+//! additions/removals; [`DynGraph::apply`] validates it and rewrites the
+//! neighbor lists of the nodes it touches. Ports are indices into the
+//! sorted neighbor list, so an untouched node — one no effective edit
+//! names — keeps every port meaning exactly what it meant before.
 //!
-//! # Rebuild strategy
+//! # Overlay and compaction
 //!
-//! The effective edits are sorted once as `(node, other, is_insert)`
-//! half-edges, so each touched node's edits form one run, ascending in
-//! `other`. The new CSR is then written front to back:
+//! A [`DynGraph`] keeps a *base* CSR (offsets and sorted targets, no
+//! reverse ports) plus an *overlay*: one slot per node saying whether
+//! its current list is still its base list or a replacement list in an
+//! append-only pool. Applying a batch of `k` effective edits costs
+//! `O(k Δ)` and touches nothing of size `n` or `m`, apart from growing
+//! the per-node vectors when nodes are added:
 //!
-//! * each run of untouched nodes between two touched ones is one
-//!   `extend_from_slice` into `targets` and one into `rev_port`, with
-//!   the run's offsets shifted by where it now starts;
-//! * each touched node merges its old (sorted) neighbor list with its
-//!   edits, so its new list comes out sorted without a re-sort;
-//! * finally only the reverse ports of half-edges at touched nodes are
-//!   fixed, in both directions, each found by binary search in the
-//!   neighbor's new list. Every other reverse port points into an
-//!   untouched list and is copied correct.
+//! * the effective edits are sorted once as `(node, other, is_insert)`
+//!   half-edges, so each touched node's edits form one run, ascending in
+//!   `other`;
+//! * each touched node merges its current (sorted) list with its edits
+//!   onto the end of the pool, so its new list comes out sorted without
+//!   a re-sort. Its earlier overlay list, if it had one, goes stale.
 //!
-//! A batch of `k` edits therefore costs one copy of the CSR plus
-//! `O(k log Δ)`, and the result equals what [`Graph::from_edges`] builds
-//! from the same edge set, vector for vector.
+//! Once the pool, stale lists included, holds more than a quarter as
+//! many entries as the base has half-edges, the batch ends with a
+//! *compaction* into a fresh base. That is a run copy: one
+//! `extend_from_slice` per run of nodes still on their base lists, plus
+//! each overlay list, with no per-edge search.
 //!
-//! Node ids are **stable**: removing a node does not renumber anyone.
-//! At the [`Graph`] level a removed node simply becomes isolated; the
-//! [`DynGraph`] wrapper adds the *active* mask that distinguishes a
-//! deliberately removed node from a merely isolated one, which is what
-//! survivor-aware MIS verification consumes. New nodes append fresh ids
-//! at the end (`n..n+k`).
+//! [`DynGraph::graph`] lays out the same run copy, adds
+//! [`Graph`]'s linear reverse-port pass, and caches the port-numbered
+//! result until the next [`DynGraph::apply`]. It equals what
+//! [`Graph::from_edges`] builds from the same edge set, vector for
+//! vector. Nothing an epoch runs needs it: repair, local verification
+//! and induced subgraphs read through [`Adjacency`], and batch
+//! generation through [`DynGraph::neighbors`] and its siblings.
+//!
+//! Node ids are **stable**: removing a node does not renumber anyone. A
+//! removed node becomes an isolated node that the *active* mask marks
+//! inactive, which distinguishes it from a merely isolated one and is
+//! what survivor-aware MIS verification consumes. New nodes append
+//! fresh ids at the end (`n..n+k`).
 //!
 //! Deltas are idempotent in the delta-CRDT style: inserting an edge
 //! that already exists or deleting one that does not is a no-op, not an
@@ -39,10 +48,12 @@
 //! callers (incremental MIS repair) see only the effective changes.
 //! Structural contradictions are errors: self loops, out-of-range
 //! endpoints, the same edge both inserted and deleted in one batch, and
-//! inserting an edge at a node the same batch removes.
+//! inserting an edge at a node the same batch removes or an earlier
+//! batch removed.
 
-use crate::graph::{Graph, NodeId, Port};
+use crate::graph::{Adjacency, Graph, NodeId};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Error returned when a [`DeltaBatch`] cannot be applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,8 +84,7 @@ pub enum DeltaError {
         /// The endpoint being removed.
         node: NodeId,
     },
-    /// An inserted edge touches a node that was removed earlier
-    /// ([`DynGraph`] only — plain graphs have no notion of inactive).
+    /// An inserted edge touches a node that an earlier batch removed.
     InactiveEndpoint {
         /// The offending edge.
         edge: (NodeId, NodeId),
@@ -118,14 +128,14 @@ impl std::error::Error for DeltaError {}
 /// # Example
 ///
 /// ```
-/// # use graphgen::{Graph, delta::DeltaBatch};
-/// let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)])?;
+/// # use graphgen::{DynGraph, Graph, delta::DeltaBatch};
+/// let mut g = DynGraph::new(Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)])?);
 /// let mut batch = DeltaBatch::new();
 /// batch.insert_edge(0, 3).delete_edge(1, 2).add_nodes(1).remove_node(2);
-/// let (g2, applied) = g.apply_deltas(&batch)?;
-/// assert_eq!(g2.n(), 5);
-/// assert!(g2.has_edge(0, 3));
-/// assert_eq!(g2.degree(2), 0); // removed node: isolated, id kept
+/// let applied = g.apply(&batch)?;
+/// assert_eq!(g.n(), 5);
+/// assert!(g.has_edge(0, 3));
+/// assert_eq!(g.degree(2), 0); // removed node: isolated, id kept
 /// assert_eq!(applied.added, vec![4]);
 /// // The (2,3) edge went away implicitly with node 2's removal.
 /// assert_eq!(applied.deleted, vec![(1, 2), (2, 3)]);
@@ -169,7 +179,7 @@ impl DeltaBatch {
     }
 
     /// Queues a node removal. The node keeps its id but loses every
-    /// incident edge (and, under [`DynGraph`], its active status).
+    /// incident edge and its active status.
     pub fn remove_node(&mut self, v: NodeId) -> &mut DeltaBatch {
         self.remove_nodes.push(v);
         self
@@ -244,24 +254,211 @@ impl AppliedDelta {
     }
 }
 
-impl Graph {
-    /// Applies a delta batch, returning the new graph and the effective
-    /// changes. Node ids are stable; removed nodes become isolated; new
-    /// nodes take ids `n..n+k`. Untouched nodes keep their neighbor
-    /// slices (and therefore their ports) verbatim — the CSR is copied
-    /// run by run and edited only at touched nodes (see the
-    /// [module docs](crate::delta)), never re-sorted.
+/// Slot of a node whose current list is its base list (empty for an id
+/// added since the last compaction).
+const IN_BASE: u32 = u32::MAX;
+
+/// Compaction runs once the overlay pool holds more than
+/// `1 / COMPACT_DIVISOR` as many entries as the base has half-edges.
+const COMPACT_DIVISOR: usize = 4;
+
+/// A mutable graph with stable node ids and an *active* mask.
+///
+/// Removed nodes stay in the id space as inactive, isolated nodes; the
+/// mask is exactly the `alive` vector survivor-aware MIS verification
+/// (`check_mis_survivors`) consumes, so a removed node is exempt from
+/// both independence and domination requirements. Re-inserting edges at
+/// an inactive node is rejected — removal is permanent; growth happens
+/// through fresh ids.
+///
+/// Neighbor lists live in a base CSR plus an overlay that
+/// [`apply`](Self::apply) writes and compacts now and then (see the
+/// [module docs](crate::delta)). Equality is logical: same node count,
+/// active mask and neighbor lists, however they are stored.
+#[derive(Clone)]
+pub struct DynGraph {
+    /// Base CSR offsets, covering the ids that existed at the last
+    /// compaction.
+    offsets: Vec<usize>,
+    /// Base CSR targets: each node's sorted list.
+    targets: Vec<NodeId>,
+    /// Per node: [`IN_BASE`], or the index in `spans` of its overlay
+    /// list.
+    slot: Vec<u32>,
+    /// `pool[start..end]` of each overlay list.
+    spans: Vec<(usize, usize)>,
+    /// The overlay lists, each sorted, stale ones included.
+    pool: Vec<NodeId>,
+    /// Number of undirected edges.
+    m: usize,
+    active: Vec<bool>,
+    active_count: usize,
+    /// The port-numbered graph [`graph`](Self::graph) builds, until the
+    /// next [`apply`](Self::apply).
+    graph: OnceLock<Graph>,
+}
+
+impl DynGraph {
+    /// Wraps a static graph as the base; every node starts active. The
+    /// graph's reverse ports are dropped: nothing reads them until
+    /// [`graph`](Self::graph) rebuilds them.
+    pub fn new(graph: Graph) -> DynGraph {
+        let Graph { offsets, targets, .. } = graph;
+        let n = offsets.len() - 1;
+        DynGraph {
+            m: targets.len() / 2,
+            offsets,
+            targets,
+            slot: vec![IN_BASE; n],
+            spans: Vec::new(),
+            pool: Vec::new(),
+            active: vec![true; n],
+            active_count: n,
+            graph: OnceLock::new(),
+        }
+    }
+
+    /// The current topology as a port-numbered graph. Built on the first
+    /// call after a change, in `O(n + m)`, and cached until the next
+    /// [`apply`](Self::apply); use [`Adjacency`] or
+    /// [`neighbors`](Self::neighbors) where ports are not needed.
+    pub fn graph(&self) -> &Graph {
+        self.graph.get_or_init(|| {
+            let (offsets, targets) = self.current_csr();
+            Graph::from_csr_parts(offsets, targets)
+        })
+    }
+
+    /// The active mask (`true` = node participates).
+    pub fn active(&self) -> &[bool] {
+        &self.active
+    }
+
+    /// Whether `v` is active.
+    pub fn is_active(&self, v: NodeId) -> bool {
+        self.active[v as usize]
+    }
+
+    /// Number of active nodes.
+    pub fn active_count(&self) -> usize {
+        self.active_count
+    }
+
+    /// Total id-space size (active + removed).
+    pub fn n(&self) -> usize {
+        self.slot.len()
+    }
+
+    /// Number of undirected edges.
+    pub fn m(&self) -> usize {
+        self.m
+    }
+
+    /// The sorted neighbor list of `v`, as [`Graph::neighbors`] would
+    /// give it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= n`.
+    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        match self.slot[v as usize] {
+            IN_BASE => self.base_neighbors(v as usize),
+            s => {
+                let (start, end) = self.spans[s as usize];
+                &self.pool[start..end]
+            }
+        }
+    }
+
+    /// Degree of node `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= n`.
+    pub fn degree(&self, v: NodeId) -> usize {
+        self.neighbors(v).len()
+    }
+
+    /// Whether `{u, v}` is an edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u >= n`.
+    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        u != v && self.neighbors(u).binary_search(&v).is_ok()
+    }
+
+    /// Entries the overlay holds, stale lists included. It grows with
+    /// every batch that edits an edge and falls to 0 when a batch ends
+    /// in a compaction.
+    pub fn overlay_len(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// Applies a batch and returns the effective changes: validation and
+    /// idempotence as [`DeltaError`] and [`AppliedDelta`] describe, with
+    /// removals of already-inactive nodes as no-ops. Writes the lists of
+    /// the touched nodes into the overlay and compacts when it has grown
+    /// past its share of the base (see the [module docs](crate::delta)).
+    /// A rejected batch changes nothing.
     ///
     /// # Errors
     ///
     /// See [`DeltaError`]: out-of-range endpoints, self loops,
     /// insert/delete conflicts, and inserts at removed nodes.
-    pub fn apply_deltas(&self, batch: &DeltaBatch) -> Result<(Graph, AppliedDelta), DeltaError> {
+    pub fn apply(&mut self, batch: &DeltaBatch) -> Result<AppliedDelta, DeltaError> {
+        let applied = self.effective(batch)?;
+
+        // One edit per half-edge. `(node, other)` pairs are distinct —
+        // an edge is either inserted or deleted — so sorting groups each
+        // touched node's edits into one run, ascending in `other`.
+        let mut edits: Vec<(NodeId, NodeId, bool)> =
+            Vec::with_capacity(2 * (applied.inserted.len() + applied.deleted.len()));
+        for (edges, is_insert) in [(&applied.inserted, true), (&applied.deleted, false)] {
+            for &(a, b) in edges {
+                edits.push((a, b, is_insert));
+                edits.push((b, a, is_insert));
+            }
+        }
+        edits.sort_unstable();
+
+        let n_new = self.n() + applied.added.len();
+        self.slot.resize(n_new, IN_BASE);
+        let mut merged = Vec::new();
+        for run in edits.chunk_by(|x, y| x.0 == y.0) {
+            self.rewrite(run, &mut merged);
+        }
+        self.m = self.m + applied.inserted.len() - applied.deleted.len();
+        self.active.resize(n_new, true);
+        for &v in &applied.removed {
+            self.active[v as usize] = false;
+        }
+        self.active_count = self.active_count + applied.added.len() - applied.removed.len();
+        self.graph.take();
+        if self.pool.len() > self.targets.len() / COMPACT_DIVISOR {
+            self.compact();
+        }
+        Ok(applied)
+    }
+
+    /// Validates `batch` against the current graph and reduces it to
+    /// its effective changes. Changes nothing.
+    fn effective(&self, batch: &DeltaBatch) -> Result<AppliedDelta, DeltaError> {
         let n = self.n();
         let n_new = n + batch.add_nodes;
+        let inactive = |v: NodeId| (v as usize) < n && !self.active[v as usize];
+        for &(a, b) in &batch.insert_edges {
+            for v in [a, b] {
+                if inactive(v) {
+                    return Err(DeltaError::InactiveEndpoint { edge: (a, b), node: v });
+                }
+            }
+        }
 
-        // Validate + canonicalize the node removals.
-        let mut removed: Vec<NodeId> = batch.remove_nodes.clone();
+        // Validate + canonicalize the node removals; removing an
+        // inactive node again is a no-op.
+        let mut removed: Vec<NodeId> =
+            batch.remove_nodes.iter().copied().filter(|&v| !inactive(v)).collect();
         removed.sort_unstable();
         removed.dedup();
         if let Some(&v) = removed.iter().find(|&&v| v as usize >= n) {
@@ -312,183 +509,129 @@ impl Graph {
         deleted.sort_unstable();
         deleted.dedup();
 
-        // One edit per half-edge. `(node, other)` pairs are distinct —
-        // an edge is either inserted or deleted — so sorting groups each
-        // touched node's edits into one run, ascending in `other`.
-        let mut edits: Vec<(NodeId, NodeId, bool)> =
-            Vec::with_capacity(2 * (inserted.len() + deleted.len()));
-        for (edges, is_insert) in [(&inserted, true), (&deleted, false)] {
-            for &(a, b) in edges {
-                edits.push((a, b, is_insert));
-                edits.push((b, a, is_insert));
-            }
-        }
-        edits.sort_unstable();
-
-        let half_count = (self.m() + inserted.len()).saturating_sub(deleted.len()) * 2;
-        let mut offsets = Vec::with_capacity(n_new + 1);
-        offsets.push(0);
-        let mut g = Graph {
-            offsets,
-            targets: Vec::with_capacity(half_count),
-            rev_port: Vec::with_capacity(half_count),
-        };
-        let mut touched: Vec<NodeId> = Vec::new();
-        for run in edits.chunk_by(|x, y| x.0 == y.0) {
-            let v = run[0].0;
-            g.extend_untouched(self, v as usize);
-            g.push_edited(self, run);
-            touched.push(v);
-        }
-        g.extend_untouched(self, n_new);
-        // Reverse ports that can have moved: those of half-edges at a
-        // touched node, and those of their twins at the other end.
-        for &v in &touched {
-            let (lo, hi) = (g.offsets[v as usize], g.offsets[v as usize + 1]);
-            for e in lo..hi {
-                let u = g.targets[e];
-                let q = g.port_to(u, v).expect("neighbor lists are symmetric");
-                g.rev_port[e] = q;
-                g.rev_port[g.offsets[u as usize] + q as usize] = (e - lo) as Port;
-            }
-        }
-
         let added: Vec<NodeId> = (n as NodeId..n_new as NodeId).collect();
-        let applied = AppliedDelta { inserted, deleted, added, removed };
-        Ok((g, applied))
+        Ok(AppliedDelta { inserted, deleted, added, removed })
     }
 
-    /// Appends nodes `self.n()..hi` with the neighbor lists and reverse
-    /// ports they have in `old`: one slice copy per vector, then the
-    /// run's offsets shifted to where it now starts. Ids `>= old.n()`
-    /// get empty lists.
-    fn extend_untouched(&mut self, old: &Graph, hi: usize) {
-        let (a, b) = (self.n().min(old.n()), hi.min(old.n()));
-        let (start, end) = (old.offsets[a], old.offsets[b]);
-        let base = self.targets.len();
-        self.targets.extend_from_slice(&old.targets[start..end]);
-        self.rev_port.extend_from_slice(&old.rev_port[start..end]);
-        self.offsets.extend(old.offsets[a + 1..=b].iter().map(|&o| o - start + base));
-        self.offsets.resize(hi + 1, self.targets.len());
-    }
-
-    /// Appends node `v = self.n()` with its list in `old` merged with
-    /// `edits` — `(v, other, is_insert)`, ascending in `other` — so the
-    /// result stays sorted. Its reverse ports are left as placeholders
-    /// for [`Graph::apply_deltas`] to fix.
-    fn push_edited(&mut self, old: &Graph, edits: &[(NodeId, NodeId, bool)]) {
-        let v = self.n();
-        let list: &[NodeId] = if v < old.n() { old.neighbors(v as NodeId) } else { &[] };
+    /// Writes node `v`'s current list merged with `edits` —
+    /// `(v, other, is_insert)`, ascending in `other` — onto the end of
+    /// the pool, so the result stays sorted, and points `v`'s slot at
+    /// it. `merged` is scratch space.
+    fn rewrite(&mut self, edits: &[(NodeId, NodeId, bool)], merged: &mut Vec<NodeId>) {
+        let v = edits[0].0;
+        let list = self.neighbors(v);
+        merged.clear();
         let mut i = 0;
         for &(_, u, is_insert) in edits {
             let j = i + list[i..].partition_point(|&w| w < u);
-            self.targets.extend_from_slice(&list[i..j]);
+            merged.extend_from_slice(&list[i..j]);
             i = j;
             if is_insert {
-                self.targets.push(u);
+                merged.push(u);
             } else {
                 debug_assert_eq!(list.get(i), Some(&u), "deleted edge must exist");
                 i += 1;
             }
         }
-        self.targets.extend_from_slice(&list[i..]);
-        self.rev_port.resize(self.targets.len(), 0);
-        self.offsets.push(self.targets.len());
-    }
-}
-
-/// A mutable graph with stable node ids and an *active* mask.
-///
-/// Removed nodes stay in the id space as inactive, isolated nodes; the
-/// mask is exactly the `alive` vector survivor-aware MIS verification
-/// (`check_mis_survivors`) consumes, so a removed node is exempt from
-/// both independence and domination requirements. Re-inserting edges at
-/// an inactive node is rejected — removal is permanent; growth happens
-/// through fresh ids.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DynGraph {
-    graph: Graph,
-    active: Vec<bool>,
-    active_count: usize,
-}
-
-impl DynGraph {
-    /// Wraps a static graph; every node starts active.
-    pub fn new(graph: Graph) -> DynGraph {
-        let n = graph.n();
-        DynGraph { graph, active: vec![true; n], active_count: n }
+        merged.extend_from_slice(&list[i..]);
+        let span = (self.pool.len(), self.pool.len() + merged.len());
+        self.pool.extend_from_slice(merged);
+        match self.slot[v as usize] {
+            IN_BASE => {
+                self.slot[v as usize] = self.spans.len() as u32;
+                self.spans.push(span);
+            }
+            s => self.spans[s as usize] = span,
+        }
     }
 
-    /// The current topology.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
+    /// Makes the current lists the new base and empties the overlay.
+    fn compact(&mut self) {
+        (self.offsets, self.targets) = self.current_csr();
+        self.slot.fill(IN_BASE);
+        self.spans.clear();
+        self.pool.clear();
     }
 
-    /// The active mask (`true` = node participates).
-    pub fn active(&self) -> &[bool] {
-        &self.active
-    }
-
-    /// Whether `v` is active.
-    pub fn is_active(&self, v: NodeId) -> bool {
-        self.active[v as usize]
-    }
-
-    /// Number of active nodes.
-    pub fn active_count(&self) -> usize {
-        self.active_count
-    }
-
-    /// Total id-space size (active + removed).
-    pub fn n(&self) -> usize {
-        self.graph.n()
-    }
-
-    /// Applies a batch: removals of already-inactive nodes are no-ops
-    /// (idempotent), inserts at inactive nodes are errors, everything
-    /// else delegates to [`Graph::apply_deltas`]. Returns the effective
-    /// changes.
-    ///
-    /// # Errors
-    ///
-    /// [`DeltaError::InactiveEndpoint`] for inserts at removed nodes,
-    /// plus everything [`Graph::apply_deltas`] rejects.
-    pub fn apply(&mut self, batch: &DeltaBatch) -> Result<AppliedDelta, DeltaError> {
-        for &(a, b) in &batch.insert_edges {
-            for v in [a, b] {
-                if (v as usize) < self.active.len() && !self.active[v as usize] {
-                    return Err(DeltaError::InactiveEndpoint { edge: (a, b), node: v });
-                }
+    /// The current lists as one CSR, copied run by run: one slice copy
+    /// per run of nodes still on their base lists, plus each overlay
+    /// list.
+    fn current_csr(&self) -> (Vec<usize>, Vec<NodeId>) {
+        let n = self.n();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(2 * self.m);
+        offsets.push(0);
+        let mut run = 0;
+        for (v, &s) in self.slot.iter().enumerate() {
+            if s != IN_BASE {
+                self.copy_base_run(run, v, &mut offsets, &mut targets);
+                let (start, end) = self.spans[s as usize];
+                targets.extend_from_slice(&self.pool[start..end]);
+                offsets.push(targets.len());
+                run = v + 1;
             }
         }
-        // Idempotence: drop removals of nodes that are already inactive.
-        let needs_filter =
-            batch.remove_nodes.iter().any(|&v| (v as usize) < self.active.len() && !self.active[v as usize]);
-        let filtered;
-        let effective = if needs_filter {
-            filtered = DeltaBatch {
-                insert_edges: batch.insert_edges.clone(),
-                delete_edges: batch.delete_edges.clone(),
-                add_nodes: batch.add_nodes,
-                remove_nodes: batch
-                    .remove_nodes
-                    .iter()
-                    .copied()
-                    .filter(|&v| (v as usize) >= self.active.len() || self.active[v as usize])
-                    .collect(),
-            };
-            &filtered
-        } else {
-            batch
-        };
-        let (graph, applied) = self.graph.apply_deltas(effective)?;
-        self.graph = graph;
-        self.active.resize(self.graph.n(), true);
-        for &v in &applied.removed {
-            self.active[v as usize] = false;
+        self.copy_base_run(run, n, &mut offsets, &mut targets);
+        (offsets, targets)
+    }
+
+    /// Appends nodes `lo..hi` with their base lists: one slice copy,
+    /// then the run's offsets shifted to where it now starts. Ids the
+    /// base does not cover get empty lists.
+    fn copy_base_run(
+        &self,
+        lo: usize,
+        hi: usize,
+        offsets: &mut Vec<usize>,
+        targets: &mut Vec<NodeId>,
+    ) {
+        let base_n = self.offsets.len() - 1;
+        let (a, b) = (lo.min(base_n), hi.min(base_n));
+        let (start, end) = (self.offsets[a], self.offsets[b]);
+        let shift = targets.len();
+        targets.extend_from_slice(&self.targets[start..end]);
+        offsets.extend(self.offsets[a + 1..=b].iter().map(|&o| o - start + shift));
+        offsets.resize(hi + 1, targets.len());
+    }
+
+    /// `v`'s list in the base CSR.
+    fn base_neighbors(&self, v: usize) -> &[NodeId] {
+        match self.offsets.get(v..v + 2) {
+            Some(&[start, end]) => &self.targets[start..end],
+            _ => &[],
         }
-        self.active_count = self.active_count + applied.added.len() - applied.removed.len();
-        Ok(applied)
+    }
+}
+
+impl Adjacency for DynGraph {
+    fn n(&self) -> usize {
+        DynGraph::n(self)
+    }
+
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        DynGraph::neighbors(self, v)
+    }
+}
+
+impl PartialEq for DynGraph {
+    fn eq(&self, other: &DynGraph) -> bool {
+        self.n() == other.n()
+            && self.active == other.active
+            && (0..self.n() as NodeId).all(|v| self.neighbors(v) == other.neighbors(v))
+    }
+}
+
+impl Eq for DynGraph {}
+
+impl fmt::Debug for DynGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DynGraph")
+            .field("n", &self.n())
+            .field("m", &self.m)
+            .field("active", &self.active_count)
+            .field("overlay_lists", &self.spans.len())
+            .field("overlay_len", &self.pool.len())
+            .finish()
     }
 }
 
@@ -503,12 +646,13 @@ mod tests {
     #[test]
     fn edge_insert_and_delete() {
         let g = cycle5();
+        let mut d = DynGraph::new(g.clone());
         let mut b = DeltaBatch::new();
         b.insert_edge(0, 2).delete_edge(3, 4);
-        let (g2, applied) = g.apply_deltas(&b).unwrap();
-        assert!(g2.has_edge(0, 2));
-        assert!(!g2.has_edge(3, 4));
-        assert_eq!(g2.m(), g.m()); // one in, one out
+        let applied = d.apply(&b).unwrap();
+        assert!(d.has_edge(0, 2));
+        assert!(!d.has_edge(3, 4));
+        assert_eq!(d.m(), g.m()); // one in, one out
         assert_eq!(applied.inserted, vec![(0, 2)]);
         assert_eq!(applied.deleted, vec![(3, 4)]);
         assert!(applied.added.is_empty() && applied.removed.is_empty());
@@ -517,24 +661,26 @@ mod tests {
     #[test]
     fn idempotent_deltas_are_no_ops() {
         let g = cycle5();
+        let mut d = DynGraph::new(g.clone());
         let mut b = DeltaBatch::new();
         b.insert_edge(0, 1).insert_edge(1, 0).delete_edge(0, 2).delete_edge(2, 0);
-        let (g2, applied) = g.apply_deltas(&b).unwrap();
-        assert_eq!(g2, g);
+        let applied = d.apply(&b).unwrap();
+        assert_eq!(d.graph(), &g);
+        assert_eq!(d, DynGraph::new(g));
         assert!(applied.is_empty());
         assert_eq!(applied.ops(), 0);
     }
 
     #[test]
     fn node_add_and_remove() {
-        let g = cycle5();
+        let mut d = DynGraph::new(cycle5());
         let mut b = DeltaBatch::new();
         b.add_nodes(2).insert_edge(5, 6).insert_edge(0, 5).remove_node(2).remove_node(2);
-        let (g2, applied) = g.apply_deltas(&b).unwrap();
-        assert_eq!(g2.n(), 7);
-        assert_eq!(g2.degree(2), 0);
-        assert!(g2.has_edge(5, 6) && g2.has_edge(0, 5));
-        assert!(!g2.has_edge(1, 2) && !g2.has_edge(2, 3));
+        let applied = d.apply(&b).unwrap();
+        assert_eq!(d.n(), 7);
+        assert_eq!(d.degree(2), 0);
+        assert!(d.has_edge(5, 6) && d.has_edge(0, 5));
+        assert!(!d.has_edge(1, 2) && !d.has_edge(2, 3));
         assert_eq!(applied.added, vec![5, 6]);
         assert_eq!(applied.removed, vec![2]); // deduplicated
         assert_eq!(applied.deleted, vec![(1, 2), (2, 3)]);
@@ -542,26 +688,29 @@ mod tests {
 
     #[test]
     fn validation_rejects_contradictions() {
-        let g = cycle5();
+        let mut d = DynGraph::new(cycle5());
         let mut b = DeltaBatch::new();
         b.insert_edge(1, 1);
-        assert_eq!(g.apply_deltas(&b), Err(DeltaError::SelfLoop(1)));
+        assert_eq!(d.apply(&b), Err(DeltaError::SelfLoop(1)));
 
         let mut b = DeltaBatch::new();
         b.insert_edge(0, 9);
-        assert!(matches!(g.apply_deltas(&b), Err(DeltaError::EndpointOutOfRange { .. })));
+        assert!(matches!(d.apply(&b), Err(DeltaError::EndpointOutOfRange { .. })));
 
         let mut b = DeltaBatch::new();
         b.insert_edge(0, 2).delete_edge(2, 0);
-        assert_eq!(g.apply_deltas(&b), Err(DeltaError::InsertDeleteConflict((0, 2))));
+        assert_eq!(d.apply(&b), Err(DeltaError::InsertDeleteConflict((0, 2))));
 
         let mut b = DeltaBatch::new();
         b.remove_node(7);
-        assert!(matches!(g.apply_deltas(&b), Err(DeltaError::NodeOutOfRange { .. })));
+        assert!(matches!(d.apply(&b), Err(DeltaError::NodeOutOfRange { .. })));
 
         let mut b = DeltaBatch::new();
         b.remove_node(2).insert_edge(2, 4);
-        assert!(matches!(g.apply_deltas(&b), Err(DeltaError::EdgeToRemovedNode { .. })));
+        assert!(matches!(d.apply(&b), Err(DeltaError::EdgeToRemovedNode { .. })));
+
+        // Rejected batches change nothing.
+        assert_eq!(d, DynGraph::new(cycle5()));
     }
 
     #[test]
@@ -572,9 +721,11 @@ mod tests {
             &[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (1, 6)],
         )
         .unwrap();
+        let mut d = DynGraph::new(g.clone());
         let mut b = DeltaBatch::new();
         b.insert_edge(3, 7).delete_edge(4, 5).add_nodes(1).insert_edge(2, 8);
-        let (g2, _) = g.apply_deltas(&b).unwrap();
+        d.apply(&b).unwrap();
+        let g2 = d.graph();
         // Touched: 3, 7 (insert), 4, 5 (delete), 2, 8 (insert). Nodes
         // 0, 1, 6 are untouched: identical neighbor lists, and every
         // port resolves to the same (neighbor, reverse-port-target)
@@ -594,7 +745,7 @@ mod tests {
             g.edges().filter(|&e| e != (4, 5)).collect();
         edges.push((3, 7));
         edges.push((2, 8));
-        assert_eq!(g2, Graph::from_edges(9, &edges).unwrap());
+        assert_eq!(g2, &Graph::from_edges(9, &edges).unwrap());
     }
 
     #[test]
@@ -625,26 +776,27 @@ mod tests {
     #[test]
     fn empty_batch_is_identity() {
         let g = cycle5();
-        let (g2, applied) = g.apply_deltas(&DeltaBatch::new()).unwrap();
-        assert_eq!(g2, g);
+        let mut d = DynGraph::new(g.clone());
+        let applied = d.apply(&DeltaBatch::new()).unwrap();
+        assert_eq!(d.graph(), &g);
         assert!(applied.is_empty());
         assert!(DeltaBatch::new().is_empty());
     }
 
     #[test]
     fn delete_to_empty_and_isolated_nodes() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        let mut d = DynGraph::new(Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap());
         let mut b = DeltaBatch::new();
         b.delete_edge(0, 1).delete_edge(1, 2).delete_edge(0, 2);
-        let (g2, applied) = g.apply_deltas(&b).unwrap();
-        assert_eq!(g2.m(), 0);
-        assert_eq!(g2.n(), 3);
+        let applied = d.apply(&b).unwrap();
+        assert_eq!(d.m(), 0);
+        assert_eq!(d.n(), 3);
         assert_eq!(applied.deleted.len(), 3);
         // And back up from nothing.
         let mut b = DeltaBatch::new();
         b.insert_edge(0, 1);
-        let (g3, _) = g2.apply_deltas(&b).unwrap();
-        assert!(g3.has_edge(0, 1));
-        assert_eq!(g3.degree(2), 0);
+        d.apply(&b).unwrap();
+        assert!(d.has_edge(0, 1));
+        assert_eq!(d.degree(2), 0);
     }
 }

@@ -91,9 +91,10 @@ impl Graph {
 
     /// Builds the CSR from half-edges that are already sorted by
     /// `(source, target)` and deduplicated. This is the construction
-    /// path shared by [`Graph::from_edges`] and [`Graph::induced`];
-    /// [`Graph::apply_deltas`](crate::delta) edits an existing CSR
-    /// instead and must produce exactly the graph this path would.
+    /// path shared by [`Graph::from_edges`] and
+    /// [`Adjacency::induced`]; [`DynGraph::graph`](crate::DynGraph::graph)
+    /// lays out its CSR by run copy instead and must produce exactly the
+    /// graph this path would.
     pub(crate) fn from_sorted_halves(n: usize, halves: &[(NodeId, NodeId)]) -> Graph {
         let mut offsets = vec![0usize; n + 1];
         for &(a, _) in halves {
@@ -117,7 +118,7 @@ impl Graph {
     /// One linear counting pass therefore replaces a binary search per
     /// half-edge, keeping construction at 10^6–10^7 nodes off the
     /// profile.
-    fn from_csr_parts(offsets: Vec<usize>, targets: Vec<NodeId>) -> Graph {
+    pub(crate) fn from_csr_parts(offsets: Vec<usize>, targets: Vec<NodeId>) -> Graph {
         let n = offsets.len() - 1;
         let mut rev_port = vec![0 as Port; targets.len()];
         let mut seen = vec![0 as Port; n];
@@ -200,32 +201,59 @@ impl Graph {
             self.targets.len() as f64 / self.n() as f64
         }
     }
+}
+
+/// Read access to a simple undirected graph through its sorted neighbor
+/// lists: what incremental repair, local MIS verification and induced
+/// subgraphs need. [`Graph`] serves it from its CSR, and
+/// [`DynGraph`](crate::DynGraph) from its base CSR and overlay, without
+/// building a port-numbered graph.
+pub trait Adjacency {
+    /// Number of nodes; ids are `0..n`.
+    fn n(&self) -> usize;
+
+    /// The sorted neighbor list of `v`.
+    fn neighbors(&self, v: NodeId) -> &[NodeId];
 
     /// The subgraph induced by `keep`, together with a map from new node
     /// ids to the original ids.
     ///
     /// Nodes in `keep` may appear in any order; duplicates are ignored.
-    pub fn induced(&self, keep: &[NodeId]) -> (Graph, Vec<NodeId>) {
+    /// Neighbors are renamed by binary search in the sorted selection,
+    /// so the cost follows the selection's volume, not `n`.
+    fn induced(&self, keep: &[NodeId]) -> (Graph, Vec<NodeId>) {
         let mut sel: Vec<NodeId> = keep.to_vec();
         sel.sort_unstable();
         sel.dedup();
-        let mut new_id = vec![u32::MAX; self.n()];
-        for (i, &v) in sel.iter().enumerate() {
-            new_id[v as usize] = i as u32;
-        }
         // `sel` is sorted and each neighbor list is sorted, and renaming
-        // by `new_id` is monotone — so emitting half-edges node by node
-        // yields them already in `(source, target)` order for the shared
-        // rebuild path, no re-sort needed.
+        // to positions in `sel` is monotone — so emitting half-edges node
+        // by node yields them already in `(source, target)` order for the
+        // shared rebuild path, no re-sort needed. The same monotonicity
+        // lets each search start past the previous neighbor's position.
         let mut halves = Vec::new();
-        for &v in &sel {
+        for (i, &v) in sel.iter().enumerate() {
+            let mut lo = 0;
             for &u in self.neighbors(v) {
-                if new_id[u as usize] != u32::MAX {
-                    halves.push((new_id[v as usize], new_id[u as usize]));
+                match sel[lo..].binary_search(&u) {
+                    Ok(j) => {
+                        halves.push((i as NodeId, (lo + j) as NodeId));
+                        lo += j + 1;
+                    }
+                    Err(j) => lo += j,
                 }
             }
         }
         (Graph::from_sorted_halves(sel.len(), &halves), sel)
+    }
+}
+
+impl Adjacency for Graph {
+    fn n(&self) -> usize {
+        Graph::n(self)
+    }
+
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        Graph::neighbors(self, v)
     }
 }
 

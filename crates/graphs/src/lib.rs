@@ -20,9 +20,12 @@
 //! * [`families`] — named generator presets ([`GraphFamily`]) so
 //!   experiment grids can iterate workloads as plain data and regenerate
 //!   any instance from `(family, n, seed)`.
-//! * [`delta`] — dynamic-graph support: [`DeltaBatch`] topology deltas,
-//!   [`Graph::apply_deltas`] with stable ports for untouched nodes, and
-//!   the [`DynGraph`] wrapper tracking an active-node mask.
+//! * [`Adjacency`] — read access through sorted neighbor lists, served
+//!   by both [`Graph`] and [`DynGraph`], with induced subgraphs on top.
+//! * [`delta`] — dynamic-graph support: [`DeltaBatch`] topology deltas
+//!   and [`DynGraph`], a base CSR plus an overlay of rewritten neighbor
+//!   lists with an active-node mask, whose batches cost `O(batch · Δ)`
+//!   and keep the ports of untouched nodes.
 //!
 //! # Example
 //!
@@ -52,4 +55,4 @@ pub mod props;
 
 pub use delta::{AppliedDelta, DeltaBatch, DeltaError, DynGraph};
 pub use families::GraphFamily;
-pub use graph::{Graph, GraphError, NodeId, Port};
+pub use graph::{Adjacency, Graph, GraphError, NodeId, Port};

@@ -1,6 +1,6 @@
 //! Graph measurements used by the experiment harness.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Adjacency, Graph, NodeId};
 
 /// Connected components: returns `(labels, count)` where `labels[v]` is the
 /// component index of `v` in `0..count`.

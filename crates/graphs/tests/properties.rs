@@ -1,6 +1,6 @@
 //! Property tests on the graph substrate.
 
-use graphgen::{generators, io, products, props, DeltaBatch, Graph, NodeId};
+use graphgen::{generators, io, products, props, Adjacency, DeltaBatch, DynGraph, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -67,18 +67,127 @@ fn random_batch(g: &Graph, seed: u64) -> (DeltaBatch, usize, BTreeSet<(NodeId, N
     (batch, n_new, expect)
 }
 
+/// A random batch `d` accepts, of about `ops` edge ops plus occasional
+/// node churn, applied to `edges` and `active`: the edge set and mask
+/// it must leave behind. It mixes effective inserts and deletes with
+/// no-ops (inserts of present edges, deletes of absent ones, removals
+/// of inactive nodes) and never inserts at an inactive node.
+fn churn_batch(
+    d: &DynGraph,
+    ops: usize,
+    rng: &mut SmallRng,
+    edges: &mut BTreeSet<(NodeId, NodeId)>,
+    active: &mut Vec<bool>,
+) -> DeltaBatch {
+    let n = d.n();
+    let mut batch = DeltaBatch::new();
+    let added = usize::from(rng.gen_bool(0.2));
+    batch.add_nodes(added);
+    let n_new = n + added;
+    active.resize(n_new, true);
+    let removed = rng.gen_bool(0.2).then(|| rng.gen_range(0..n as NodeId));
+    if let Some(v) = removed {
+        batch.remove_node(v);
+    }
+    let usable = |v: NodeId| active[v as usize] && Some(v) != removed;
+    let mut named = BTreeSet::new();
+    for _ in 0..ops {
+        let a = rng.gen_range(0..n_new as NodeId);
+        let b = match rng.gen_range(0..3u32) {
+            // An edge at `a`, so deletes are often effective.
+            0 if d.n() > a as usize && d.degree(a) > 0 => {
+                d.neighbors(a)[rng.gen_range(0..d.degree(a))]
+            }
+            _ => rng.gen_range(0..n_new as NodeId),
+        };
+        let e = (a.min(b), a.max(b));
+        if a == b || !named.insert(e) {
+            continue;
+        }
+        if rng.gen_bool(0.5) && usable(a) && usable(b) {
+            batch.insert_edge(a, b);
+            edges.insert(e);
+        } else {
+            batch.delete_edge(b, a);
+            edges.remove(&e);
+        }
+    }
+    if let Some(v) = removed {
+        active[v as usize] = false;
+        edges.retain(|&(a, b)| a != v && b != v);
+    }
+    batch
+}
+
 proptest! {
-    /// `apply_deltas` edits the CSR in place of a rebuild, and must
-    /// still build exactly the graph `from_edges` builds on the
-    /// resulting edge set — offsets, targets and reverse ports alike —
-    /// report exactly the edges that changed, and leave the neighbor
-    /// list of every node outside the effective edits as it was.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The overlay against the slow path: after every batch of a stream,
+    /// `DynGraph`'s own readers agree with `Graph::from_edges` on the
+    /// expected edge set, and `graph()` equals that graph, reverse ports
+    /// included. The stream mixes single-op batches, which leave the
+    /// overlay standing, with larger ones, and runs until it has crossed
+    /// a compaction.
+    #[test]
+    fn overlay_matches_a_rebuild_across_compactions(
+        g in arb_graph(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut d = DynGraph::new(g.clone());
+        let mut edges: BTreeSet<(NodeId, NodeId)> = g.edges().collect();
+        let mut active = vec![true; g.n()];
+        let (mut standing, mut compacted) = (false, false);
+        for step in 0..400 {
+            if standing && compacted && step >= 8 {
+                break;
+            }
+            let ops = if rng.gen_bool(0.1) { 2 * d.n() } else { 1 };
+            let batch = churn_batch(&d, ops, &mut rng, &mut edges, &mut active);
+            let before = d.overlay_len();
+            let applied = d.apply(&batch).unwrap();
+            let after = d.overlay_len();
+            standing |= after > 0;
+            // Between compactions the overlay only grows, and an
+            // effective insert always grows it.
+            compacted |= after < before || (after == 0 && !applied.inserted.is_empty());
+
+            let n = active.len();
+            let list: Vec<(NodeId, NodeId)> = edges.iter().copied().collect();
+            let expect = Graph::from_edges(n, &list).unwrap();
+            prop_assert_eq!(d.n(), n);
+            prop_assert_eq!(d.m(), expect.m());
+            prop_assert_eq!(d.active(), active.as_slice());
+            prop_assert_eq!(d.active_count(), active.iter().filter(|&&a| a).count());
+            for v in 0..n as NodeId {
+                prop_assert_eq!(d.neighbors(v), expect.neighbors(v), "step {} node {}", step, v);
+                prop_assert_eq!(d.degree(v), expect.degree(v));
+                for u in 0..n as NodeId {
+                    prop_assert_eq!(d.has_edge(v, u), expect.has_edge(v, u));
+                }
+            }
+            prop_assert_eq!(d.graph(), &expect, "step {}", step);
+        }
+        prop_assert!(standing, "no batch left the overlay standing");
+        prop_assert!(compacted, "the stream never compacted");
+    }
+}
+
+proptest! {
+    /// `DynGraph::apply` edits neighbor lists in place of a rebuild, and
+    /// `DynGraph::graph` must still build exactly the graph `from_edges`
+    /// builds on the resulting edge set — offsets, targets and reverse
+    /// ports alike. The batch must report exactly the edges that
+    /// changed, and leave the neighbor list of every node outside the
+    /// effective edits as it was.
     #[test]
     fn apply_deltas_matches_from_edges(g in arb_graph(), seed in any::<u64>()) {
         let (batch, n_new, expect) = random_batch(&g, seed);
-        let (h, applied) = g.apply_deltas(&batch).unwrap();
+        let mut d = DynGraph::new(g.clone());
+        let applied = d.apply(&batch).unwrap();
+        let h = d.graph();
         let edges: Vec<(NodeId, NodeId)> = expect.iter().copied().collect();
-        prop_assert_eq!(&h, &Graph::from_edges(n_new, &edges).unwrap());
+        prop_assert_eq!(h, &Graph::from_edges(n_new, &edges).unwrap());
 
         let before: BTreeSet<(NodeId, NodeId)> = g.edges().collect();
         let inserted: Vec<_> = expect.difference(&before).copied().collect();

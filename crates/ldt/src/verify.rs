@@ -1,7 +1,7 @@
 //! Structural validation of constructed labeled distance trees.
 
 use crate::construct::LdtOutput;
-use graphgen::Graph;
+use graphgen::{Adjacency, Graph};
 
 /// Checks that per-node construction outputs form a valid **forest of
 /// labeled distance trees** over the participating subgraph:
