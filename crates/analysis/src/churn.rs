@@ -20,7 +20,7 @@
 //! comparison) lives only in the `meta`/`timing` lines appended by
 //! [`ChurnResult::to_json`].
 
-use crate::grid::{json_escape, point_from_run, summary_json, GridJob, GridPoint};
+use crate::grid::{json_escape, point_from_run, summary_json, GridJob, GridMeta, GridPoint};
 use crate::runners::AlgoResult;
 use crate::spec::RunnerHandle;
 use crate::stats::Summary;
@@ -171,6 +171,8 @@ pub struct MisService {
     runner: RunnerHandle,
     graph: DynGraph,
     states: Vec<MisState>,
+    /// `InMis` entries of `states`, kept by `apply` from the MIS delta.
+    mis_size: usize,
     cfg: RepairConfig,
     seed: u64,
     epoch: u64,
@@ -200,7 +202,8 @@ impl MisService {
         states: Vec<MisState>,
         seed: u64,
     ) -> MisService {
-        MisService { runner, graph, states, cfg: RepairConfig::default(), seed, epoch: 0 }
+        let mis_size = states.iter().filter(|&&s| s == MisState::InMis).count();
+        MisService { runner, graph, states, mis_size, cfg: RepairConfig::default(), seed, epoch: 0 }
     }
 
     /// The current topology.
@@ -213,9 +216,9 @@ impl MisService {
         &self.states
     }
 
-    /// Current MIS size (active nodes only).
+    /// Current MIS size (active nodes only), in O(1).
     pub fn mis_size(&self) -> usize {
-        self.states.iter().filter(|&&s| s == MisState::InMis).count()
+        self.mis_size
     }
 
     /// Applies one delta batch and repairs the MIS in place, returning
@@ -262,6 +265,8 @@ impl MisService {
         );
         let repair_ns = repair_t0.elapsed().as_nanos() as u64;
         self.states = out.states;
+        // `left` holds the evicted nodes and the removed `InMis` ones.
+        self.mis_size = self.mis_size + out.joined.len() - out.left.len();
         Ok(EpochReport {
             epoch: self.epoch,
             deltas: applied.ops() as u64,
@@ -492,35 +497,6 @@ pub struct ChurnResult {
     pub points: Vec<ChurnPoint>,
     /// Per-cell aggregates, in grid order.
     pub cells: Vec<ChurnCell>,
-}
-
-/// Sustained-throughput figures from a `serve` run, recorded in the
-/// meta line (machine-dependent, excluded from the payload).
-#[derive(Debug, Clone)]
-pub struct ServeThroughput {
-    /// Node count of the serve instance.
-    pub n: usize,
-    /// Algorithm key that serviced it.
-    pub algorithm: String,
-    /// Delta batches applied.
-    pub batches: u64,
-    /// Effective deltas applied.
-    pub deltas: u64,
-    /// Wall clock of the serve loop (excluding bootstrap), ms.
-    pub wall_ms: u128,
-    /// Sustained effective deltas per second.
-    pub deltas_per_sec: f64,
-}
-
-/// Non-deterministic churn-run metadata (kept out of the payload).
-#[derive(Debug, Clone)]
-pub struct ChurnMeta {
-    /// Worker threads actually used.
-    pub threads: usize,
-    /// Wall clock of the whole grid, ms.
-    pub wall_ms: u128,
-    /// Optional serve-bin throughput measurement.
-    pub serve: Option<ServeThroughput>,
 }
 
 /// Runs one churn point on a caller-provided scratch.
@@ -767,28 +743,15 @@ impl ChurnResult {
 
     /// The full JSON document: payload plus single-line `meta` and
     /// `timing` sections (both excluded from determinism comparisons).
-    pub fn to_json(&self, meta: &ChurnMeta) -> String {
+    pub fn to_json(&self, meta: &GridMeta) -> String {
         self.json_with_meta(Some(meta))
     }
 
-    fn json_with_meta(&self, meta: Option<&ChurnMeta>) -> String {
+    fn json_with_meta(&self, meta: Option<&GridMeta>) -> String {
         let mut out = String::from("{\n  \"schema\": \"awake-mis/bench-churn/v1\",\n");
         if let Some(m) = meta {
-            let serve = match &m.serve {
-                Some(s) => format!(
-                    ", \"serve\": {{\"n\": {}, \"algorithm\": \"{}\", \"batches\": {}, \
-                     \"deltas\": {}, \"wall_ms\": {}, \"deltas_per_sec\": {}}}",
-                    s.n,
-                    json_escape(&s.algorithm),
-                    s.batches,
-                    s.deltas,
-                    s.wall_ms,
-                    s.deltas_per_sec,
-                ),
-                None => String::new(),
-            };
             out.push_str(&format!(
-                "  \"meta\": {{\"threads\": {}, \"wall_ms\": {}{serve}}},\n",
+                "  \"meta\": {{\"threads\": {}, \"wall_ms\": {}}},\n",
                 m.threads, m.wall_ms
             ));
             let ns: Vec<String> = self.points.iter().map(|p| p.elapsed_ns.to_string()).collect();
@@ -952,6 +915,8 @@ mod tests {
             assert!(rep.correct, "epoch {epoch}: {:?}", rep.error);
             // Through the overlay, then against the rebuilt CSR.
             service.audit().unwrap();
+            let in_mis = service.states().iter().filter(|&&s| s == MisState::InMis).count();
+            assert_eq!(service.mis_size(), in_mis, "epoch {epoch}: the kept MIS size drifted");
             let d = service.graph();
             check_mis_survivors(d.graph(), service.states(), d.active()).unwrap();
             // The overlay only grows between compactions.

@@ -36,8 +36,8 @@ pub mod table;
 pub mod timeline;
 
 pub use churn::{
-    random_batch, run_churn, ChurnCell, ChurnJob, ChurnMeta, ChurnPoint, ChurnResult, ChurnSpec,
-    EpochReport, MisService, ServeThroughput,
+    random_batch, run_churn, ChurnCell, ChurnJob, ChurnPoint, ChurnResult, ChurnSpec, EpochReport,
+    MisService,
 };
 pub use energy::EnergyModel;
 pub use faults::{fault_axis, run_faults, FaultAxis, FaultCell, FaultResult, FaultSweepSpec};

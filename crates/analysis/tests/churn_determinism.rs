@@ -5,9 +5,9 @@
 //! bit-identical copy of the corresponding one-shot grid point (the
 //! churn harness is a strict extension of the grid, not a fork of it).
 
-use analysis::churn::{run_churn, run_churn_point, ChurnMeta, ChurnSpec};
+use analysis::churn::{run_churn, run_churn_point, ChurnSpec};
 use analysis::grid::run_point;
-use analysis::{default_registry, GridJob};
+use analysis::{default_registry, GridJob, GridMeta};
 use graphgen::GraphFamily;
 use sleeping_congest::ScratchArena;
 
@@ -90,7 +90,7 @@ fn meta_and_timing_live_only_in_the_full_document() {
     assert!(!payload.contains("wall_ms"));
     assert!(!payload.contains("elapsed_ns"));
     assert!(!payload.contains("recompute_ns"));
-    let full = result.to_json(&ChurnMeta { threads: 2, wall_ms: 77, serve: None });
+    let full = result.to_json(&GridMeta { threads: 2, wall_ms: 77 });
     assert!(full.contains("\"meta\": {\"threads\": 2, \"wall_ms\": 77}"));
     assert!(full.contains("\"timing\": {\"elapsed_ns\": ["));
     let stripped: String = full

@@ -16,11 +16,8 @@
 //! coverage and passes. A measure on one side only (v1 grids lack
 //! `awake_p95`) is shown but not gated.
 //!
-//! Usage:
-//!
 //! ```text
-//! cargo run --release -p bench --bin bench-diff -- \
-//!     OLD.json NEW.json [--threshold PCT] [--bits-slack N] [--exact]
+//! usage: bench-diff OLD.json NEW.json [--threshold PCT] [--bits-slack N] [--exact]
 //! ```
 //!
 //! * `--threshold PCT` — allowed growth of each gated measure: percent
@@ -37,62 +34,42 @@
 //! `--exact` mismatch, `2` usage or parse error.
 
 use bench::artifact::{Artifact, PAYLOAD_SECTIONS};
+use bench::cli::{self, Args};
 use bench::history::{ArtifactHistory, Revision, RevisionSample};
 use bench::report::ascii_report;
 use bench::trend::{gate_drift, series_from_history};
 use std::process::ExitCode;
 
-fn fail_usage(msg: &str) -> ExitCode {
-    eprintln!("bench-diff: {msg}");
-    eprintln!(
-        "usage: bench-diff OLD.json NEW.json [--threshold PCT] [--bits-slack N] [--exact]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str =
+    "usage: bench-diff OLD.json NEW.json [--threshold PCT] [--bits-slack N] [--exact]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths: Vec<&str> = Vec::new();
+    let mut paths: Vec<String> = Vec::new();
     let mut threshold = 5.0f64;
     let mut bits_slack = 0.0f64;
     let mut exact = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threshold" | "--bits-slack" => {
-                let flag = args[i].clone();
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse::<f64>().ok()) else {
-                    return fail_usage(&format!("{flag} takes a number"));
-                };
-                if flag == "--threshold" {
-                    threshold = v;
-                } else {
-                    bits_slack = v;
-                }
-            }
+    let mut args = Args::new(USAGE);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--threshold" => threshold = args.parse(),
+            "--bits-slack" => bits_slack = args.parse(),
             "--exact" => exact = true,
-            other if other.starts_with("--") => {
-                return fail_usage(&format!("unknown flag {other:?}"));
-            }
-            path => paths.push(path),
+            other if other.starts_with("--") => args.fail(format!("unknown flag {other:?}")),
+            _ => paths.push(arg),
         }
-        i += 1;
     }
-    let [old_path, new_path] = paths[..] else {
-        return fail_usage("expected exactly two files");
+    let [old_path, new_path] = paths.as_slice() else {
+        cli::fail(USAGE, "expected exactly two files");
     };
 
     let (old, new) = match (Artifact::load(old_path), Artifact::load(new_path)) {
         (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => return fail_usage(&e),
+        (Err(e), _) | (_, Err(e)) => cli::fail(USAGE, e),
     };
     let kind = old.kind.short();
     if old.kind != new.kind {
-        return fail_usage(&format!(
-            "cannot compare a {kind} document with a {} document",
-            new.kind.short()
-        ));
+        let other = new.kind.short();
+        cli::fail(USAGE, format!("cannot compare a {kind} document with a {other} document"));
     }
     // Sample 0 is OLD, sample 1 is NEW; the paths stand in for hashes.
     let sample = |path: &str, artifact| RevisionSample {

@@ -9,9 +9,9 @@
 //! passes every adjacent `bench-diff` but compounds across PRs.
 //!
 //! ```text
-//! bench-report [--artifact PATH]... [--repo DIR] [--cell FILTER]
-//!              [--csv FILE] [--gnuplot DIR]
-//!              [--gate] [--drift-threshold PCT] [--bits-slack BITS]
+//! usage: bench-report [--artifact PATH]... [--repo DIR] [--cell FILTER]
+//!                     [--csv FILE] [--gnuplot DIR]
+//!                     [--gate] [--drift-threshold PCT] [--bits-slack BITS]
 //! ```
 //!
 //! * `--artifact PATH` — artifact file to trend (repeatable). Default:
@@ -30,21 +30,16 @@
 //! skipped with a warning and counted, not fatal.
 
 use bench::artifact::ArtifactKind;
+use bench::cli::{self, Args};
 use bench::history::{load_history, rel_to_repo, repo_root};
 use bench::report::{ascii_report, gnuplot_report, trend_csv};
 use bench::trend::{gate_drift, series_from_history, TrendSeries};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: bench-report [--artifact PATH]... [--repo DIR] [--cell FILTER] \
-                     [--csv FILE] [--gnuplot DIR] [--gate] [--drift-threshold PCT] \
-                     [--bits-slack BITS]";
-
-fn fail_usage(msg: &str) -> ExitCode {
-    eprintln!("bench-report: {msg}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: bench-report [--artifact PATH]... [--repo DIR] [--cell FILTER]
+                    [--csv FILE] [--gnuplot DIR]
+                    [--gate] [--drift-threshold PCT] [--bits-slack BITS]";
 
 fn main() -> ExitCode {
     let mut artifacts: Vec<String> = Vec::new();
@@ -56,51 +51,23 @@ fn main() -> ExitCode {
     let mut threshold = 5.0f64;
     let mut bits_slack = 0.0f64;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::new(USAGE);
     while let Some(arg) = args.next() {
-        let mut grab = |name: &str| args.next().ok_or(format!("{name} needs a value"));
         match arg.as_str() {
-            "--artifact" => match grab("--artifact") {
-                Ok(v) => artifacts.push(v),
-                Err(e) => return fail_usage(&e),
-            },
-            "--repo" => match grab("--repo") {
-                Ok(v) => repo_arg = Some(v),
-                Err(e) => return fail_usage(&e),
-            },
-            "--cell" => match grab("--cell") {
-                Ok(v) => cell_filter = Some(v),
-                Err(e) => return fail_usage(&e),
-            },
-            "--csv" => match grab("--csv") {
-                Ok(v) => csv_path = Some(v),
-                Err(e) => return fail_usage(&e),
-            },
-            "--gnuplot" => match grab("--gnuplot") {
-                Ok(v) => gnuplot_dir = Some(v),
-                Err(e) => return fail_usage(&e),
-            },
+            "--artifact" => artifacts.push(args.value()),
+            "--repo" => repo_arg = Some(args.value()),
+            "--cell" => cell_filter = Some(args.value()),
+            "--csv" => csv_path = Some(args.value()),
+            "--gnuplot" => gnuplot_dir = Some(args.value()),
             "--gate" => gate = true,
-            "--drift-threshold" => match grab("--drift-threshold").map(|v| v.parse::<f64>()) {
-                Ok(Ok(v)) => threshold = v,
-                _ => return fail_usage("--drift-threshold needs a number"),
-            },
-            "--bits-slack" => match grab("--bits-slack").map(|v| v.parse::<f64>()) {
-                Ok(Ok(v)) => bits_slack = v,
-                _ => return fail_usage("--bits-slack needs a number"),
-            },
-            other => return fail_usage(&format!("unknown argument {other}")),
+            "--drift-threshold" => threshold = args.parse(),
+            "--bits-slack" => bits_slack = args.parse(),
+            other => args.fail(format!("unknown argument {other:?}")),
         }
     }
 
     let start = repo_arg.as_deref().map_or_else(|| PathBuf::from("."), PathBuf::from);
-    let repo = match repo_root(&start) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench-report: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let repo = repo_root(&start).unwrap_or_else(|e| cli::fail(USAGE, e));
 
     // Default to the four committed artifacts at the repository root,
     // trending whichever of them exist.
@@ -116,24 +83,12 @@ fn main() -> ExitCode {
     let mut artifact_names: Vec<String> = Vec::new();
     let mut skipped_total = 0usize;
     for raw in &artifacts {
-        let rel = match rel_to_repo(&repo, Path::new(raw)) {
-            Ok(rel) => rel,
-            Err(e) => {
-                eprintln!("bench-report: {e}");
-                return ExitCode::from(2);
-            }
-        };
+        let rel = rel_to_repo(&repo, Path::new(raw)).unwrap_or_else(|e| cli::fail(USAGE, e));
         if defaulted && !repo.join(&rel).exists() {
             eprintln!("warning: {rel}: not present, skipping");
             continue;
         }
-        let history = match load_history(&repo, &rel) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("bench-report: {e}");
-                return ExitCode::from(2);
-            }
-        };
+        let history = load_history(&repo, &rel).unwrap_or_else(|e| cli::fail(USAGE, e));
         for (rev, err) in &history.skipped {
             eprintln!("warning: skipping revision {rev} of {rel}: {err}");
         }
@@ -154,8 +109,7 @@ fn main() -> ExitCode {
         series.retain(|s| s.cell.join("/").contains(filter.as_str()));
     }
     if series.is_empty() {
-        eprintln!("bench-report: no trend series (no artifacts, or the filter matched nothing)");
-        return ExitCode::from(2);
+        cli::fail(USAGE, "no trend series (no artifacts, or the filter matched nothing)");
     }
 
     for artifact in &artifact_names {
@@ -169,28 +123,22 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &csv_path {
-        if let Err(e) = std::fs::write(path, trend_csv(&series)) {
-            eprintln!("bench-report: writing {path}: {e}");
-            return ExitCode::from(2);
-        }
+        std::fs::write(path, trend_csv(&series))
+            .unwrap_or_else(|e| cli::fail(USAGE, format!("--csv {path}: {e}")));
         println!("wrote {path}");
     }
 
     if let Some(dir) = &gnuplot_dir {
         let dir = Path::new(dir);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("bench-report: creating {}: {e}", dir.display());
-            return ExitCode::from(2);
-        }
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| cli::fail(USAGE, format!("--gnuplot {}: {e}", dir.display())));
         let (script, dats) = gnuplot_report(&series);
         let mut files = vec![("trend.gp".to_string(), script)];
         files.extend(dats);
         for (name, body) in files {
             let path = dir.join(&name);
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("bench-report: writing {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
+            std::fs::write(&path, body)
+                .unwrap_or_else(|e| cli::fail(USAGE, format!("--gnuplot {}: {e}", path.display())));
             println!("wrote {}", path.display());
         }
     }

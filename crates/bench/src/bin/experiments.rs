@@ -3,9 +3,13 @@
 //! table or series. Each experiment's header names the lemma, theorem or
 //! section of arXiv:2204.08359 it checks.
 //!
-//! Usage: `cargo run -p bench --release --bin experiments [-- e1 e4 …]`
-//! (no arguments = run everything; `--help` lists the experiments). An
-//! argument that names no experiment prints usage and exits 2.
+//! ```text
+//! usage: experiments [ID]...  (no ID runs them all)
+//! IDs: E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 E15 E16 E17
+//! ```
+//!
+//! IDs are case-insensitive. An argument that names no experiment
+//! prints usage and exits 2.
 
 use analysis::fit::{compare_growth_laws, growth_exponent};
 use analysis::grid::{run_grid, GridSpec};
@@ -14,6 +18,7 @@ use analysis::spec::{default_registry, RunnerHandle};
 use analysis::sweep::{run_sweep, SweepSpec};
 use analysis::{EnergyModel, Summary, Table};
 use awake_mis_core::{AwakeMis, AwakeMisConfig};
+use bench::cli::{self, Args};
 use graphgen::{generators, GraphFamily, NodeId};
 use ldt::construct::{ConstructAwake, ConstructParams};
 use ldt::construct_round::ConstructRound;
@@ -27,24 +32,14 @@ use std::process::ExitCode;
 
 const SEEDS: [u64; 3] = [11, 22, 33];
 
-/// Experiments are named `E1` … `E17` (case-insensitive).
-const EXPERIMENTS: usize = 17;
-
-fn usage() -> String {
-    let ids: Vec<String> = (1..=EXPERIMENTS).map(|k| format!("E{k}")).collect();
-    format!("usage: experiments [ID]...  (no ID runs them all)\nIDs: {}", ids.join(" "))
-}
+const USAGE: &str = "usage: experiments [ID]...  (no ID runs them all)
+IDs: E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 E15 E16 E17";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
-    }
-    let known = |a: &str| (1..=EXPERIMENTS).any(|k| a.eq_ignore_ascii_case(&format!("e{k}")));
+    let args: Vec<String> = Args::new(USAGE).collect();
+    let known = |a: &str| (1..=17).any(|k| a.eq_ignore_ascii_case(&format!("e{k}")));
     if let Some(bad) = args.iter().find(|a| !known(a)) {
-        eprintln!("experiments: no experiment named {bad:?}\n{}", usage());
-        return ExitCode::from(2);
+        cli::fail(USAGE, format!("no experiment named {bad:?}"));
     }
     let all = args.is_empty();
     let want = |id: &str| all || args.iter().any(|a| a.eq_ignore_ascii_case(id));

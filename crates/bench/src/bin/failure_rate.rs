@@ -5,17 +5,19 @@
 //! The 50k independent runs go through the registry-resolved `awake`
 //! runner and fan out over all hardware threads with per-worker scratch
 //! reuse; the failure count is deterministic (each run depends only on
-//! its seed). It takes no arguments; any argument prints usage and
-//! exits 2.
+//! its seed). It takes no arguments: any argument, `--help` included,
+//! prints usage and exits 2.
 use analysis::spec::default_registry;
+use bench::cli;
 use sleeping_congest::batch::{available_threads, run_batch};
 use sleeping_congest::ScratchArena;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: failure_rate  (takes no arguments)";
+
 fn main() -> ExitCode {
-    if std::env::args().len() > 1 {
-        eprintln!("usage: failure_rate  (takes no arguments)");
-        return ExitCode::from(2);
+    if let Some(arg) = std::env::args_os().nth(1) {
+        cli::fail(USAGE, format!("unexpected argument {arg:?}"));
     }
     let g = graphgen::Graph::from_edges(5, &[(0, 1)]).unwrap();
     let runner = default_registry().resolve("awake").expect("builtin");

@@ -5,22 +5,17 @@
 //! machine-readable `BENCH_faults.json` (schema
 //! `awake-mis/bench-faults/v1`) plus a human-readable robustness table.
 //!
-//! Usage:
-//!
 //! ```text
-//! cargo run --release -p bench --bin faults -- \
-//!     [--spec SPEC]... [--specs 'SPEC;SPEC;…'] \
-//!     [--families er,tree] [--sizes 256,1024] [--seeds 8] \
-//!     [--threads 0] [--out BENCH_faults.json]
+//! usage: faults [--spec SPEC]... [--families er,dense] [--sizes 256,1024]
+//!               [--seeds 8] [--threads 0] [--out BENCH_faults.json]
 //! ```
 //!
-//! Each `--spec` takes ONE sweep spec (repeat the flag to add more);
-//! `--specs` takes a `;`-separated list — `,` belongs to the level
-//! grammar (`loss=0,0.02,0.08`). Quote `?`/`&` for your shell. Run with
-//! no arguments to reproduce the committed `BENCH_faults.json`. The
-//! JSON payload (everything except `meta` and `timing`) is
-//! byte-identical for any thread count, and the `loss=0` levels are
-//! byte-identical to the fault-free grid's points.
+//! Each `--spec` takes ONE sweep spec; repeat the flag to add more,
+//! since `,` belongs to the level grammar (`loss=0,0.02,0.08`). Quote
+//! `?`/`&` for your shell. Run with no arguments to reproduce the
+//! committed `BENCH_faults.json`. The JSON payload (everything except
+//! `meta` and `timing`) is byte-identical for any thread count, and the
+//! `loss=0` levels are byte-identical to the fault-free grid's points.
 //!
 //! Unlike `grid` and `sweep`, incorrect runs do NOT exit nonzero here:
 //! lossy levels are *supposed* to fail sometimes — that failure rate is
@@ -28,12 +23,15 @@
 //! committed surface instead.
 
 use analysis::faults::{run_faults, FaultSweepSpec};
-use analysis::sweep::expand;
-use analysis::{default_registry, GridMeta, Table};
-use bench::parse_list;
+use analysis::{GridMeta, Table};
+use bench::cli::{self, Args};
+use bench::count_points;
 use graphgen::GraphFamily;
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
+
+const USAGE: &str = "usage: faults [--spec SPEC]... [--families er,dense] [--sizes 256,1024]
+              [--seeds 8] [--threads 0] [--out BENCH_faults.json]";
 
 /// The default surface the committed `BENCH_faults.json` pins: three
 /// loss levels (including the clean anchor) for the two headline
@@ -55,37 +53,24 @@ fn main() {
     let mut threads = 0usize;
     let mut out_path = String::from("BENCH_faults.json");
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> &str {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| panic!("{} needs a value", args[*i - 1]))
-        };
-        match args[i].as_str() {
-            "--spec" => specs.push(value(&mut i).to_string()),
-            "--specs" => specs.extend(
-                value(&mut i).split(';').filter(|s| !s.trim().is_empty()).map(str::to_string),
-            ),
-            "--families" => families = parse_list(value(&mut i), GraphFamily::parse, "family"),
-            "--sizes" => sizes = parse_list(value(&mut i), |s| s.parse().ok(), "size"),
-            "--seeds" => seed_count = value(&mut i).parse().expect("--seeds takes a count"),
-            "--threads" => threads = value(&mut i).parse().expect("--threads takes a count"),
-            "--out" => out_path = value(&mut i).to_string(),
-            other => panic!("unknown argument {other:?} (see the doc comment for usage)"),
+    let mut args = Args::new(USAGE);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--spec" => specs.push(args.value()),
+            "--families" => families = args.list(GraphFamily::parse, "family"),
+            "--sizes" => sizes = args.list(|s| s.parse().ok(), "size"),
+            "--seeds" => seed_count = args.parse(),
+            "--threads" => threads = args.parse(),
+            "--out" => out_path = args.value(),
+            other => args.fail(format!("unknown argument {other:?}")),
         }
-        i += 1;
     }
     if specs.is_empty() {
         specs = DEFAULT_SPECS.iter().map(|s| s.to_string()).collect();
     }
-
-    // Expand up front so a bad spec fails before any work runs.
-    let registry = default_registry();
-    let mut expanded_total = 0;
-    for raw in &specs {
-        let group = expand(registry, raw).unwrap_or_else(|e| panic!("--spec {raw:?}: {e}"));
-        expanded_total += group.runners.len();
+    let expanded_total = count_points(&specs).unwrap_or_else(|e| cli::fail(USAGE, e));
+    if seed_count == 0 {
+        cli::fail(USAGE, "--seeds must be at least 1");
     }
 
     let spec = FaultSweepSpec {
@@ -102,7 +87,7 @@ fn main() {
     );
 
     let start = Instant::now();
-    let result = run_faults(&spec).unwrap_or_else(|e| panic!("faults: {e}"));
+    let result = run_faults(&spec).unwrap_or_else(|e| cli::fail(USAGE, e));
     let wall = start.elapsed();
 
     let mut t = Table::new(vec![
@@ -125,7 +110,8 @@ fn main() {
     print!("{}", t.render());
 
     let meta = GridMeta { threads: threads_used, wall_ms: wall.as_millis() };
-    std::fs::write(&out_path, result.to_json(&meta)).expect("write faults JSON");
+    std::fs::write(&out_path, result.to_json(&meta))
+        .unwrap_or_else(|e| cli::fail(USAGE, format!("--out {out_path}: {e}")));
     let bad = result.points.iter().filter(|p| !p.correct).count();
     println!(
         "\nwrote {out_path}: {} points, {} cells, {} incorrect runs (expected under loss), {:.1}s wall",

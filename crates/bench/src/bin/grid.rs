@@ -3,14 +3,10 @@
 //! the machine-readable `BENCH_grid.json` (schema
 //! `awake-mis/bench-grid/v3`) plus a human-readable summary table.
 //!
-//! Usage:
-//!
 //! ```text
-//! cargo run --release -p bench --bin grid -- \
-//!     [--algos awake,luby,na,gp-avg] [--families er,rgg,ba,grid,tree] \
-//!     [--sizes 1000,10000,100000] [--seeds 8] [--threads 0] \
-//!     [--shards 0] [--large | --no-large] [--profile] \
-//!     [--out BENCH_grid.json] [--list-algos]
+//! usage: grid [--algos awake,luby,na,gp-avg] [--families er,rgg,ba,grid,tree]
+//!             [--sizes 1000,10000,100000] [--seeds 8] [--threads 0] [--shards 0]
+//!             [--large | --no-large] [--profile] [--out BENCH_grid.json] [--list-algos]
 //! ```
 //!
 //! The `--algos` list takes registry specs, so parameterized variants
@@ -40,10 +36,15 @@
 use analysis::grid::{run_grid, GridMeta, GridSpec, GridTier};
 use analysis::spec::default_registry;
 use analysis::Table;
-use bench::{parse_list, with_profile};
+use bench::cli::{self, Args};
+use bench::with_profile;
 use graphgen::GraphFamily;
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
+
+const USAGE: &str = "usage: grid [--algos awake,luby,na,gp-avg] [--families er,rgg,ba,grid,tree]
+            [--sizes 1000,10000,100000] [--seeds 8] [--threads 0] [--shards 0]
+            [--large | --no-large] [--profile] [--out BENCH_grid.json] [--list-algos]";
 
 fn main() {
     let registry = default_registry();
@@ -61,36 +62,20 @@ fn main() {
     let mut large: Option<bool> = None;
     let mut profile = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> &str {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| panic!("{} needs a value", args[*i - 1]))
-        };
-        match args[i].as_str() {
-            "--algos" => {
-                algos_spec = value(&mut i).to_string();
-                explicit_axes = true;
-            }
-            "--families" => {
-                families = parse_list(value(&mut i), GraphFamily::parse, "family");
-                explicit_axes = true;
-            }
-            "--sizes" => {
-                sizes = parse_list(value(&mut i), |s| s.parse().ok(), "size");
-                explicit_axes = true;
-            }
-            "--seeds" => {
-                seed_count = value(&mut i).parse().expect("--seeds takes a count");
-                explicit_axes = true;
-            }
-            "--threads" => threads = value(&mut i).parse().expect("--threads takes a count"),
-            "--shards" => shards = value(&mut i).parse().expect("--shards takes a count"),
+    let mut args = Args::new(USAGE);
+    while let Some(arg) = args.next() {
+        explicit_axes |= matches!(arg.as_str(), "--algos" | "--families" | "--sizes" | "--seeds");
+        match arg.as_str() {
+            "--algos" => algos_spec = args.value(),
+            "--families" => families = args.list(GraphFamily::parse, "family"),
+            "--sizes" => sizes = args.list(|s| s.parse().ok(), "size"),
+            "--seeds" => seed_count = args.parse(),
+            "--threads" => threads = args.parse(),
+            "--shards" => shards = args.parse(),
             "--large" => large = Some(true),
             "--no-large" => large = Some(false),
             "--profile" => profile = true,
-            "--out" => out_path = value(&mut i).to_string(),
+            "--out" => out_path = args.value(),
             "--list-algos" => {
                 println!("registered algorithm specs (grammar: key?param=value&…):\n");
                 for (key, about) in registry.entries() {
@@ -98,14 +83,13 @@ fn main() {
                 }
                 return;
             }
-            other => panic!("unknown argument {other:?} (see the doc comment for usage)"),
+            other => args.fail(format!("unknown argument {other:?}")),
         }
-        i += 1;
     }
 
     let algorithms = registry
         .resolve_list(&with_profile(&algos_spec, profile))
-        .unwrap_or_else(|e| panic!("--algos: {e}"));
+        .unwrap_or_else(|e| cli::fail(USAGE, format!("--algos: {e}")));
 
     // The `large` tier rides along whenever the base axes are the
     // defaults (so the checked-in BENCH_grid.json carries it), and on
@@ -205,7 +189,8 @@ fn main() {
     }
 
     let meta = GridMeta { threads: threads_used, wall_ms: wall.as_millis() };
-    std::fs::write(&out_path, result.to_json(&meta)).expect("write grid JSON");
+    std::fs::write(&out_path, result.to_json(&meta))
+        .unwrap_or_else(|e| cli::fail(USAGE, format!("--out {out_path}: {e}")));
     let bad = result.points.iter().filter(|p| !p.correct).count();
     println!(
         "\nwrote {out_path}: {} points, {} cells, {} incorrect, {:.1}s wall",

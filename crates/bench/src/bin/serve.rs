@@ -4,19 +4,15 @@
 //! batch, emits the **MIS delta** (which nodes joined/left the MIS),
 //! and reports sustained deltas/sec on exit.
 //!
-//! Usage:
-//!
 //! ```text
-//! cargo run --release -p bench --bin serve -- \
-//!     [--algo luby] [--family er] [--n 1000000] [--seed 1] \
-//!     [--batches 6] [--ops 2000] [--insert-frac 0.5] [--node-churn 0] \
-//!     [--stdin] [--quiet] [--stats-every 5]
+//! usage: serve [--algo luby] [--family er] [--n 1000000] [--seed 1] [--batches 6]
+//!              [--ops 2000] [--insert-frac 0.5] [--node-churn 0] [--stdin] [--quiet]
+//!              [--stats-every 5]
 //! ```
 //!
 //! Default mode generates `--batches` random delta batches of `--ops`
 //! operations each against the bootstrapped instance (this is the
-//! n=10⁶ throughput configuration; the same loop runs in-process under
-//! `churn --serve` to stamp the figure into `BENCH_churn.json`).
+//! n=10⁶ throughput configuration).
 //!
 //! With `--stdin`, batches come from a line protocol instead:
 //!
@@ -59,33 +55,22 @@
 //! `verify_ms/epoch` is the mean wall-clock of the repair's local check
 //! of its candidate nodes.
 //!
-//! `--help` prints usage and exits 0. An unknown flag, a missing or
-//! unparseable value, an unknown family or an `--algo` spec the registry
-//! cannot resolve prints usage to stderr and exits 2 before anything is
-//! served.
+//! `--help` prints the usage, and a bad command line exits 2 before
+//! anything is served (see [`bench::cli`]). A stdin line that is not
+//! UTF-8, is malformed or names an unknown op ends the session with
+//! exit 2.
 
 use analysis::churn::{random_batch, EpochReport, MisService};
 use analysis::spec::default_registry;
+use bench::cli::{self, Args};
 use graphgen::{DeltaBatch, GraphFamily};
 use sleeping_congest::ScratchArena;
 use std::io::BufRead;
-use std::str::FromStr;
 use std::time::Instant;
 
-const USAGE: &str = "usage: serve [--algo SPEC] [--family KEY] [--n N] [--seed S] [--batches B] \
-                     [--ops K] [--insert-frac F] [--node-churn F] [--stdin] [--quiet] \
-                     [--stats-every B]";
-
-/// Rejects the command line: `msg` and usage on stderr, exit 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("serve: {msg}\n{USAGE}");
-    std::process::exit(2)
-}
-
-/// Parses `value` as the argument of `flag`, or rejects the command line.
-fn number<T: FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| usage_error(&format!("{flag} takes a number, not {value:?}")))
-}
+const USAGE: &str = "usage: serve [--algo luby] [--family er] [--n 1000000] [--seed 1] [--batches 6]
+             [--ops 2000] [--insert-frac 0.5] [--node-churn 0] [--stdin] [--quiet]
+             [--stats-every 5]";
 
 /// Exact nearest-rank percentile over a sorted sample.
 fn pct(sorted: &[u64], q: f64) -> u64 {
@@ -228,40 +213,30 @@ fn main() {
     let mut quiet = false;
     let mut stats_every = 5u64;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |i: &mut usize| -> &str {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-        };
-        match flag {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            "--algo" => algo = value(&mut i).to_string(),
+    let mut args = Args::new(USAGE);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--algo" => algo = args.value(),
             "--family" => {
-                let v = value(&mut i);
-                family = GraphFamily::parse(v)
-                    .unwrap_or_else(|| usage_error(&format!("unknown family {v:?}")));
+                let v = args.value();
+                family = GraphFamily::parse(&v)
+                    .unwrap_or_else(|| args.fail(format!("unknown family {v:?}")));
             }
-            "--n" => n = number(flag, value(&mut i)),
-            "--seed" => seed = number(flag, value(&mut i)),
-            "--batches" => batches = number(flag, value(&mut i)),
-            "--ops" => ops = number(flag, value(&mut i)),
-            "--insert-frac" => insert_frac = number(flag, value(&mut i)),
-            "--node-churn" => node_churn = number(flag, value(&mut i)),
+            "--n" => n = args.parse(),
+            "--seed" => seed = args.parse(),
+            "--batches" => batches = args.parse(),
+            "--ops" => ops = args.parse(),
+            "--insert-frac" => insert_frac = args.parse(),
+            "--node-churn" => node_churn = args.parse(),
             "--stdin" => stdin_mode = true,
             "--quiet" => quiet = true,
-            "--stats-every" => stats_every = number(flag, value(&mut i)),
-            other => usage_error(&format!("unknown argument {other:?}")),
+            "--stats-every" => stats_every = args.parse(),
+            other => args.fail(format!("unknown argument {other:?}")),
         }
-        i += 1;
     }
 
-    let runner = registry.resolve(&algo).unwrap_or_else(|e| usage_error(&format!("--algo: {e}")));
+    let runner =
+        registry.resolve(&algo).unwrap_or_else(|e| cli::fail(USAGE, format!("--algo: {e}")));
     let g = family.generate(n, seed);
     let mut scratch = ScratchArena::new();
     println!("# bootstrapping {} on {} n={}…", runner.key(), family.key(), g.n());
@@ -286,7 +261,10 @@ fn main() {
         let stdin = std::io::stdin();
         let mut batch = DeltaBatch::new();
         for line in stdin.lock().lines() {
-            let line = line.expect("stdin");
+            let line = line.unwrap_or_else(|e| {
+                eprintln!("serve: stdin: {e}");
+                std::process::exit(2);
+            });
             let mut parts = line.split_whitespace();
             let op = parts.next().unwrap_or("");
             let arg = |p: &mut std::str::SplitWhitespace| -> u32 {

@@ -6,20 +6,15 @@
 //! machine-readable `BENCH_sweep.json` (schema `awake-mis/bench-sweep/v1`)
 //! plus a human-readable frontier table.
 //!
-//! Usage:
-//!
 //! ```text
-//! cargo run --release -p bench --bin sweep -- \
-//!     [--spec SPEC]... [--specs 'SPEC;SPEC;…'] \
-//!     [--family FAMILY]... [--families er,tree] \
-//!     [--sizes 256,1024] [--seeds 4] \
-//!     [--threads 0] [--out BENCH_sweep.json]
+//! usage: sweep [--spec SPEC]... [--family FAMILY]...
+//!              [--families er,dense,er?avg_deg=16] [--sizes 1024,4096] [--seeds 4]
+//!              [--threads 0] [--out BENCH_sweep.json]
 //! ```
 //!
-//! Each `--spec` takes ONE sweep spec (repeat the flag to add more);
-//! `--specs` takes a `;`-separated list — a separate separator because
-//! `,` is part of the sweep grammar (`balance=0,2,4`). Quote `?`/`&`
-//! for your shell.
+//! Each `--spec` takes ONE sweep spec; repeat the flag to add more,
+//! since `,` is part of the sweep grammar (`balance=0,2,4`). Quote
+//! `?`/`&` for your shell.
 //!
 //! The *graph* is a sweep axis too: family specs go through the same
 //! range grammar (`analysis::sweep::expand_families`), so
@@ -34,13 +29,17 @@
 //! The JSON payload (everything except `meta` and `timing`) is
 //! byte-identical for any thread count.
 
-use analysis::spec::default_registry;
-use analysis::sweep::{expand, expand_families, run_sweep, SweepSpec};
+use analysis::sweep::{expand_families, run_sweep, SweepSpec};
 use analysis::{EnergyModel, GridMeta, Table};
-use bench::parse_list;
+use bench::cli::{self, Args};
+use bench::count_points;
 use graphgen::GraphFamily;
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
+
+const USAGE: &str = "usage: sweep [--spec SPEC]... [--family FAMILY]...
+             [--families er,dense,er?avg_deg=16] [--sizes 1024,4096] [--seeds 4]
+             [--threads 0] [--out BENCH_sweep.json]";
 
 /// The default sweep: both awake measures, the GP balance dial, and the
 /// LE time/energy dial, on the workhorse sparse family and the dense
@@ -55,22 +54,19 @@ const DEFAULT_SPECS: [&str; 6] =
 const DEFAULT_FAMILIES: [&str; 3] = ["er", "dense", "er?avg_deg=16"];
 
 /// Expands a list of family specs (each through the range grammar),
-/// rejecting families that appear twice across the whole axis.
-fn expand_family_axis(raw_specs: &[String]) -> Vec<GraphFamily> {
+/// rejecting a bad spec and families that appear twice across the
+/// whole axis.
+fn expand_family_axis(raw_specs: &[String]) -> Result<Vec<GraphFamily>, String> {
     let mut out: Vec<GraphFamily> = Vec::new();
     for raw in raw_specs {
-        let expanded =
-            expand_families(raw).unwrap_or_else(|e| panic!("family spec {raw:?}: {e}"));
-        for f in expanded {
-            assert!(
-                !out.contains(&f),
-                "family {} appears twice in the family axis",
-                f.key()
-            );
+        for f in expand_families(raw).map_err(|e| format!("family spec {raw:?}: {e}"))? {
+            if out.contains(&f) {
+                return Err(format!("family {} appears twice in the family axis", f.key()));
+            }
             out.push(f);
         }
     }
-    out
+    Ok(out)
 }
 
 fn main() {
@@ -81,29 +77,18 @@ fn main() {
     let mut threads = 0usize;
     let mut out_path = String::from("BENCH_sweep.json");
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> &str {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| panic!("{} needs a value", args[*i - 1]))
-        };
-        match args[i].as_str() {
-            "--spec" => specs.push(value(&mut i).to_string()),
-            "--specs" => specs.extend(
-                value(&mut i).split(';').filter(|s| !s.trim().is_empty()).map(str::to_string),
-            ),
-            "--family" => family_specs.push(value(&mut i).to_string()),
-            "--families" => family_specs.extend(
-                value(&mut i).split(',').filter(|s| !s.trim().is_empty()).map(str::to_string),
-            ),
-            "--sizes" => sizes = parse_list(value(&mut i), |s| s.parse().ok(), "size"),
-            "--seeds" => seed_count = value(&mut i).parse().expect("--seeds takes a count"),
-            "--threads" => threads = value(&mut i).parse().expect("--threads takes a count"),
-            "--out" => out_path = value(&mut i).to_string(),
-            other => panic!("unknown argument {other:?} (see the doc comment for usage)"),
+    let mut args = Args::new(USAGE);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--spec" => specs.push(args.value()),
+            "--family" => family_specs.push(args.value()),
+            "--families" => family_specs.extend(args.list(|s| Some(s.to_string()), "family")),
+            "--sizes" => sizes = args.list(|s| s.parse().ok(), "size"),
+            "--seeds" => seed_count = args.parse(),
+            "--threads" => threads = args.parse(),
+            "--out" => out_path = args.value(),
+            other => args.fail(format!("unknown argument {other:?}")),
         }
-        i += 1;
     }
     if specs.is_empty() {
         specs = DEFAULT_SPECS.iter().map(|s| s.to_string()).collect();
@@ -111,14 +96,10 @@ fn main() {
     if family_specs.is_empty() {
         family_specs = DEFAULT_FAMILIES.iter().map(|s| s.to_string()).collect();
     }
-    let families = expand_family_axis(&family_specs);
-
-    // Expand up front so a bad spec fails before any work runs.
-    let registry = default_registry();
-    let mut expanded_total = 0;
-    for raw in &specs {
-        let group = expand(registry, raw).unwrap_or_else(|e| panic!("--spec {raw:?}: {e}"));
-        expanded_total += group.runners.len();
+    let families = expand_family_axis(&family_specs).unwrap_or_else(|e| cli::fail(USAGE, e));
+    let expanded_total = count_points(&specs).unwrap_or_else(|e| cli::fail(USAGE, e));
+    if seed_count == 0 {
+        cli::fail(USAGE, "--seeds must be at least 1");
     }
 
     let spec = SweepSpec {
@@ -137,7 +118,7 @@ fn main() {
     );
 
     let start = Instant::now();
-    let result = run_sweep(&spec).unwrap_or_else(|e| panic!("sweep: {e}"));
+    let result = run_sweep(&spec).unwrap_or_else(|e| cli::fail(USAGE, e));
     let wall = start.elapsed();
 
     let mut t = Table::new(vec![
@@ -167,7 +148,8 @@ fn main() {
     print!("{}", t.render());
 
     let meta = GridMeta { threads: threads_used, wall_ms: wall.as_millis() };
-    std::fs::write(&out_path, result.to_json(&meta)).expect("write sweep JSON");
+    std::fs::write(&out_path, result.to_json(&meta))
+        .unwrap_or_else(|e| cli::fail(USAGE, format!("--out {out_path}: {e}")));
     let bad = result.points.iter().filter(|p| !p.point.correct).count();
     let frontier_sizes: Vec<String> = result
         .cells

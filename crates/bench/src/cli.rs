@@ -1,0 +1,108 @@
+//! The one command-line reader every bench binary uses.
+//!
+//! [`Args`] is a pull parser. Each binary keeps its own `USAGE`, which
+//! starts `usage: NAME`, and its own `match` on flag names; `Args`
+//! hands out the arguments one at a time and reads the current flag's
+//! value. `--help` and `-h` print the usage on stdout and exit 0. A bad
+//! command line never panics: [`fail`] prints `NAME: message` and the
+//! usage on stderr and exits 2. Binaries make their checks after
+//! parsing, such as a spec the registry rejects, before they print, run
+//! or write anything.
+
+use std::fmt::Display;
+use std::str::FromStr;
+
+/// Rejects the command line: `NAME: msg` and `usage` on stderr, exit 2.
+/// `NAME` is the word that follows `usage: `. Binaries call it for the
+/// checks they make after parsing.
+pub fn fail(usage: &str, msg: impl Display) -> ! {
+    let name = usage.trim_start_matches("usage: ").split_whitespace().next().unwrap_or_default();
+    eprintln!("{name}: {msg}\n{usage}");
+    std::process::exit(2)
+}
+
+/// The process arguments after the program name, pulled one at a time
+/// through [`Iterator::next`].
+pub struct Args {
+    usage: &'static str,
+    rest: std::vec::IntoIter<String>,
+    /// The argument `next` returned last: the flag a value belongs to.
+    flag: String,
+}
+
+impl Args {
+    /// Reads the process arguments, rejecting one that is not UTF-8;
+    /// `usage` is printed by `--help` and with every rejection.
+    pub fn new(usage: &'static str) -> Args {
+        let rest: Vec<String> = std::env::args_os()
+            .skip(1)
+            .map(|a| a.into_string().unwrap_or_else(|a| fail(usage, format!("{a:?} is not UTF-8"))))
+            .collect();
+        Args { usage, rest: rest.into_iter(), flag: String::new() }
+    }
+
+    /// Rejects the command line with `msg` (see [`fail`]).
+    pub fn fail(&self, msg: impl Display) -> ! {
+        fail(self.usage, msg)
+    }
+
+    /// The current flag's value: the argument after it.
+    pub fn value(&mut self) -> String {
+        self.rest.next().unwrap_or_else(|| self.fail(format!("{} needs a value", self.flag)))
+    }
+
+    /// The current flag's value, parsed as a `T`.
+    pub fn parse<T: FromStr>(&mut self) -> T
+    where
+        T::Err: Display,
+    {
+        let v = self.value();
+        v.parse().unwrap_or_else(|e| self.fail(format!("{} {v:?}: {e}", self.flag)))
+    }
+
+    /// The current flag's value as a comma-separated list, each element
+    /// read by `parse`. Empty elements are skipped; an element `parse`
+    /// rejects fails the line as an unknown `what`.
+    pub fn list<T>(&mut self, parse: impl Fn(&str) -> Option<T>, what: &str) -> Vec<T> {
+        let v = self.value();
+        v.split(',')
+            .filter(|s| !s.is_empty())
+            .map(|s| parse(s).unwrap_or_else(|| self.fail(format!("unknown {what} {s:?}"))))
+            .collect()
+    }
+}
+
+impl Iterator for Args {
+    type Item = String;
+
+    /// The next argument, which becomes the current flag. `--help` and
+    /// `-h` print the usage on stdout and exit 0.
+    fn next(&mut self) -> Option<String> {
+        let arg = self.rest.next()?;
+        if arg == "--help" || arg == "-h" {
+            println!("{}", self.usage);
+            std::process::exit(0);
+        }
+        self.flag.clone_from(&arg);
+        Some(arg)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn values_and_lists_follow_their_flag() {
+        let line = ["--seeds", "7", "--sizes", "10,,20,", "--families", ""];
+        let rest: Vec<String> = line.iter().map(|a| a.to_string()).collect();
+        let mut args = Args { usage: "usage: t", rest: rest.into_iter(), flag: String::new() };
+        assert_eq!(args.next().as_deref(), Some("--seeds"));
+        assert_eq!(args.parse::<u64>(), 7);
+        assert_eq!(args.next().as_deref(), Some("--sizes"));
+        assert_eq!(args.list(|s| s.parse::<usize>().ok(), "size"), [10, 20]);
+        args.next();
+        assert!(args.list(|s| s.parse::<usize>().ok(), "size").is_empty());
+        assert_eq!(args.next(), None);
+    }
+}

@@ -2,9 +2,10 @@
 //!
 //! The workload families live in [`graphgen::families`]; binaries use
 //! [`graphgen::GraphFamily`] directly. [`json`] is the registry-free
-//! JSON reader behind the bench tools, and [`parse_list`] /
-//! [`with_profile`] are the command-line helpers the grid, sweep,
-//! faults and churn binaries share.
+//! JSON reader behind the bench tools, [`cli`] is the one command-line
+//! reader of every binary, and [`with_profile`] and [`count_points`]
+//! are the spec helpers the grid, sweep, faults and churn binaries
+//! share.
 //!
 //! The bench-trajectory pipeline lives here too: [`artifact`] is the
 //! one reader for all four committed `BENCH_*.json` schemas and holds
@@ -16,23 +17,14 @@
 //! `bench-diff` over two files.
 
 pub mod artifact;
+pub mod cli;
 pub mod history;
 pub mod json;
 pub mod report;
 pub mod trend;
 
-/// Parses a comma-separated flag value with `parse`, skipping empty
-/// elements.
-///
-/// # Panics
-///
-/// On an element `parse` rejects, naming it as an unknown `what`.
-pub fn parse_list<T>(arg: &str, parse: impl Fn(&str) -> Option<T>, what: &str) -> Vec<T> {
-    arg.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).unwrap_or_else(|| panic!("unknown {what} {s:?}")))
-        .collect()
-}
+use analysis::default_registry;
+use analysis::sweep::expand;
 
 /// Appends the execution-only `trace=profile` param to every spec in a
 /// comma-separated list (no-op when `--profile` is off).
@@ -48,22 +40,30 @@ pub fn with_profile(specs: &str, profile: bool) -> String {
         .join(",")
 }
 
+/// Expands every `--spec` of a sweep or fault sweep and counts the
+/// algorithm points, so that a bad spec, or a point two specs share,
+/// rejects the command line before the binary prints anything.
+///
+/// # Errors
+///
+/// The first spec that does not expand, or the first repeated point.
+pub fn count_points(specs: &[String]) -> Result<usize, String> {
+    let mut keys: Vec<String> = Vec::new();
+    for raw in specs {
+        let group = expand(default_registry(), raw).map_err(|e| format!("--spec {raw:?}: {e}"))?;
+        for r in &group.runners {
+            if keys.iter().any(|k| k == r.key()) {
+                return Err(format!("--spec {raw:?}: {} is already in the sweep", r.key()));
+            }
+            keys.push(r.key().to_string());
+        }
+    }
+    Ok(keys.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_list_skips_empty_elements() {
-        let sizes: Vec<usize> = parse_list("10,,20,", |s| s.parse().ok(), "size");
-        assert_eq!(sizes, [10, 20]);
-        assert!(parse_list::<usize>("", |s| s.parse().ok(), "size").is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown size \"x\"")]
-    fn parse_list_panics_on_a_rejected_element() {
-        parse_list::<usize>("1,x", |s| s.parse().ok(), "size");
-    }
 
     #[test]
     fn with_profile_appends_trace_to_every_spec() {

@@ -1,12 +1,111 @@
-//! `experiments`, `failure_rate` and `serve` reject arguments they do
-//! not know with usage and exit 2, `experiments --help` lists E1–E17,
-//! and `serve --help` prints usage. No case here runs an experiment or
-//! serves a batch.
+//! Every bench binary reads its command line through `bench::cli`:
+//! `--help` and `-h` print usage and exit 0, and a bad command line
+//! prints usage on stderr and exits 2 before anything is printed, run
+//! or written. `experiments --help` lists E1–E17, `failure_rate` takes
+//! no arguments, and `serve` ends a session on stdin that is not UTF-8.
+//! No case here runs an experiment or serves a batch.
 
-use std::process::{Command, Output};
+use std::io::Write;
+use std::process::{Command, Output, Stdio};
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).output().expect("run binary")
+}
+
+#[test]
+fn help_prints_usage_and_exits_0() {
+    for (name, bin) in [
+        ("grid", env!("CARGO_BIN_EXE_grid")),
+        ("churn", env!("CARGO_BIN_EXE_churn")),
+        ("sweep", env!("CARGO_BIN_EXE_sweep")),
+        ("faults", env!("CARGO_BIN_EXE_faults")),
+        ("bench-report", env!("CARGO_BIN_EXE_bench-report")),
+        ("bench-diff", env!("CARGO_BIN_EXE_bench-diff")),
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = run(bin, &[flag]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(0), "{name} {flag}: {stdout}");
+            assert!(stdout.starts_with(&format!("usage: {name}")), "{name} {flag}: {stdout}");
+        }
+    }
+}
+
+/// Runs `name` on `quick` (small axes, so a case that slips through
+/// fails fast), an `--out` temp path, then each case, and checks the
+/// rejection: exit 2, usage and no panic on stderr, empty stdout, and
+/// no output file.
+fn rejects(name: &str, bin: &str, quick: &[&str], cases: &[&[&str]]) {
+    let out_path =
+        std::env::temp_dir().join(format!("{name}-rejected-{}.json", std::process::id()));
+    let out_arg = out_path.to_str().expect("UTF-8 temp path");
+    for case in cases {
+        let args: Vec<&str> =
+            quick.iter().chain(&["--out", out_arg]).chain(*case).copied().collect();
+        let out = run(bin, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name} {case:?}: {stderr}");
+        assert!(stderr.contains(&format!("usage: {name}")), "{name} {case:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name} {case:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name} {case:?} must print nothing");
+        assert!(!out_path.exists(), "{name} {case:?} must write nothing");
+    }
+}
+
+#[test]
+fn grid_rejects_bad_arguments_before_running() {
+    rejects("grid", env!("CARGO_BIN_EXE_grid"), &["--no-large", "--sizes", "16", "--seeds", "1"], &[
+        &["--bogus"],
+        &["--sizes"],
+        &["--seeds", "many"],
+        &["--families", "er,nope"],
+        &["--sizes", "16,x"],
+        &["--algos", "nosuch"],
+    ]);
+}
+
+#[test]
+fn churn_rejects_bad_arguments_before_running() {
+    rejects("churn", env!("CARGO_BIN_EXE_churn"), &["--sizes", "16", "--seeds", "1"], &[
+        &["--bogus"],
+        &["--epochs"],
+        &["--seeds", "many"],
+        &["--families", "er,nope"],
+        &["--rates", "0,x"],
+        &["--algos", "nosuch"],
+        &["--serve", "100"],
+    ]);
+}
+
+#[test]
+fn sweep_rejects_bad_arguments_before_running() {
+    rejects("sweep", env!("CARGO_BIN_EXE_sweep"), &["--sizes", "16", "--seeds", "1"], &[
+        &["--bogus"],
+        &["--sizes"],
+        &["--seeds", "many"],
+        &["--families", "er,nope"],
+        &["--sizes", "16,x"],
+        &["--spec", "luby?bogus=1..2"],
+        &["--spec", "luby", "--spec", "luby"],
+        &["--family", "er?avg_deg=x"],
+        &["--family", "er", "--family", "er"],
+        &["--seeds", "0"],
+        &["--specs", "luby"],
+    ]);
+}
+
+#[test]
+fn faults_rejects_bad_arguments_before_running() {
+    rejects("faults", env!("CARGO_BIN_EXE_faults"), &["--sizes", "16", "--seeds", "1"], &[
+        &["--bogus"],
+        &["--sizes"],
+        &["--seeds", "many"],
+        &["--families", "er,nope"],
+        &["--sizes", "16,x"],
+        &["--spec", "luby?bogus=1..2"],
+        &["--seeds", "0"],
+        &["--specs", "luby"],
+    ]);
 }
 
 #[test]
@@ -73,4 +172,23 @@ fn serve_rejects_bad_arguments_before_serving() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} must serve nothing");
     }
+}
+
+#[test]
+fn serve_ends_the_session_on_stdin_that_is_not_utf8() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--stdin", "--n", "100", "--quiet"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(b"+e 0 5\n\xff\xfe\n.\nquit\n").expect("write stdin");
+    drop(stdin);
+    let out = child.wait_with_output().expect("wait for serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("serve: stdin:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
