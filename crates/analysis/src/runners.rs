@@ -363,7 +363,7 @@ struct SimRunner<P> {
 impl<P> DynRunner for SimRunner<P>
 where
     P: Protocol + Send,
-    P::Msg: Send + 'static,
+    P::Msg: Send + Sync + 'static,
     P::Output: MisOutput,
 {
     fn name(&self) -> &str {
@@ -411,7 +411,7 @@ fn sim_runner<P>(
 ) -> Result<RunnerHandle, SpecError>
 where
     P: Protocol + Send + 'static,
-    P::Msg: Send + 'static,
+    P::Msg: Send + Sync + 'static,
     P::Output: MisOutput,
 {
     let config = read_exec(&mut p)?;

@@ -80,6 +80,7 @@ fn main() {
     let algorithms = registry
         .resolve_list(&with_profile(&algos_spec, profile))
         .unwrap_or_else(|e| cli::fail(USAGE, format!("--algos: {e}")));
+    cli::check_sizes(USAGE, "--sizes", &families, &sizes);
     let spec = ChurnSpec {
         algorithms,
         families,

@@ -72,6 +72,7 @@ fn main() {
     if seed_count == 0 {
         cli::fail(USAGE, "--seeds must be at least 1");
     }
+    cli::check_sizes(USAGE, "--sizes", &families, &sizes);
 
     let spec = FaultSweepSpec {
         specs,

@@ -90,6 +90,7 @@ fn main() {
     let algorithms = registry
         .resolve_list(&with_profile(&algos_spec, profile))
         .unwrap_or_else(|e| cli::fail(USAGE, format!("--algos: {e}")));
+    cli::check_sizes(USAGE, "--sizes", &families, &sizes);
 
     // The `large` tier rides along whenever the base axes are the
     // defaults (so the checked-in BENCH_grid.json carries it), and on

@@ -237,6 +237,7 @@ fn main() {
 
     let runner =
         registry.resolve(&algo).unwrap_or_else(|e| cli::fail(USAGE, format!("--algo: {e}")));
+    cli::check_sizes(USAGE, "--n", &[family], &[n]);
     let g = family.generate(n, seed);
     let mut scratch = ScratchArena::new();
     println!("# bootstrapping {} on {} n={}…", runner.key(), family.key(), g.n());

@@ -9,6 +9,7 @@
 //! parsing, such as a spec the registry rejects, before they print, run
 //! or write anything.
 
+use graphgen::GraphFamily;
 use std::fmt::Display;
 use std::str::FromStr;
 
@@ -19,6 +20,18 @@ pub fn fail(usage: &str, msg: impl Display) -> ! {
     let name = usage.trim_start_matches("usage: ").split_whitespace().next().unwrap_or_default();
     eprintln!("{name}: {msg}\n{usage}");
     std::process::exit(2)
+}
+
+/// Rejects (see [`fail`]) a size one of `families` cannot generate
+/// ([`GraphFamily::min_nodes`]); `flag` names the option the sizes came
+/// from.
+pub fn check_sizes(usage: &str, flag: &str, families: &[GraphFamily], sizes: &[usize]) {
+    for family in families {
+        let min = family.min_nodes();
+        if let Some(n) = sizes.iter().find(|&&n| n < min) {
+            fail(usage, format!("{flag} {n}: family {} needs at least {min} nodes", family.key()));
+        }
+    }
 }
 
 /// The process arguments after the program name, pulled one at a time

@@ -61,6 +61,8 @@ fn grid_rejects_bad_arguments_before_running() {
         &["--families", "er,nope"],
         &["--sizes", "16,x"],
         &["--algos", "nosuch"],
+        &["--families", "ba", "--sizes", "3"],
+        &["--families", "er,ba?attach=5", "--sizes", "16,5"],
     ]);
 }
 
@@ -74,6 +76,8 @@ fn churn_rejects_bad_arguments_before_running() {
         &["--rates", "0,x"],
         &["--algos", "nosuch"],
         &["--serve", "100"],
+        &["--families", "ba", "--sizes", "3"],
+        &["--families", "ba?attach=5", "--sizes", "5"],
     ]);
 }
 
@@ -91,6 +95,8 @@ fn sweep_rejects_bad_arguments_before_running() {
         &["--family", "er", "--family", "er"],
         &["--seeds", "0"],
         &["--specs", "luby"],
+        &["--family", "ba", "--sizes", "3"],
+        &["--families", "ba?attach=2..6&step=2", "--sizes", "5"],
     ]);
 }
 
@@ -105,6 +111,8 @@ fn faults_rejects_bad_arguments_before_running() {
         &["--spec", "luby?bogus=1..2"],
         &["--seeds", "0"],
         &["--specs", "luby"],
+        &["--families", "ba", "--sizes", "3"],
+        &["--families", "ba?attach=5", "--sizes", "16,5"],
     ]);
 }
 
@@ -164,6 +172,8 @@ fn serve_rejects_bad_arguments_before_serving() {
         &["--algo", "nosuch"],
         &["--algo", "luby?bogus=1"],
         &["--n", "64", "--stats-every"],
+        &["--family", "ba", "--n", "3"],
+        &["--family", "ba?attach=5", "--n", "5"],
     ] {
         let out = run(env!("CARGO_BIN_EXE_serve"), args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -155,7 +155,22 @@ impl GraphFamily {
         }
     }
 
+    /// The smallest `n` [`generate`](GraphFamily::generate) accepts.
+    /// Barabási–Albert seeds its graph with a star on `m + 1` nodes;
+    /// every other family takes any `n`, 0 included.
+    pub fn min_nodes(self) -> usize {
+        match self {
+            GraphFamily::Ba => 4,
+            GraphFamily::BaAttach(m) => m as usize + 1,
+            _ => 0,
+        }
+    }
+
     /// Generates an `n`-node instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is below [`min_nodes`](GraphFamily::min_nodes).
     pub fn generate(self, n: usize, seed: u64) -> Graph {
         let mut rng = SmallRng::seed_from_u64(seed);
         match self {
@@ -200,6 +215,21 @@ mod tests {
             assert_eq!(a.n(), b.n(), "{}", family.name());
             assert_eq!(a.edges().collect::<Vec<_>>(), b.edges().collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn min_nodes_is_the_smallest_size_generate_accepts() {
+        let parameterized =
+            [GraphFamily::ErDeg(16), GraphFamily::RggRadius(900), GraphFamily::BaAttach(5)];
+        for family in GraphFamily::all().iter().chain(&parameterized) {
+            let min = family.min_nodes();
+            for n in min..min + 3 {
+                family.generate(n, 1);
+            }
+        }
+        assert_eq!(GraphFamily::Ba.min_nodes(), 4);
+        assert_eq!(GraphFamily::BaAttach(5).min_nodes(), 6);
+        assert_eq!(GraphFamily::ErDeg(16).min_nodes(), 0);
     }
 
     #[test]

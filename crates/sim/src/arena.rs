@@ -19,9 +19,9 @@ use std::any::{Any, TypeId};
 
 /// A heterogeneous collection of [`SimScratch`]es, one per message type.
 ///
-/// Keep one arena per worker thread and pass it to every run; mailbox,
-/// RNG-table, and wake-bucket allocations are then shared across all
-/// runs of the same protocol family, whatever order families run in.
+/// Keep one arena per worker thread and pass it to every run; outbox
+/// table, RNG-table, and wake-bucket allocations are then shared across
+/// all runs of the same protocol family, whatever order families run in.
 ///
 /// ```
 /// use sleeping_congest::ScratchArena;

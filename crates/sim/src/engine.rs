@@ -49,11 +49,13 @@ pub struct SimConfig {
     /// ranges executed on scoped worker threads; `0` means one shard per
     /// available hardware thread.
     ///
-    /// Sharding is an execution knob, not a semantic one: outgoing
-    /// messages are staged per shard and merged in sender-id order, so
-    /// outputs and [`Metrics`] are byte-identical for every shard count
-    /// — including under an active [`FaultModel`], whose draws are
-    /// keyed by `(site, round)` and therefore independent of scheduling.
+    /// Sharding is an execution knob, not a semantic one: send shards
+    /// park outboxes in disjoint id ranges of one node-indexed table,
+    /// and every receiver pulls its inbox from that table in its own
+    /// port order (see [`SimScratch`]), so outputs and [`Metrics`] are
+    /// byte-identical for every shard count — including under an active
+    /// [`FaultModel`], whose draws are keyed by `(site, round)` and
+    /// therefore independent of scheduling.
     pub shards: usize,
     /// Observational trace sink (see [`crate::trace`]). `None` (the
     /// default) keeps the hot loop trace-free: no timestamps are taken
@@ -104,6 +106,8 @@ pub enum SimError {
     MessageTooLarge { node: NodeId, round: Round, bits: usize, limit: usize },
     /// A node asked to sleep until a round that is not in the future.
     BadSleep { node: NodeId, round: Round, until: Round },
+    /// A node unicast through a port it does not have (`port >= degree`).
+    BadPort { node: NodeId, round: Round, port: Port, degree: usize },
 }
 
 impl fmt::Display for SimError {
@@ -124,6 +128,10 @@ impl fmt::Display for SimError {
             SimError::BadSleep { node, round, until } => {
                 write!(f, "node {node} in round {round} asked to sleep until round {until}")
             }
+            SimError::BadPort { node, round, port, degree } => write!(
+                f,
+                "node {node} sent through port {port} in round {round} (degree {degree})"
+            ),
         }
     }
 }
@@ -253,56 +261,52 @@ impl WakeQueue {
     }
 }
 
-/// One shard's staging buffer for a round's send phase.
+/// One shard's share of a round: the counters it adds to [`Metrics`],
+/// the first error of its send slice, and the inbox buffer its
+/// receivers are handed.
 ///
-/// Workers append deliveries as `(receiver batch slot, port, message)`
-/// while accumulating their slice of the message counters locally; the
-/// merge step ([`MsgArena::fill_from`]) and a commutative counter sum
-/// reproduce the serial engine's state exactly.
+/// Send-side counters (`sent`, `max_bits`, `total_bits`) are filled by
+/// [`send_shard`], receive-side ones (`delivered`, `faulted`) by
+/// [`receive_shard`]. Sums and a max are commutative, so the totals do
+/// not depend on how the batch was split.
 #[derive(Debug)]
-struct SendStage<M> {
-    /// Staged deliveries: receiver's dense index in the sorted batch,
-    /// receiver-side port, message. Within one stage, entries appear in
-    /// ascending sender-id order because each worker scans its batch
-    /// slice in order.
-    msgs: Vec<(u32, Port, M)>,
+struct Stage<M> {
     sent: u64,
-    delivered: u64,
-    lost: u64,
-    faulted: u64,
     max_bits: usize,
     total_bits: u64,
+    delivered: u64,
+    faulted: u64,
     /// First error this shard hit, in its own id order. The engine takes
     /// the error from the lowest-index shard, which is exactly the first
     /// error the serial loop would have returned.
     err: Option<SimError>,
+    /// The current receiver's inbox; reused across receivers and rounds.
+    inbox: Vec<(Port, M)>,
 }
 
-impl<M> Default for SendStage<M> {
+impl<M> Default for Stage<M> {
     fn default() -> Self {
-        SendStage {
-            msgs: Vec::new(),
+        Stage {
             sent: 0,
-            delivered: 0,
-            lost: 0,
-            faulted: 0,
             max_bits: 0,
             total_bits: 0,
+            delivered: 0,
+            faulted: 0,
             err: None,
+            inbox: Vec::new(),
         }
     }
 }
 
-impl<M> SendStage<M> {
+impl<M> Stage<M> {
     fn clear(&mut self) {
-        self.msgs.clear();
         self.sent = 0;
-        self.delivered = 0;
-        self.lost = 0;
-        self.faulted = 0;
         self.max_bits = 0;
         self.total_bits = 0;
+        self.delivered = 0;
+        self.faulted = 0;
         self.err = None;
+        self.inbox.clear();
     }
 
     /// Accounts one emission of a `bits`-bit message in `copies` copies,
@@ -326,107 +330,41 @@ impl<M> SendStage<M> {
         self.total_bits += (bits * copies) as u64;
         true
     }
-}
 
-/// Flat double-buffered message arena: one round's inboxes, CSR-style.
-///
-/// Instead of `n` growable `Vec` mailboxes, the arena holds a single
-/// `data` buffer with `offsets[i]..offsets[i + 1]` delimiting awake batch
-/// slot `i`'s inbox. It is rebuilt every round by a counting-sort merge
-/// of the shard staging buffers, so per-message allocation never happens
-/// after the buffers reach steady-state capacity.
-#[derive(Debug)]
-struct MsgArena<M> {
-    /// `batch.len() + 1` prefix sums over per-slot message counts.
-    offsets: Vec<usize>,
-    /// Scatter cursors, one per slot, used during the merge.
-    cursors: Vec<usize>,
-    /// Concatenated stage buffers (sender-id order), pre-permutation.
-    staged: Vec<(u32, Port, M)>,
-    /// Inverse permutation: `inv[dest] = src` index into `staged`.
-    inv: Vec<usize>,
-    /// All of the round's deliveries, grouped by receiver slot.
-    data: Vec<(Port, M)>,
-}
-
-impl<M> Default for MsgArena<M> {
-    fn default() -> Self {
-        MsgArena {
-            offsets: Vec::new(),
-            cursors: Vec::new(),
-            staged: Vec::new(),
-            inv: Vec::new(),
-            data: Vec::new(),
-        }
-    }
-}
-
-impl<M> MsgArena<M> {
-    fn clear(&mut self) {
-        self.offsets.clear();
-        self.cursors.clear();
-        self.staged.clear();
-        self.inv.clear();
-        self.data.clear();
-    }
-
-    /// Counting-sort merge: drains every stage — in shard order, i.e.
-    /// ascending sender-id order — into `data`, grouped by receiver slot.
-    /// Per receiver this reproduces exactly the push order of the serial
-    /// engine's nested inboxes, so downstream behaviour is byte-identical
-    /// for every shard count. Three linear passes, no comparison sort;
-    /// the inverse-permutation table lets `data` be built by an in-order
-    /// extend instead of scatter-writes into uninitialized capacity.
-    fn fill_from(&mut self, stages: &mut [SendStage<M>], slots: usize)
+    /// Hands one copy of `msg` to the current receiver at port `p`, or
+    /// counts it as faulted when the link fault model `dropped` it.
+    fn take(&mut self, p: Port, msg: &M, dropped: bool)
     where
         M: Clone,
     {
-        self.staged.clear();
-        for stage in stages.iter_mut() {
-            self.staged.append(&mut stage.msgs);
-        }
-        self.offsets.clear();
-        self.offsets.resize(slots + 1, 0);
-        for &(slot, _, _) in &self.staged {
-            self.offsets[slot as usize + 1] += 1;
-        }
-        for i in 0..slots {
-            self.offsets[i + 1] += self.offsets[i];
-        }
-        let total = self.offsets[slots];
-        self.cursors.clear();
-        self.cursors.extend_from_slice(&self.offsets[..slots]);
-        self.inv.clear();
-        self.inv.resize(total, 0);
-        for (src, &(slot, _, _)) in self.staged.iter().enumerate() {
-            let dest = self.cursors[slot as usize];
-            self.inv[dest] = src;
-            self.cursors[slot as usize] = dest + 1;
-        }
-        self.data.clear();
-        let staged = &self.staged;
-        self.data.extend(self.inv.iter().map(|&src| {
-            let (_, port, msg) = &staged[src];
+        if dropped {
+            self.faulted += 1;
+        } else {
             // For `Copy` messages this clone is a plain memcpy.
-            (*port, msg.clone())
-        }));
-        self.staged.clear();
+            self.inbox.push((p, msg.clone()));
+            self.delivered += 1;
+        }
     }
 }
 
 /// Reusable per-run working memory: the wake queue, per-node RNGs, the
-/// flat message arena, shard staging buffers, and awake stamps.
+/// outbox table receivers read from, and per-shard counters and inbox
+/// buffers.
 ///
 /// A fresh [`Simulator::run`] allocates all of this from scratch; callers
 /// running many simulations (seed grids, Monte Carlo sweeps) should keep
 /// one `SimScratch` per worker and use
-/// [`Simulator::run_with_scratch`] so buckets and message buffers keep
-/// their capacity across runs. The type parameter is the protocol's
-/// message type ([`Protocol::Msg`]).
+/// [`Simulator::run_with_scratch`] so buckets and buffers keep their
+/// capacity across runs. The type parameter is the protocol's message
+/// type ([`Protocol::Msg`]).
 ///
-/// Per-node engine state lives in struct-of-arrays form (`rngs`,
-/// `awake_stamp`, `slot`), and the round's inboxes are one flat
-/// [`MsgArena`] rather than `n` nested `Vec`s.
+/// Messages are delivered by *pull*. A node that sends parks its
+/// [`Outbox`] in `mail[v]` and stamps `sent_at[v]` with the round's tick;
+/// each awake receiver then walks its own ports in order and takes, from
+/// every neighbour whose stamp is current, the broadcast or the unicast
+/// entries addressed to the reverse port. Nothing grows with the message
+/// count: both tables are node-indexed, and a receiver's inbox is built
+/// in a per-shard buffer that is reused.
 ///
 /// A scratch is reset at the start of every run, so reusing one never
 /// changes results: a run remains a pure function of
@@ -436,13 +374,14 @@ pub struct SimScratch<M> {
     rngs: Vec<SmallRng>,
     queue: WakeQueue,
     batch: Vec<NodeId>,
-    awake_stamp: Vec<Round>,
-    /// Node id → dense index in the current sorted batch. Entries for
-    /// nodes outside the batch are stale and never read (the send loop
-    /// only looks up nodes whose `awake_stamp` matches the round).
-    slot: Vec<u32>,
-    arena: MsgArena<M>,
-    stages: Vec<SendStage<M>>,
+    /// Node id → the last non-silent outbox it sent (unicast entries
+    /// stably sorted by port). Only meaningful where `sent_at` is current.
+    mail: Vec<Outbox<M>>,
+    /// Node id → tick of the round `mail` was written in; 0 = never. A
+    /// receiver reads this compact table first and touches `mail` only
+    /// on a hit.
+    sent_at: Vec<u32>,
+    stages: Vec<Stage<M>>,
     actions: Vec<Action>,
 }
 
@@ -452,9 +391,8 @@ impl<M> Default for SimScratch<M> {
             rngs: Vec::new(),
             queue: WakeQueue::default(),
             batch: Vec::new(),
-            awake_stamp: Vec::new(),
-            slot: Vec::new(),
-            arena: MsgArena::default(),
+            mail: Vec::new(),
+            sent_at: Vec::new(),
             stages: Vec::new(),
             actions: Vec::new(),
         }
@@ -482,11 +420,10 @@ impl<M> SimScratch<M> {
             self.queue.push(at, v);
         }
         self.batch.clear();
-        self.awake_stamp.clear();
-        self.awake_stamp.resize(n, 0);
-        self.slot.clear();
-        self.slot.resize(n, 0);
-        self.arena.clear();
+        self.mail.clear();
+        self.mail.resize_with(n, || Outbox::Silent);
+        self.sent_at.clear();
+        self.sent_at.resize(n, 0);
         for stage in &mut self.stages {
             stage.clear();
         }
@@ -494,10 +431,21 @@ impl<M> SimScratch<M> {
     }
 }
 
+/// The send tick after `tick`. When `u32` runs out the stamp table is
+/// wiped and counting restarts at 1, so a stale stamp never equals a
+/// live one however many active rounds a run allows.
+fn next_tick(tick: u32, sent_at: &mut [u32]) -> u32 {
+    tick.checked_add(1).unwrap_or_else(|| {
+        sent_at.fill(0);
+        1
+    })
+}
+
 /// Below this many awake nodes per shard a round runs on the calling
 /// thread: spawning workers would cost more than the round itself.
-/// Results are unaffected either way — both paths stage and merge
-/// through the same buffers.
+/// Results are unaffected either way — every shard, the calling
+/// thread's included, runs the same shard functions over the same
+/// tables.
 const MIN_SHARD_BATCH: usize = 256;
 
 /// A configured simulation, ready to [`run`](Simulator::run).
@@ -528,7 +476,7 @@ impl<P: Protocol> Simulator<P> {
     pub fn run(self) -> Result<RunReport<P::Output>, SimError>
     where
         P: Send,
-        P::Msg: Send,
+        P::Msg: Send + Sync,
     {
         let mut scratch = SimScratch::new();
         self.run_with_scratch(&mut scratch)
@@ -551,7 +499,7 @@ impl<P: Protocol> Simulator<P> {
     ) -> Result<RunReport<P::Output>, SimError>
     where
         P: Send,
-        P::Msg: Send + 'static,
+        P::Msg: Send + Sync + 'static,
     {
         let scratch = arena.of::<P::Msg>();
         self.run_with_scratch(scratch)
@@ -566,9 +514,10 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// When [`SimConfig::shards`] asks for intra-run parallelism, each
     /// round's send and receive loops are split over scoped worker
-    /// threads by contiguous node-id range; staging buffers plus a
-    /// deterministic sender-id-ordered merge keep outputs and metrics
-    /// byte-identical to the serial path.
+    /// threads by contiguous node-id range. Send shards write disjoint
+    /// ranges of the outbox table and receive shards only read it, and
+    /// every receiver builds its inbox in its own port order, so outputs
+    /// and metrics are byte-identical to the serial path.
     ///
     /// # Errors
     ///
@@ -579,7 +528,7 @@ impl<P: Protocol> Simulator<P> {
     ) -> Result<RunReport<P::Output>, SimError>
     where
         P: Send,
-        P::Msg: Send,
+        P::Msg: Send + Sync,
     {
         let Simulator { graph, mut nodes, config } = self;
         let n = graph.n();
@@ -593,8 +542,10 @@ impl<P: Protocol> Simulator<P> {
         let shards = crate::batch::resolve_threads(config.shards);
         let mut metrics = Metrics::new(n, config.record_wake_history);
         scratch.reset(n, seed, &fault);
-        let SimScratch { rngs, queue, batch, awake_stamp, slot, arena, stages, actions } = scratch;
+        let SimScratch { rngs, queue, batch, mail, sent_at, stages, actions } = scratch;
+        let table_bytes = std::mem::size_of_val(&mail[..]) + std::mem::size_of_val(&sent_at[..]);
         let mut live = n;
+        let mut tick = 0;
 
         // Tracing (observational only): lock the attached sink once for
         // the whole run; with no sink every per-round site below is a
@@ -645,107 +596,64 @@ impl<P: Protocol> Simulator<P> {
             }
 
             batch.sort_unstable();
-            let stamp = round + 1; // nonzero marker for "awake this round"
-            for (i, &v) in batch.iter().enumerate() {
-                awake_stamp[v as usize] = stamp;
-                slot[v as usize] = i as u32;
-            }
+            tick = next_tick(tick, sent_at);
             // Bookkeeping splits around the round: crash filtering +
-            // sort/stamp above, the apply loop below; the two slices are
+            // sort above, the apply loop below; the two slices are
             // summed into one `Bookkeeping` phase event.
             let book_pre_ns = round_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
             let send_t0 = tracing.then(Instant::now);
 
             // Send phase: each shard scans a contiguous slice of the
             // sorted batch — equivalently, a contiguous node-id range —
-            // in id order, staging deliveries into its own buffer.
-            // Rounds too small to amortize a spawn stay on this thread;
-            // both paths flow through the same staging + merge, so the
-            // choice never shows up in results.
+            // and parks its senders' outboxes in its range of the table.
+            // Rounds too small to amortize a spawn stay on this thread,
+            // which always runs the last shard itself.
             let len = batch.len();
             let s = shards.min(len / MIN_SHARD_BATCH).max(1);
             while stages.len() < s {
-                stages.push(SendStage::default());
+                stages.push(Stage::default());
             }
-            for stage in stages[..s].iter_mut() {
-                stage.clear();
-            }
-            if s == 1 {
-                send_shard(
-                    &graph,
-                    &mut nodes[..],
-                    &mut rngs[..],
-                    0,
-                    batch,
-                    awake_stamp,
-                    slot,
-                    stamp,
-                    round,
-                    n_upper,
-                    seed,
-                    &fault,
-                    bit_limit,
-                    &mut stages[0],
-                );
-            } else {
-                std::thread::scope(|scope| {
-                    let mut nodes_rest = &mut nodes[..];
-                    let mut rngs_rest = &mut rngs[..];
-                    let mut consumed = 0usize;
-                    for (k, stage) in stages[..s].iter_mut().enumerate() {
-                        let (lo, hi) = (k * len / s, (k + 1) * len / s);
-                        // The batch is sorted, so batch positions
-                        // [lo, hi) span exactly ids [consumed, id_hi).
-                        let id_hi = if hi == len { n } else { batch[hi] as usize };
-                        let (nodes_chunk, rest) = nodes_rest.split_at_mut(id_hi - consumed);
-                        nodes_rest = rest;
-                        let (rngs_chunk, rest) = rngs_rest.split_at_mut(id_hi - consumed);
-                        rngs_rest = rest;
-                        let base = consumed as NodeId;
-                        consumed = id_hi;
-                        let batch_slice = &batch[lo..hi];
-                        let (graph, awake_stamp, slot, fault) =
-                            (&graph, &awake_stamp[..], &slot[..], &fault);
-                        scope.spawn(move || {
-                            send_shard(
-                                graph,
-                                nodes_chunk,
-                                rngs_chunk,
-                                base,
-                                batch_slice,
-                                awake_stamp,
-                                slot,
-                                stamp,
-                                round,
-                                n_upper,
-                                seed,
-                                fault,
-                                bit_limit,
-                                stage,
-                            );
-                        });
+            let info =
+                RoundInfo { graph: &graph, round, tick, n_upper, seed, fault: &fault, bit_limit };
+            std::thread::scope(|scope| {
+                let (mut nodes, mut rngs) = (&mut nodes[..], &mut rngs[..]);
+                let (mut mail, mut sent_at) = (&mut mail[..], &mut sent_at[..]);
+                let mut id_lo = 0;
+                for (k, stage) in stages[..s].iter_mut().enumerate() {
+                    stage.clear();
+                    let (lo, hi, id_hi) = shard_bounds(batch, n, s, k);
+                    let ids = id_hi - id_lo;
+                    let chunk = Chunk {
+                        base: id_lo as NodeId,
+                        batch: &batch[lo..hi],
+                        nodes: take_front(&mut nodes, ids),
+                        rngs: take_front(&mut rngs, ids),
+                    };
+                    let mail = take_front(&mut mail, ids);
+                    let sent_at = take_front(&mut sent_at, ids);
+                    id_lo = id_hi;
+                    let work = move || send_shard(&info, chunk, mail, sent_at, stage);
+                    if k + 1 < s {
+                        scope.spawn(work);
+                    } else {
+                        work();
                     }
-                });
-            }
+                }
+            });
             if let Some(t) = trace_guard.as_deref_mut() {
                 let nanos = send_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
                 t.event(&TraceEvent::Phase { round, phase: TracePhase::Send, nanos });
-                // Staged counts are read before `fill_from` drains them.
                 for (k, stage) in stages[..s].iter().enumerate() {
-                    let (lo, hi) = (k * len / s, (k + 1) * len / s);
+                    let (lo, hi, _) = shard_bounds(batch, n, s, k);
                     t.event(&TraceEvent::ShardBatch {
                         round,
                         shard: k,
                         nodes: hi - lo,
-                        messages: stage.msgs.len(),
+                        messages: stage.sent as usize,
                     });
                 }
             }
             let merge_t0 = tracing.then(Instant::now);
-            // Per-round message deltas for the trace, from counter
-            // snapshots (the merge below only ever adds).
-            let (deliv0, lost0, fault0) =
-                (metrics.messages_delivered, metrics.messages_lost, metrics.messages_faulted);
             // Shards cover ascending id ranges, so the first erroring
             // shard's first error is exactly what the serial loop would
             // have returned.
@@ -754,90 +662,58 @@ impl<P: Protocol> Simulator<P> {
                     break 'rounds Err(err);
                 }
             }
-            // Counter merge: sums and a max — commutative, so the total
-            // is independent of how the batch was split.
+            let mut sent = 0;
             for stage in stages[..s].iter() {
-                metrics.messages_sent += stage.sent;
-                metrics.messages_delivered += stage.delivered;
-                metrics.messages_lost += stage.lost;
-                metrics.messages_faulted += stage.faulted;
+                sent += stage.sent;
                 metrics.max_message_bits = metrics.max_message_bits.max(stage.max_bits);
                 metrics.total_message_bits += stage.total_bits;
             }
-
-            arena.fill_from(&mut stages[..s], len);
-
+            metrics.messages_sent += sent;
             if let Some(t) = trace_guard.as_deref_mut() {
                 let nanos = merge_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
                 t.event(&TraceEvent::Phase { round, phase: TracePhase::Merge, nanos });
             }
             let recv_t0 = tracing.then(Instant::now);
 
-            // Receive phase: same shard layout; each worker owns its
-            // contiguous region of the arena (receivers in its id range)
-            // and records actions for the serial apply step below.
+            // Receive phase: same shard layout; every shard reads the
+            // whole outbox table and records actions for the serial
+            // apply step below.
             actions.clear();
             actions.resize(len, Action::Continue);
-            if s == 1 {
-                receive_shard(
-                    &graph,
-                    &mut nodes[..],
-                    &mut rngs[..],
-                    0,
-                    batch,
-                    0,
-                    &arena.offsets,
-                    &mut arena.data[..],
-                    0,
-                    round,
-                    n_upper,
-                    &mut actions[..],
-                );
-            } else {
-                std::thread::scope(|scope| {
-                    let mut nodes_rest = &mut nodes[..];
-                    let mut rngs_rest = &mut rngs[..];
-                    let mut data_rest = &mut arena.data[..];
-                    let mut actions_rest = &mut actions[..];
-                    let mut consumed = 0usize;
-                    let mut data_consumed = 0usize;
-                    for k in 0..s {
-                        let (lo, hi) = (k * len / s, (k + 1) * len / s);
-                        let id_hi = if hi == len { n } else { batch[hi] as usize };
-                        let (nodes_chunk, rest) = nodes_rest.split_at_mut(id_hi - consumed);
-                        nodes_rest = rest;
-                        let (rngs_chunk, rest) = rngs_rest.split_at_mut(id_hi - consumed);
-                        rngs_rest = rest;
-                        let data_hi = arena.offsets[hi];
-                        let (data_chunk, rest) = data_rest.split_at_mut(data_hi - data_consumed);
-                        data_rest = rest;
-                        let (actions_chunk, rest) = actions_rest.split_at_mut(hi - lo);
-                        actions_rest = rest;
-                        let base = consumed as NodeId;
-                        let data0 = data_consumed;
-                        consumed = id_hi;
-                        data_consumed = data_hi;
-                        let batch_slice = &batch[lo..hi];
-                        let (graph, offsets) = (&graph, &arena.offsets[..]);
-                        scope.spawn(move || {
-                            receive_shard(
-                                graph,
-                                nodes_chunk,
-                                rngs_chunk,
-                                base,
-                                batch_slice,
-                                lo,
-                                offsets,
-                                data_chunk,
-                                data0,
-                                round,
-                                n_upper,
-                                actions_chunk,
-                            );
-                        });
+            std::thread::scope(|scope| {
+                let (mut nodes, mut rngs) = (&mut nodes[..], &mut rngs[..]);
+                let mut actions = &mut actions[..];
+                let (mail, sent_at) = (&mail[..], &sent_at[..]);
+                let mut id_lo = 0;
+                for (k, stage) in stages[..s].iter_mut().enumerate() {
+                    let (lo, hi, id_hi) = shard_bounds(batch, n, s, k);
+                    let ids = id_hi - id_lo;
+                    let chunk = Chunk {
+                        base: id_lo as NodeId,
+                        batch: &batch[lo..hi],
+                        nodes: take_front(&mut nodes, ids),
+                        rngs: take_front(&mut rngs, ids),
+                    };
+                    let actions = take_front(&mut actions, hi - lo);
+                    id_lo = id_hi;
+                    let work = move || receive_shard(&info, chunk, mail, sent_at, actions, stage);
+                    if k + 1 < s {
+                        scope.spawn(work);
+                    } else {
+                        work();
                     }
-                });
+                }
+            });
+            // Every copy a receiver did not take went to a sleeping node.
+            let (mut delivered, mut faulted) = (0, 0);
+            for stage in stages[..s].iter() {
+                delivered += stage.delivered;
+                faulted += stage.faulted;
             }
+            let lost = sent - delivered - faulted;
+            metrics.messages_delivered += delivered;
+            metrics.messages_faulted += faulted;
+            metrics.messages_lost += lost;
 
             if let Some(t) = trace_guard.as_deref_mut() {
                 let nanos = recv_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
@@ -883,11 +759,11 @@ impl<P: Protocol> Simulator<P> {
                 t.event(&TraceEvent::RoundEnd {
                     round,
                     nanos: round_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
-                    delivered: metrics.messages_delivered - deliv0,
-                    lost: metrics.messages_lost - lost0,
-                    faulted: metrics.messages_faulted - fault0,
+                    delivered,
+                    lost,
+                    faulted,
                     crashed: crashed_round,
-                    arena_bytes: arena.data.len() * std::mem::size_of::<(Port, P::Msg)>(),
+                    arena_bytes: table_bytes,
                 });
             }
         };
@@ -916,112 +792,144 @@ impl<P: Protocol> Simulator<P> {
     }
 }
 
-/// One shard of a round's send phase: scans `batch` — a contiguous slice
-/// of the round's sorted batch — in id order, staging every deliverable
-/// message into `stage`. `nodes` and `rngs` are the chunks of the
-/// per-node arrays covering ids `base..`, so node `v`'s state sits at
-/// index `v - base`.
-#[allow(clippy::too_many_arguments)]
-fn send_shard<P: Protocol>(
-    graph: &Graph,
-    nodes: &mut [P],
-    rngs: &mut [SmallRng],
-    base: NodeId,
-    batch: &[NodeId],
-    awake_stamp: &[Round],
-    slot: &[u32],
-    stamp: Round,
+/// What every shard of a round reads: the graph and the round's
+/// constants.
+#[derive(Clone, Copy)]
+struct RoundInfo<'a> {
+    graph: &'a Graph,
     round: Round,
+    /// The round's send tick, stamped into `SimScratch::sent_at`.
+    tick: u32,
     n_upper: usize,
     seed: u64,
-    fault: &FaultModel,
+    fault: &'a FaultModel,
     bit_limit: Option<usize>,
-    stage: &mut SendStage<P::Msg>,
+}
+
+/// One shard's slice of the sorted batch together with the matching id
+/// range `base..` of the per-node arrays: node `v`'s entries sit at
+/// index `v - base`.
+struct Chunk<'a, P> {
+    base: NodeId,
+    batch: &'a [NodeId],
+    nodes: &'a mut [P],
+    rngs: &'a mut [SmallRng],
+}
+
+/// Shard `k` of `s` over the sorted `batch`: its batch positions
+/// `lo..hi` and the end of its node-id range. The previous shard's end
+/// (0 for the first) starts the range, so the shards' id ranges tile
+/// `0..n`.
+fn shard_bounds(batch: &[NodeId], n: usize, s: usize, k: usize) -> (usize, usize, usize) {
+    let len = batch.len();
+    let (lo, hi) = (k * len / s, (k + 1) * len / s);
+    (lo, hi, if hi == len { n } else { batch[hi] as usize })
+}
+
+/// Splits the first `len` elements off `rest`, leaving the remainder.
+fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (front, back) = std::mem::take(rest).split_at_mut(len);
+    *rest = back;
+    front
+}
+
+/// One shard of a round's send phase: runs each node's `send` in id
+/// order, accounts the copies it sends, and parks every non-silent
+/// outbox in `mail` with the round's tick in `sent_at` (both indexed
+/// from `chunk.base`). Unicast lists are checked against the sender's
+/// degree and stably sorted by port, so a receiver finds its entries by
+/// binary search and a port listed twice keeps the sender's order.
+fn send_shard<P: Protocol>(
+    info: &RoundInfo,
+    chunk: Chunk<'_, P>,
+    mail: &mut [Outbox<P::Msg>],
+    sent_at: &mut [u32],
+    stage: &mut Stage<P::Msg>,
 ) {
-    for &v in batch {
-        let i = (v - base) as usize;
-        let degree = graph.degree(v);
-        let mut ctx = NodeCtx { node: v, degree, round, n_upper, rng: &mut rngs[i] };
-        match nodes[i].send(&mut ctx) {
-            Outbox::Silent => {}
+    let (round, bit_limit) = (info.round, info.bit_limit);
+    for &v in chunk.batch {
+        let i = (v - chunk.base) as usize;
+        let degree = info.graph.degree(v);
+        let rng = &mut chunk.rngs[i];
+        let mut ctx = NodeCtx { node: v, degree, round, n_upper: info.n_upper, rng };
+        let mut outbox = chunk.nodes[i].send(&mut ctx);
+        match &mut outbox {
+            Outbox::Silent => continue,
+            Outbox::Unicast(list) if list.is_empty() => continue,
             Outbox::Broadcast(msg) => {
-                let bits = crate::message::MessageSize::bits(&msg);
+                let bits = crate::message::MessageSize::bits(msg);
                 if !stage.account(v, round, bits, degree, bit_limit) {
                     return;
                 }
-                for p in 0..degree as Port {
-                    let (u, q) = graph.endpoint(v, p);
-                    if awake_stamp[u as usize] == stamp {
-                        // Lossy links drop deliverable copies i.i.d.,
-                        // keyed by (sender, port, round) — independent
-                        // of the shard layout.
-                        if fault.loss > 0.0
-                            && fault_unit(seed, FAULT_LOSS, loss_site(v, p), round) < fault.loss
-                        {
-                            stage.faulted += 1;
-                        } else {
-                            // For `Copy` messages this clone is a plain
-                            // memcpy into the staging buffer.
-                            stage.msgs.push((slot[u as usize], q, msg.clone()));
-                            stage.delivered += 1;
-                        }
-                    } else {
-                        stage.lost += 1;
-                    }
-                }
             }
             Outbox::Unicast(list) => {
-                for (p, msg) in list {
-                    let bits = crate::message::MessageSize::bits(&msg);
+                for (port, msg) in list.iter() {
+                    let bits = crate::message::MessageSize::bits(msg);
                     if !stage.account(v, round, bits, 1, bit_limit) {
                         return;
                     }
-                    let (u, q) = graph.endpoint(v, p);
-                    if awake_stamp[u as usize] == stamp {
-                        if fault.loss > 0.0
-                            && fault_unit(seed, FAULT_LOSS, loss_site(v, p), round) < fault.loss
-                        {
-                            stage.faulted += 1;
-                        } else {
-                            stage.msgs.push((slot[u as usize], q, msg));
-                            stage.delivered += 1;
-                        }
-                    } else {
-                        stage.lost += 1;
+                    if *port as usize >= degree {
+                        stage.err = Some(SimError::BadPort { node: v, round, port: *port, degree });
+                        return;
+                    }
+                }
+                list.sort_by_key(|&(port, _)| port);
+            }
+        }
+        mail[i] = outbox;
+        sent_at[i] = info.tick;
+    }
+}
+
+/// One shard of a round's receive phase: builds each receiver's inbox
+/// by walking its ports in order and pulling from every neighbour whose
+/// `sent_at` stamp is this round's tick, then runs `receive` and records
+/// the chosen [`Action`]. `mail` and `sent_at` are the whole tables,
+/// shared read-only by all shards. Lossy links drop copies i.i.d.,
+/// keyed by the sender's (node, port) and the round — independent of
+/// the shard layout.
+fn receive_shard<P: Protocol>(
+    info: &RoundInfo,
+    chunk: Chunk<'_, P>,
+    mail: &[Outbox<P::Msg>],
+    sent_at: &[u32],
+    actions: &mut [Action],
+    stage: &mut Stage<P::Msg>,
+) {
+    let (graph, fault, round) = (info.graph, info.fault, info.round);
+    // Whether the link drops what `u` sent through its port `q`. Callers
+    // test `fault.loss > 0.0` first, which also skips looking `q` up for
+    // a broadcast.
+    let dropped =
+        |u: NodeId, q: Port| fault_unit(info.seed, FAULT_LOSS, loss_site(u, q), round) < fault.loss;
+    for (k, &v) in chunk.batch.iter().enumerate() {
+        stage.inbox.clear();
+        let neighbors = graph.neighbors(v);
+        for (p, &u) in neighbors.iter().enumerate() {
+            if sent_at[u as usize] != info.tick {
+                continue;
+            }
+            let p = p as Port;
+            match &mail[u as usize] {
+                Outbox::Silent => {}
+                Outbox::Broadcast(msg) => {
+                    let drop = fault.loss > 0.0 && dropped(u, graph.endpoint(v, p).1);
+                    stage.take(p, msg, drop);
+                }
+                Outbox::Unicast(list) => {
+                    let q = graph.endpoint(v, p).1;
+                    let drop = fault.loss > 0.0 && dropped(u, q);
+                    let from = list.partition_point(|&(port, _)| port < q);
+                    for (_, msg) in list[from..].iter().take_while(|&&(port, _)| port == q) {
+                        stage.take(p, msg, drop);
                     }
                 }
             }
         }
-    }
-}
-
-/// One shard of a round's receive phase: sorts each receiver's arena
-/// segment by port, delivers it, and records the chosen [`Action`].
-/// `data` is this shard's contiguous slice of the arena starting at
-/// global index `data0`; `pos0` is the global batch position of
-/// `batch[0]` (for indexing the global `offsets`).
-#[allow(clippy::too_many_arguments)]
-fn receive_shard<P: Protocol>(
-    graph: &Graph,
-    nodes: &mut [P],
-    rngs: &mut [SmallRng],
-    base: NodeId,
-    batch: &[NodeId],
-    pos0: usize,
-    offsets: &[usize],
-    data: &mut [(Port, P::Msg)],
-    data0: usize,
-    round: Round,
-    n_upper: usize,
-    actions: &mut [Action],
-) {
-    for (k, &v) in batch.iter().enumerate() {
-        let i = (v - base) as usize;
-        let inbox = &mut data[offsets[pos0 + k] - data0..offsets[pos0 + k + 1] - data0];
-        inbox.sort_unstable_by_key(|&(p, _)| p);
-        let mut ctx =
-            NodeCtx { node: v, degree: graph.degree(v), round, n_upper, rng: &mut rngs[i] };
-        actions[k] = nodes[i].receive(&mut ctx, inbox);
+        let i = (v - chunk.base) as usize;
+        let (degree, rng) = (neighbors.len(), &mut chunk.rngs[i]);
+        let mut ctx = NodeCtx { node: v, degree, round, n_upper: info.n_upper, rng };
+        actions[k] = chunk.nodes[i].receive(&mut ctx, &stage.inbox);
     }
 }
 
@@ -1293,6 +1201,17 @@ mod tests {
         assert_eq!(fresh.metrics.awake_rounds, reused.metrics.awake_rounds);
         assert_eq!(fresh.metrics.active_rounds, reused.metrics.active_rounds);
         assert_eq!(fresh.metrics.messages_lost, reused.metrics.messages_lost);
+    }
+
+    #[test]
+    fn send_tick_restarts_before_it_wraps() {
+        // A stale stamp must never equal a live tick: at `u32::MAX` the
+        // table is wiped and counting restarts at 1.
+        let mut sent_at = vec![3, u32::MAX, 0];
+        assert_eq!(next_tick(7, &mut sent_at), 8);
+        assert_eq!(sent_at, vec![3, u32::MAX, 0]);
+        assert_eq!(next_tick(u32::MAX, &mut sent_at), 1);
+        assert_eq!(sent_at, vec![0, 0, 0]);
     }
 
     #[test]

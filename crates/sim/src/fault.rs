@@ -31,7 +31,11 @@ use crate::Round;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultModel {
     /// Probability in `[0, 1]` that a deliverable message copy is
-    /// dropped in transit (drawn independently per copy per round).
+    /// dropped in transit. The draw is keyed by the sending node `v`,
+    /// its port `p` and the round — site `(v << 32) | p` in the
+    /// [`FAULT_LOSS`](crate::rng::FAULT_LOSS) domain — so copies on
+    /// different links or rounds are independent, and two copies a node
+    /// unicasts through one port in one round share a fate.
     pub loss: f64,
     /// Probability in `[0, 1]` that a node crash-stops at the start of
     /// an awake round inside `[crash_from, crash_until]`.

@@ -36,7 +36,9 @@ pub enum Outbox<M> {
     Silent,
     /// Send one copy of the same message through every port.
     Broadcast(M),
-    /// Send (possibly different) messages through selected ports.
+    /// Send (possibly different) messages through selected ports. A
+    /// port at or past the node's degree aborts the run with
+    /// [`SimError::BadPort`](crate::SimError::BadPort).
     Unicast(Vec<(Port, M)>),
 }
 
@@ -81,7 +83,9 @@ pub trait Protocol {
 
     /// Receive step. `inbox` holds `(port, message)` pairs from neighbors
     /// that were awake and sent through the corresponding edge this
-    /// round, in increasing port order.
+    /// round, in increasing port order. A sender that listed one port
+    /// twice in an [`Outbox::Unicast`] is heard twice on that port, in
+    /// the sender's list order.
     fn receive(&mut self, ctx: &mut NodeCtx, inbox: &[(Port, Self::Msg)]) -> Action;
 
     /// The local output. Called once per node after the run completes.

@@ -4,11 +4,11 @@
 //! The engine emits a [`TraceEvent`] stream describing *when* work
 //! happens inside a run — round boundaries, per-phase wall-clock
 //! (send/merge/receive/bookkeeping), wake-queue occupancy, per-shard
-//! batch sizes, [`MsgArena`](crate::engine) high-water bytes, and
-//! fault-drop counts. A sink is attached through
-//! [`SimConfig::trace`](crate::SimConfig); with no sink attached the
-//! engine takes no timestamps and allocates nothing — every event site
-//! is a single `Option` check.
+//! batch sizes, the bytes of the engine's node-indexed delivery tables
+//! (see [`SimScratch`](crate::SimScratch)), and fault-drop counts. A
+//! sink is attached through [`SimConfig::trace`](crate::SimConfig);
+//! with no sink attached the engine takes no timestamps and allocates
+//! nothing — every event site is a single `Option` check.
 //!
 //! Tracing is **observational only**: attaching any sink must not
 //! change a run's outputs, metrics, or any benchmark payload byte.
@@ -59,16 +59,20 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// The engine phases a round's wall-clock is split into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TracePhase {
-    /// Protocol `send` callbacks and outbox staging (possibly sharded).
+    /// Protocol `send` callbacks, bit accounting, and parking each
+    /// outbox in the node-indexed table (possibly sharded).
     Send,
-    /// Error propagation, counter merge, and the counting-sort merge of
-    /// per-shard outboxes into the delivery arena.
+    /// Propagating the first send error and summing the shards' send
+    /// counters. Delivery is by pull, so there is no message merge and
+    /// this phase is near zero.
     Merge,
-    /// Protocol `receive` callbacks over the delivered inboxes.
+    /// Receivers pulling their inboxes from their awake neighbours'
+    /// outboxes, then the protocol `receive` callbacks (possibly
+    /// sharded).
     Receive,
     /// Everything else the round does serially: crash-fault filtering,
-    /// batch sorting and stamping before send, and the wake-queue /
-    /// termination apply loop after receive.
+    /// batch sorting and advancing the send tick before send, and the
+    /// wake-queue / termination apply loop after receive.
     Bookkeeping,
 }
 
@@ -121,6 +125,7 @@ pub enum TraceEvent {
         queued: usize,
     },
     /// One shard's slice of the send phase (emitted after `Send`).
+    /// Receive shards use the same split.
     ShardBatch {
         /// The round number.
         round: Round,
@@ -128,7 +133,8 @@ pub enum TraceEvent {
         shard: usize,
         /// Awake nodes this shard processed.
         nodes: usize,
-        /// Message copies this shard staged.
+        /// Message copies this shard's nodes sent (a broadcast counts
+        /// one copy per port), whether or not a receiver was awake.
         messages: usize,
     },
     /// Wall-clock spent in one phase of a round.
@@ -154,7 +160,9 @@ pub enum TraceEvent {
         faulted: u64,
         /// Nodes crashed by the fault model this round.
         crashed: usize,
-        /// Delivery-arena footprint after the merge, in bytes.
+        /// Footprint of the node-indexed delivery tables (parked
+        /// outboxes and send ticks), in bytes. Fixed for a run: it grows
+        /// with `n`, not with the message count.
         arena_bytes: usize,
     },
     /// A run finished (successfully or not).
@@ -351,7 +359,7 @@ pub struct Profile {
     queue_max: usize,
     arena_high_water: usize,
     shard_events: u64,
-    /// Per-round max/min staged message counts, summed — their ratio
+    /// Per-round max/min per-shard sent copies, summed — their ratio
     /// estimates send-phase imbalance.
     round_shard_max: u64,
     round_shard_min: u64,

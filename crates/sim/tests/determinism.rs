@@ -98,7 +98,8 @@ fn shard_counts_are_byte_identical_under_faults() {
     // resharding, so loss, crashes, and wake jitter are all active —
     // their draws are keyed by (site, round) and must not notice the
     // batch being split. 20k nodes keeps per-round batches large enough
-    // that shards > 1 actually take the parallel staging path.
+    // that shards > 1 actually run their send and receive loops on
+    // worker threads.
     let run = |shards: usize| {
         let g = generators::path(20_000);
         let nodes = (0..g.n()).map(|_| RandWalk::new(4)).collect();

@@ -183,6 +183,58 @@ fn oversized_unicast_also_rejected() {
     assert_eq!(err, SimError::MessageTooLarge { node: 0, round: 0, bits: 64, limit: 32 });
 }
 
+/// Broadcasts every round; in round 2 a `bad` node also unicasts
+/// through port `degree`, one past its last port.
+struct PortProbe {
+    bad: bool,
+}
+
+impl Protocol for PortProbe {
+    type Msg = u64;
+    type Output = ();
+    fn send(&mut self, ctx: &mut NodeCtx) -> Outbox<u64> {
+        if self.bad && ctx.round == 2 {
+            Outbox::Unicast(vec![(0, 1), (ctx.degree as Port, 2)])
+        } else {
+            Outbox::Broadcast(0)
+        }
+    }
+    fn receive(&mut self, ctx: &mut NodeCtx, _: &[(Port, u64)]) -> Action {
+        if ctx.round < 5 {
+            Action::Continue
+        } else {
+            Action::Terminate
+        }
+    }
+    fn output(&self) {}
+}
+
+#[test]
+fn unicast_to_a_missing_port_is_a_typed_error() {
+    let g = generators::path(3);
+    let nodes = (0..3).map(|v| PortProbe { bad: v == 1 }).collect();
+    let err = Simulator::new(g, nodes, SimConfig::default()).run().unwrap_err();
+    assert_eq!(err, SimError::BadPort { node: 1, round: 2, port: 2, degree: 2 });
+}
+
+#[test]
+fn sharded_bad_port_reports_the_serial_loops_first_error() {
+    // 2,000 awake nodes split over two worker shards (ids 0..1000 and
+    // 1000..2000). Both shards hit a bad port; the lower shard's first
+    // one is what the serial loop returns.
+    for shards in [1, 2] {
+        let g = generators::path(2000);
+        let nodes = (0..2000).map(|v| PortProbe { bad: [700, 800, 1500].contains(&v) }).collect();
+        let cfg = SimConfig { shards, ..SimConfig::default() };
+        let err = Simulator::new(g, nodes, cfg).run().unwrap_err();
+        assert_eq!(
+            err,
+            SimError::BadPort { node: 700, round: 2, port: 2, degree: 2 },
+            "shards={shards}"
+        );
+    }
+}
+
 #[test]
 fn node_count_mismatch_before_any_rounds() {
     let g = generators::path(4);
@@ -206,5 +258,9 @@ fn error_display_messages_are_stable() {
     assert_eq!(
         SimError::MessageTooLarge { node: 1, round: 2, bits: 64, limit: 32 }.to_string(),
         "node 1 sent a 64-bit message in round 2 (limit 32)"
+    );
+    assert_eq!(
+        SimError::BadPort { node: 4, round: 6, port: 3, degree: 3 }.to_string(),
+        "node 4 sent through port 3 in round 6 (degree 3)"
     );
 }
