@@ -24,13 +24,12 @@
 //!   failure-rate surface, and `bench-diff` gates on it: a failure-rate
 //!   increase beyond threshold at any swept level exits nonzero.
 
-use crate::grid::{json_escape, run_point, summary_json, GridJob, GridMeta, GridPoint};
+use crate::grid::{json_escape, push_jobs, run_instances, summary_json, GridMeta, GridPoint};
 use crate::spec::{default_registry, AlgorithmSpec, RunnerHandle, SpecError};
 use crate::stats::Summary;
 use crate::sweep::{expand, SweepGroup};
 use graphgen::GraphFamily;
-use sleeping_congest::batch::{resolve_threads, run_batch};
-use sleeping_congest::ScratchArena;
+use sleeping_congest::batch::resolve_threads;
 
 /// A fault sweep: range-valued specs (typically over `loss`/`crash`)
 /// crossed with graph families, sizes, and seeds.
@@ -151,9 +150,10 @@ pub struct FaultResult {
 }
 
 /// Expands every spec and runs the fault sweep over
-/// `{fault level × family × n × seed}` with per-worker scratch reuse.
-/// Deterministic like the grid: apart from wall-clock fields, the
-/// result is identical for every thread count.
+/// `{fault level × family × n × seed}`, generating each instance once
+/// for all its fault levels (see [`crate::grid`]). Deterministic like
+/// the grid: apart from wall-clock fields, the result is identical for
+/// every thread count.
 ///
 /// # Errors
 ///
@@ -181,22 +181,9 @@ pub fn run_faults(spec: &FaultSweepSpec) -> Result<FaultResult, SpecError> {
         });
     }
 
-    let mut jobs = Vec::with_capacity(
-        flat.len() * spec.families.len() * spec.sizes.len() * spec.seeds.len(),
-    );
-    for algorithm in &flat {
-        for &family in &spec.families {
-            for &n in &spec.sizes {
-                for &seed in &spec.seeds {
-                    jobs.push(GridJob { algorithm: algorithm.clone(), family, n, seed });
-                }
-            }
-        }
-    }
-    let threads = resolve_threads(spec.threads);
-    let points = run_batch(&jobs, threads, |_| ScratchArena::new(), |scratch, _i, job| {
-        run_point(job, scratch)
-    });
+    let mut jobs = Vec::new();
+    push_jobs(&mut jobs, &flat, &spec.families, &spec.sizes, &spec.seeds);
+    let points = run_instances(&jobs, resolve_threads(spec.threads), |point, _| point);
     let cells = aggregate(spec, &flat, &points)?;
     Ok(FaultResult { spec: spec.clone(), groups, points, cells })
 }

@@ -11,19 +11,32 @@
 //! `{algorithm × family × n}` with summary statistics over seeds), and
 //! serialize to the machine-readable `BENCH_grid.json` payload.
 //!
+//! Instances are built once. The grid, the sweep ([`crate::sweep`]) and
+//! the fault sweep ([`crate::faults`]) lay out their jobs in grid order
+//! and then run them instance-major: jobs are grouped by
+//! `(family, n, seed)`, the groups fan out over the workers, and each
+//! instance is generated once and lent to every job on it — across the
+//! algorithm axis and across tiers that repeat a base instance. Every
+//! point still counts its instance's generation in `elapsed_ns`, and
+//! carries it alone in `generate_ns`. [`run_point`] is the same per-job
+//! body behind a generation of its own.
+//!
 //! Determinism contract: every run is a pure function of
-//! `(family, n, seed, algorithm spec)`, so [`GridResult::payload_json`]
-//! is byte-identical across thread counts. Wall-clock and thread-count
-//! metadata live only in the separate [`GridMeta`] object and the
-//! per-point `timing` section appended by [`GridResult::to_json`] —
-//! never in the payload.
+//! `(family, n, seed, algorithm spec)`, and generation is a pure
+//! function of `(family, n, seed)`, so a point is the same whether its
+//! instance was lent or built for it alone ([`run_point`]), and
+//! [`GridResult::payload_json`] is byte-identical across thread counts.
+//! Wall-clock and thread-count metadata live only in the separate
+//! [`GridMeta`] object and the per-point `timing` section appended by
+//! [`GridResult::to_json`] — never in the payload.
 
 use crate::runners::AlgoResult;
 use crate::spec::RunnerHandle;
 use crate::stats::Summary;
-use graphgen::GraphFamily;
+use graphgen::{Graph, GraphFamily};
 use sleeping_congest::batch::{resolve_threads, run_batch};
 use sleeping_congest::{AwakeDistribution, Metrics, ScratchArena, SimError};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// A cartesian experiment grid.
@@ -79,9 +92,7 @@ impl GridSpec {
     /// (algorithm-major, seed-minor): the base cartesian product first,
     /// then each tier's, in declaration order.
     pub fn jobs(&self) -> Vec<GridJob> {
-        let mut jobs = Vec::with_capacity(
-            self.algorithms.len() * self.families.len() * self.sizes.len() * self.seeds.len(),
-        );
+        let mut jobs = Vec::new();
         push_jobs(&mut jobs, &self.algorithms, &self.families, &self.sizes, &self.seeds);
         for tier in &self.tiers {
             push_jobs(&mut jobs, &tier.algorithms, &tier.families, &tier.sizes, &tier.seeds);
@@ -90,13 +101,16 @@ impl GridSpec {
     }
 }
 
-fn push_jobs(
+/// Appends the cartesian product of the axes to `jobs` in grid order
+/// (algorithm-major, seed-minor). Every harness lays out its jobs here.
+pub(crate) fn push_jobs(
     jobs: &mut Vec<GridJob>,
     algorithms: &[RunnerHandle],
     families: &[GraphFamily],
     sizes: &[usize],
     seeds: &[u64],
 ) {
+    jobs.reserve(algorithms.len() * families.len() * sizes.len() * seeds.len());
     for algorithm in algorithms {
         for &family in families {
             for &n in sizes {
@@ -165,7 +179,14 @@ pub struct GridPoint {
     /// Wall-clock time of this point (generation + run), in
     /// nanoseconds. Machine-dependent, so it is serialized in the
     /// `timing` sibling section, **never** in the deterministic payload.
+    /// The harnesses generate each instance once and lend it to every
+    /// job on it, so each of those points counts that one generation.
     pub elapsed_ns: u64,
+    /// The part of `elapsed_ns` spent generating the instance, in
+    /// nanoseconds: equal for every point of one instance, and
+    /// `elapsed_ns - generate_ns` is the run alone. Timing only — it is
+    /// in no payload and no `timing` section.
+    pub generate_ns: u64,
 }
 
 /// Aggregates over the seed axis for one `{algorithm × family × n}`.
@@ -224,33 +245,91 @@ pub struct GridMeta {
     pub wall_ms: u128,
 }
 
-/// Runs one grid job on a caller-provided scratch.
+/// Runs one grid job on a caller-provided scratch, generating its
+/// instance first. The harnesses build the same point without the
+/// per-job generation (see the module docs).
 pub fn run_point(job: &GridJob, scratch: &mut ScratchArena) -> GridPoint {
     run_point_detailed(job, scratch).0
 }
 
 /// Like [`run_point`], additionally returning the run's full engine
-/// [`Metrics`] (`None` when the engine aborted) so richer harnesses —
-/// the energy-frontier sweep in [`crate::sweep`] — can derive
-/// per-node measurements the normalized [`GridPoint`] does not carry.
+/// [`Metrics`] (`None` when the engine aborted), from which callers can
+/// derive per-node measurements the normalized [`GridPoint`] does not
+/// carry.
 pub fn run_point_detailed(
     job: &GridJob,
     scratch: &mut ScratchArena,
 ) -> (GridPoint, Option<Metrics>) {
+    let (g, generate_ns) = generate(job);
+    point_on(job, &g, generate_ns, scratch)
+}
+
+/// `job`'s instance and the nanoseconds its generation took.
+fn generate(job: &GridJob) -> (Graph, u64) {
     let start = Instant::now();
     let g = job.family.generate(job.n, job.seed);
-    let nodes = g.n();
-    let res = job.algorithm.run_with_scratch(&g, job.seed, scratch);
-    let (point, result) = point_from_run(job, nodes, res);
-    (GridPoint { elapsed_ns: start.elapsed().as_nanos() as u64, ..point }, result.map(|r| r.metrics))
+    (g, start.elapsed().as_nanos() as u64)
+}
+
+/// Runs `job` on its instance `g`, whose generation took
+/// `generate_ns`: the one per-job body behind [`run_point_detailed`]
+/// and [`run_instances`].
+fn point_on(
+    job: &GridJob,
+    g: &Graph,
+    generate_ns: u64,
+    scratch: &mut ScratchArena,
+) -> (GridPoint, Option<Metrics>) {
+    let start = Instant::now();
+    let res = job.algorithm.run_with_scratch(g, job.seed, scratch);
+    let (point, result) = point_from_run(job, g.n(), res);
+    let elapsed_ns = generate_ns + start.elapsed().as_nanos() as u64;
+    (GridPoint { elapsed_ns, generate_ns, ..point }, result.map(|r| r.metrics))
+}
+
+/// Runs `jobs` instance-major and returns `reduce(point, metrics)` per
+/// job, in job order.
+///
+/// Jobs are grouped by `(family, n, seed)` in order of first
+/// appearance, and the instances fan out over `threads` workers with
+/// one scratch each. A worker generates its instance once and runs that
+/// instance's jobs on it in job order, reducing each run before the
+/// next starts, so no [`Metrics`] outlives its point.
+pub(crate) fn run_instances<R, F>(jobs: &[GridJob], threads: usize, reduce: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(GridPoint, Option<Metrics>) -> R + Sync,
+{
+    let mut index: HashMap<(GraphFamily, usize, u64), usize> = HashMap::new();
+    let mut instances: Vec<Vec<usize>> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        let k = *index.entry((job.family, job.n, job.seed)).or_insert_with(|| {
+            instances.push(Vec::new());
+            instances.len() - 1
+        });
+        instances[k].push(i);
+    }
+    let results = run_batch(&instances, threads, |_| ScratchArena::new(), |scratch, _, members| {
+        let (g, generate_ns) = generate(&jobs[members[0]]);
+        members
+            .iter()
+            .map(|&i| {
+                let (point, metrics) = point_on(&jobs[i], &g, generate_ns, scratch);
+                (i, reduce(point, metrics))
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut indexed: Vec<(usize, R)> = results.into_iter().flatten().collect();
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Normalizes a finished (or aborted) run into a [`GridPoint`],
 /// returning the full [`AlgoResult`] alongside on success. Shared by
 /// [`run_point_detailed`] and the churn harness's bootstrap run
 /// ([`crate::churn`]), so a zero-delta churn point is byte-identical to
-/// the corresponding one-shot grid point. `elapsed_ns` is left at 0 —
-/// timing is the caller's concern.
+/// the corresponding one-shot grid point. `elapsed_ns` and `generate_ns`
+/// are left at 0 — timing is the caller's concern.
 pub(crate) fn point_from_run(
     job: &GridJob,
     nodes: usize,
@@ -275,6 +354,7 @@ pub(crate) fn point_from_run(
                 faulted: r.faulted,
                 sim_error: None,
                 elapsed_ns: 0,
+                generate_ns: 0,
             },
             Some(r),
         ),
@@ -296,22 +376,19 @@ pub(crate) fn point_from_run(
                 faulted: 0,
                 sim_error: Some(e.to_string()),
                 elapsed_ns: 0,
+                generate_ns: 0,
             },
             None,
         ),
     }
 }
 
-/// Runs the whole grid, fanning jobs over `spec.threads` workers with
-/// per-worker scratch reuse. The returned points and cells are in grid
-/// order and — apart from the wall-clock `elapsed_ns` field — bit-
-/// identical for every thread count.
+/// Runs the whole grid, fanning its instances over `spec.threads`
+/// workers with per-worker scratch reuse. The returned points and cells
+/// are in grid order and — apart from the wall-clock `elapsed_ns` and
+/// `generate_ns` fields — bit-identical for every thread count.
 pub fn run_grid(spec: &GridSpec) -> GridResult {
-    let jobs = spec.jobs();
-    let threads = resolve_threads(spec.threads);
-    let points = run_batch(&jobs, threads, |_| ScratchArena::new(), |scratch, _i, job| {
-        run_point(job, scratch)
-    });
+    let points = run_instances(&spec.jobs(), resolve_threads(spec.threads), |point, _| point);
     let cells = aggregate(spec, &points);
     GridResult { spec: spec.clone(), points, cells }
 }

@@ -55,14 +55,11 @@
 //! ```
 
 use crate::energy::EnergyModel;
-use crate::grid::{
-    json_escape, run_point_detailed, summary_json, GridJob, GridMeta, GridPoint,
-};
+use crate::grid::{json_escape, push_jobs, run_instances, summary_json, GridMeta, GridPoint};
 use crate::spec::{default_registry, AlgorithmSpec, Registry, RunnerHandle, SpecError};
 use crate::stats::Summary;
 use graphgen::GraphFamily;
-use sleeping_congest::batch::{resolve_threads, run_batch};
-use sleeping_congest::ScratchArena;
+use sleeping_congest::batch::resolve_threads;
 
 /// Cap on the number of concrete points one spec string may expand to —
 /// a typo like `bits=0..1000000` must fail loudly, not spawn a month of
@@ -448,11 +445,12 @@ pub fn dominators(objectives: &[Vec<f64>]) -> Vec<Option<usize>> {
         .collect()
 }
 
-/// Expands every spec and runs the sweep, fanning
-/// `{algorithm point × family × n × seed}` over `spec.threads` workers
-/// with per-worker scratch reuse. Deterministic like the grid: apart
-/// from wall-clock fields, the result is identical for every thread
-/// count.
+/// Expands every spec and runs the sweep over
+/// `{algorithm point × family × n × seed}` on `spec.threads` workers,
+/// generating each instance once for all its algorithm points (see
+/// [`crate::grid`]) and pricing each run's energy as it finishes.
+/// Deterministic like the grid: apart from wall-clock fields, the
+/// result is identical for every thread count.
 ///
 /// # Errors
 ///
@@ -480,22 +478,11 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepResult, SpecError> {
     }
 
     // Jobs in sweep order: algorithm-major, seed-minor (grid order).
-    let mut jobs = Vec::with_capacity(
-        flat.len() * spec.families.len() * spec.sizes.len() * spec.seeds.len(),
-    );
-    for (_, algorithm) in &flat {
-        for &family in &spec.families {
-            for &n in &spec.sizes {
-                for &seed in &spec.seeds {
-                    jobs.push(GridJob { algorithm: algorithm.clone(), family, n, seed });
-                }
-            }
-        }
-    }
-    let threads = resolve_threads(spec.threads);
+    let algorithms: Vec<RunnerHandle> = flat.iter().map(|(_, r)| r.clone()).collect();
+    let mut jobs = Vec::new();
+    push_jobs(&mut jobs, &algorithms, &spec.families, &spec.sizes, &spec.seeds);
     let energy = spec.energy;
-    let points = run_batch(&jobs, threads, |_| ScratchArena::new(), move |scratch, _i, job| {
-        let (point, metrics) = run_point_detailed(job, scratch);
+    let points = run_instances(&jobs, resolve_threads(spec.threads), |point, metrics| {
         let (energy_max_mj, energy_mean_mj) = match &metrics {
             Some(m) => (
                 energy.max_node_energy_mj(&m.awake_rounds, &m.terminated_at),

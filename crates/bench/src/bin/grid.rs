@@ -24,7 +24,8 @@
 //! Shards are an execution knob — the runner key and the payload are
 //! byte-identical for any shard count. Pass `--no-large` to skip the
 //! tier, or `--large` to force it alongside explicit axis flags. Tier
-//! points also print their throughput (rounds/sec and node·rounds/sec).
+//! points also print their throughput (rounds/sec and node·rounds/sec)
+//! over the run alone, with the instance's generation time beside it.
 //!
 //! `--profile` attaches the engine's phase profiler to every runner
 //! (equivalent to appending the execution-only `trace=profile` spec
@@ -150,7 +151,9 @@ fn main() {
     print!("{}", t.render());
 
     // Tier points carry the engine-throughput story: how fast the
-    // sharded round loop turns million-node rounds over.
+    // sharded round loop turns million-node rounds over. Throughput is
+    // over the run alone; the instance's generation is printed beside
+    // it.
     let base_points = spec.algorithms.len()
         * spec.families.len()
         * spec.sizes.len()
@@ -162,10 +165,10 @@ fn main() {
         let (segment, r) = rest.split_at(count.min(rest.len()));
         rest = r;
         for p in segment {
-            let secs = p.elapsed_ns as f64 / 1e9;
+            let secs = (p.elapsed_ns - p.generate_ns) as f64 / 1e9;
             let rps = p.active_rounds as f64 / secs;
             println!(
-                "[{}] {} {} n={} seed={}: {} active rounds in {:.2}s → {:.0} rounds/s, {:.3e} node·rounds/s",
+                "[{}] {} {} n={} seed={}: {} active rounds in {:.2}s (generation {:.2}s) → {:.0} rounds/s, {:.3e} node·rounds/s",
                 tier.name,
                 p.job.algorithm.name(),
                 p.job.family.name(),
@@ -173,6 +176,7 @@ fn main() {
                 p.job.seed,
                 p.active_rounds,
                 secs,
+                p.generate_ns as f64 / 1e9,
                 rps,
                 p.nodes as f64 * rps,
             );

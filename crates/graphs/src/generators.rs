@@ -106,34 +106,61 @@ pub fn gnm(n: usize, m: usize, rng: &mut impl Rng) -> Graph {
 ///
 /// This is the canonical model of a wireless sensor network deployment,
 /// the motivating setting of the sleeping model (paper §1.2).
+///
+/// Pairs are found on a `side × side` cell grid, with `side` =
+/// `clamp(⌊1/radius⌋, 1, ⌊√n⌋)`: cells at least one radius wide, so
+/// every edge joins a cell to itself or to one of its eight neighbours,
+/// and at most `n` cells. The points are sorted by cell with a counting
+/// sort, and each cell is scanned against itself and its four forward
+/// neighbours, so each pair is tested once. The cost is `O(n + m)` plus
+/// the pairs in neighbouring cells that are farther apart than
+/// `radius`.
 pub fn random_geometric(n: usize, radius: f64, rng: &mut impl Rng) -> Graph {
     assert!(radius >= 0.0, "radius must be non-negative");
     let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
-    let cell = radius.max(1e-9);
-    let cells = (1.0 / cell).ceil().max(1.0) as i64;
-    let mut grid: std::collections::HashMap<(i64, i64), Vec<usize>> =
-        std::collections::HashMap::new();
-    for (i, &(x, y)) in pts.iter().enumerate() {
-        let key = (((x / cell) as i64).min(cells - 1), ((y / cell) as i64).min(cells - 1));
-        grid.entry(key).or_default().push(i);
+    let side = ((1.0 / radius).floor() as usize).clamp(1, n.isqrt().max(1));
+    let coord = |t: f64| ((t * side as f64) as usize).min(side - 1);
+    let cell: Vec<usize> = pts.iter().map(|&(x, y)| coord(y) * side + coord(x)).collect();
+    // Counting sort of the point ids by cell: cell `c` holds
+    // `by_cell[start[c]..start[c + 1]]`, in ascending id order.
+    let mut start = vec![0usize; side * side + 1];
+    for &c in &cell {
+        start[c + 1] += 1;
     }
+    for c in 0..side * side {
+        start[c + 1] += start[c];
+    }
+    let mut cursor = start[..side * side].to_vec();
+    let mut by_cell = vec![0 as NodeId; n];
+    for (i, &c) in cell.iter().enumerate() {
+        by_cell[cursor[c]] = i as NodeId;
+        cursor[c] += 1;
+    }
+    let bucket = |cx: usize, cy: usize| &by_cell[start[cy * side + cx]..start[cy * side + cx + 1]];
     let r2 = radius * radius;
+    let near = |i: NodeId, j: NodeId| {
+        let (xi, yi) = pts[i as usize];
+        let (xj, yj) = pts[j as usize];
+        (xi - xj).powi(2) + (yi - yj).powi(2) <= r2
+    };
     let mut edges = Vec::new();
-    for (&(cx, cy), bucket) in &grid {
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let Some(other) = grid.get(&(cx + dx, cy + dy)) else { continue };
-                for &i in bucket {
-                    for &j in other {
-                        if i < j {
-                            let (xi, yi) = pts[i];
-                            let (xj, yj) = pts[j];
-                            let d2 = (xi - xj).powi(2) + (yi - yj).powi(2);
-                            if d2 <= r2 {
-                                edges.push((i as NodeId, j as NodeId));
-                            }
-                        }
-                    }
+    for cy in 0..side {
+        for cx in 0..side {
+            let own = bucket(cx, cy);
+            for (a, &i) in own.iter().enumerate() {
+                edges.extend(own[a + 1..].iter().filter(|&&j| near(i, j)).map(|&j| (i, j)));
+            }
+            // The forward half of the neighbourhood: right, and the
+            // three cells of the next row.
+            let forward =
+                [(cx + 1, cy), (cx.wrapping_sub(1), cy + 1), (cx, cy + 1), (cx + 1, cy + 1)];
+            for (ox, oy) in forward {
+                if ox >= side || oy >= side {
+                    continue;
+                }
+                let other = bucket(ox, oy);
+                for &i in own {
+                    edges.extend(other.iter().filter(|&&j| near(i, j)).map(|&j| (i, j)));
                 }
             }
         }

@@ -57,12 +57,16 @@ impl Graph {
     /// Builds a graph on `n` nodes from an undirected edge list.
     ///
     /// Edges may appear in any order and orientation; duplicates are
-    /// merged.
+    /// merged. Both directions of each edge are placed by counting, in
+    /// `O(n + m)`, and only a neighbor list that comes out unsorted is
+    /// then sorted — so lexicographic input (what `gnp` emits) sorts
+    /// nothing and the whole build is linear.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::EndpointOutOfRange`] if an endpoint is `>= n`
-    /// and [`GraphError::SelfLoop`] for loops.
+    /// and [`GraphError::SelfLoop`] for loops, for the first bad edge in
+    /// input order.
     ///
     /// # Example
     ///
@@ -73,7 +77,7 @@ impl Graph {
     /// # Ok::<(), graphgen::GraphError>(())
     /// ```
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Graph, GraphError> {
-        let mut halves: Vec<(NodeId, NodeId)> = Vec::with_capacity(edges.len() * 2);
+        let mut offsets = vec![0usize; n + 1];
         for &(a, b) in edges {
             if a as usize >= n || b as usize >= n {
                 return Err(GraphError::EndpointOutOfRange { edge: (a, b), n });
@@ -81,35 +85,50 @@ impl Graph {
             if a == b {
                 return Err(GraphError::SelfLoop(a));
             }
-            halves.push((a, b));
-            halves.push((b, a));
-        }
-        halves.sort_unstable();
-        halves.dedup();
-        Ok(Graph::from_sorted_halves(n, &halves))
-    }
-
-    /// Builds the CSR from half-edges that are already sorted by
-    /// `(source, target)` and deduplicated. This is the construction
-    /// path shared by [`Graph::from_edges`] and
-    /// [`Adjacency::induced`]; [`DynGraph::graph`](crate::DynGraph::graph)
-    /// lays out its CSR by run copy instead and must produce exactly the
-    /// graph this path would.
-    pub(crate) fn from_sorted_halves(n: usize, halves: &[(NodeId, NodeId)]) -> Graph {
-        let mut offsets = vec![0usize; n + 1];
-        for &(a, _) in halves {
             offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let targets: Vec<NodeId> = halves.iter().map(|&(_, b)| b).collect();
-        Graph::from_csr_parts(offsets, targets)
+        // Each node's offset is its cursor: once every edge is placed,
+        // `offsets[v]` is where v's list ends.
+        let mut targets = vec![0 as NodeId; 2 * edges.len()];
+        for &(a, b) in edges {
+            targets[offsets[a as usize]] = b;
+            offsets[a as usize] += 1;
+            targets[offsets[b as usize]] = a;
+            offsets[b as usize] += 1;
+        }
+        // Sort each list only if it is not strictly ascending, then
+        // compact it leftwards past the duplicates dropped before it.
+        let (mut start, mut write) = (0, 0);
+        for offset in &mut offsets[..n] {
+            let end = *offset;
+            let list = &mut targets[start..end];
+            if !list.windows(2).all(|w| w[0] < w[1]) {
+                list.sort_unstable();
+            }
+            *offset = write;
+            for i in start..end {
+                if write == *offset || targets[write - 1] != targets[i] {
+                    targets[write] = targets[i];
+                    write += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[n] = write;
+        targets.truncate(write);
+        Ok(Graph::from_csr_parts(offsets, targets))
     }
 
     /// Finishes a CSR whose `offsets`/`targets` are already laid out
     /// (per-source neighbor lists sorted ascending) by computing all
-    /// reverse ports.
+    /// reverse ports. Every CSR is finished here: [`Graph::from_edges`],
+    /// [`Adjacency::induced`] and
+    /// [`DynGraph::graph`](crate::DynGraph::graph) each lay out their
+    /// lists and hand them over.
     ///
     /// Reverse ports: position of `a` within `b`'s (sorted) neighbor
     /// list. The half-edges appear in `(source, target)` order, so
@@ -226,24 +245,27 @@ pub trait Adjacency {
         sel.sort_unstable();
         sel.dedup();
         // `sel` is sorted and each neighbor list is sorted, and renaming
-        // to positions in `sel` is monotone — so emitting half-edges node
-        // by node yields them already in `(source, target)` order for the
-        // shared rebuild path, no re-sort needed. The same monotonicity
-        // lets each search start past the previous neighbor's position.
-        let mut halves = Vec::new();
-        for (i, &v) in sel.iter().enumerate() {
+        // to positions in `sel` is monotone — so each renamed list comes
+        // out sorted and goes straight into the CSR, no re-sort needed.
+        // The same monotonicity lets each search start past the previous
+        // neighbor's position.
+        let mut offsets = Vec::with_capacity(sel.len() + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        for &v in &sel {
             let mut lo = 0;
             for &u in self.neighbors(v) {
                 match sel[lo..].binary_search(&u) {
                     Ok(j) => {
-                        halves.push((i as NodeId, (lo + j) as NodeId));
+                        targets.push((lo + j) as NodeId);
                         lo += j + 1;
                     }
                     Err(j) => lo += j,
                 }
             }
+            offsets.push(targets.len());
         }
-        (Graph::from_sorted_halves(sel.len(), &halves), sel)
+        (Graph::from_csr_parts(offsets, targets), sel)
     }
 }
 

@@ -9,7 +9,8 @@ use std::fmt::Write as _;
 /// Error returned by [`parse_edge_list`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
-    /// The header line `n m` is missing or malformed.
+    /// The header line `n m` is missing or malformed, or declares more
+    /// nodes than a [`NodeId`] can address.
     BadHeader(String),
     /// An edge line could not be parsed.
     BadEdge { line: usize, text: String },
@@ -67,12 +68,15 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
     let n: usize = it
         .next()
         .and_then(|t| t.parse().ok())
+        .filter(|&n: &usize| n as u64 <= u64::from(NodeId::MAX) + 1)
         .ok_or_else(|| ParseError::BadHeader(header.to_string()))?;
     let m: usize = it
         .next()
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| ParseError::BadHeader(header.to_string()))?;
-    let mut edges = Vec::with_capacity(m);
+    // Nothing is reserved from the header: `m` is checked against the
+    // body only after the body is read.
+    let mut edges = Vec::new();
     for (lineno, l) in lines {
         let mut it = l.split_whitespace();
         let parse = |t: Option<&str>| t.and_then(|t| t.parse::<NodeId>().ok());
@@ -120,5 +124,15 @@ mod tests {
             Err(ParseError::CountMismatch { declared: 2, found: 1 })
         ));
         assert!(matches!(parse_edge_list("2 1\n0 0"), Err(ParseError::Graph(_))));
+        // Oversized headers are errors, not allocations.
+        assert!(matches!(
+            parse_edge_list("1 99999999999999999"),
+            Err(ParseError::CountMismatch { declared: 99_999_999_999_999_999, found: 0 })
+        ));
+        assert!(matches!(
+            parse_edge_list("1 2305843009213693951"),
+            Err(ParseError::CountMismatch { found: 0, .. })
+        ));
+        assert!(matches!(parse_edge_list("5000000000 0"), Err(ParseError::BadHeader(_))));
     }
 }

@@ -1,8 +1,12 @@
 //! Property tests on the graph substrate.
 
-use graphgen::{generators, io, products, props, Adjacency, DeltaBatch, DynGraph, Graph, NodeId};
+use graphgen::{
+    generators, io, products, props, Adjacency, DeltaBatch, DynGraph, Graph, GraphError, NodeId,
+    Port,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
@@ -11,6 +15,40 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         let mut rng = SmallRng::seed_from_u64(seed);
         generators::gnp(n, p, &mut rng)
     })
+}
+
+/// A valid edge list on `0..n` in no order: unsorted, with repeats in
+/// both orientations.
+fn messy_edges(n: usize, rng: &mut SmallRng) -> Vec<(NodeId, NodeId)> {
+    let mut edges = Vec::new();
+    for _ in 0..rng.gen_range(0..4 * n + 1) {
+        let a = rng.gen_range(0..n as NodeId);
+        let b = rng.gen_range(0..n as NodeId);
+        if a == b {
+            continue;
+        }
+        edges.push((a, b));
+        if rng.gen_bool(0.3) {
+            edges.push((b, a));
+        }
+        if rng.gen_bool(0.2) {
+            edges.push((a, b));
+        }
+    }
+    edges.shuffle(rng);
+    edges
+}
+
+/// A random bad edge for a graph on `0..n` (`n >= 1`) — a self loop or
+/// an out-of-range endpoint — with the error it must raise.
+fn bad_edge(n: usize, rng: &mut SmallRng) -> ((NodeId, NodeId), GraphError) {
+    let v = rng.gen_range(0..n as NodeId);
+    if rng.gen_bool(0.5) {
+        return ((v, v), GraphError::SelfLoop(v));
+    }
+    let far = n as NodeId + rng.gen_range(0..3u32);
+    let edge = if rng.gen_bool(0.5) { (v, far) } else { (far, v) };
+    (edge, GraphError::EndpointOutOfRange { edge, n })
 }
 
 /// A random valid batch against `g` and the edge set it must leave
@@ -174,6 +212,74 @@ proptest! {
 }
 
 proptest! {
+    /// `from_edges` against an oracle that shares none of its layout
+    /// code: per-node `BTreeSet`s of the input's edges. Neighbor lists,
+    /// degrees and `m` must match, and every port must lead to the
+    /// neighbor at that position with the reverse port at which `v`
+    /// sits in that neighbor's list.
+    #[test]
+    fn from_edges_matches_an_independent_oracle(n in 0usize..60, seed in any::<u64>()) {
+        let edges = messy_edges(n, &mut SmallRng::seed_from_u64(seed));
+        let g = Graph::from_edges(n, &edges).unwrap();
+        let mut sets = vec![BTreeSet::new(); n];
+        for &(a, b) in &edges {
+            sets[a as usize].insert(b);
+            sets[b as usize].insert(a);
+        }
+        let lists: Vec<Vec<NodeId>> = sets.into_iter().map(|s| s.into_iter().collect()).collect();
+        prop_assert_eq!(g.n(), n);
+        prop_assert_eq!(g.m(), lists.iter().map(Vec::len).sum::<usize>() / 2);
+        for (v, list) in (0..n as NodeId).zip(&lists) {
+            prop_assert_eq!(g.neighbors(v), list.as_slice());
+            prop_assert_eq!(g.degree(v), list.len());
+            for (p, &u) in list.iter().enumerate() {
+                let q = lists[u as usize].iter().position(|&w| w == v).unwrap();
+                prop_assert_eq!(g.endpoint(v, p as Port), (u, q as Port));
+            }
+        }
+    }
+
+    /// Of two bad edges inserted at random positions of a valid list,
+    /// `from_edges` reports the first in input order.
+    #[test]
+    fn from_edges_reports_the_first_bad_edge(n in 1usize..60, seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges = messy_edges(n, &mut rng);
+        let (first, expect) = bad_edge(n, &mut rng);
+        let (second, _) = bad_edge(n, &mut rng);
+        let i = rng.gen_range(0..edges.len() + 1);
+        edges.insert(i, first);
+        edges.insert(rng.gen_range(i + 1..edges.len() + 1), second);
+        prop_assert_eq!(Graph::from_edges(n, &edges), Err(expect));
+    }
+
+    /// `random_geometric`'s cell grid finds exactly the pairs a scan of
+    /// all pairs finds, from one cell (radius 1) to cells far wider
+    /// than the radius (1e-4, 0), at the family's default radius too.
+    #[test]
+    fn random_geometric_matches_all_pairs(
+        n in 0usize..300,
+        seed in any::<u64>(),
+        pick in 0usize..7,
+    ) {
+        let default = (10.0 / (std::f64::consts::PI * n.max(1) as f64)).sqrt();
+        let radius = [1.0, 0.3, 0.05, 0.02, 1e-4, 0.0, default][pick];
+        let g = generators::random_geometric(n, radius, &mut SmallRng::seed_from_u64(seed));
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
+        let mut expect = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                let d2 = (pts[i].0 - pts[j].0).powi(2) + (pts[i].1 - pts[j].1).powi(2);
+                if d2 <= radius * radius {
+                    expect.push((i as NodeId, j as NodeId));
+                }
+            }
+        }
+        prop_assert_eq!(g.n(), n);
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), expect, "radius {}", radius);
+    }
+
     /// `DynGraph::apply` edits neighbor lists in place of a rebuild, and
     /// `DynGraph::graph` must still build exactly the graph `from_edges`
     /// builds on the resulting edge set — offsets, targets and reverse
