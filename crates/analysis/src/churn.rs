@@ -225,7 +225,9 @@ impl MisService {
     /// the epoch's metrics and MIS delta (joined/left). The cost tracks
     /// the batch, not `n`: the graph rewrites only the touched nodes'
     /// neighbor lists, and repair reads through them. Now and then a
-    /// batch ends in a compaction of those lists, one copy of the CSR.
+    /// batch freezes those lists, and a background thread copies them
+    /// and the old CSR into a new one while later epochs run
+    /// ([`graphgen::delta`] describes the layers).
     ///
     /// # Errors
     ///
@@ -907,9 +909,14 @@ mod tests {
         let runner = default_registry().resolve("luby").unwrap();
         let mut scratch = ScratchArena::new();
         let (mut service, _) = MisService::bootstrap(runner, g, 5, &mut scratch).unwrap();
-        let (mut compactions, mut standing) = (0, 0);
-        for epoch in 0..60 {
+        let (mut freezes, mut standing, mut during_builds) = (0, 0, 0);
+        let mut froze = false;
+        // Freezes depend on the batch stream alone, so the run always
+        // ends past the batch after its last freeze.
+        let mut epoch = 0;
+        while epoch < 60 || froze {
             let before = service.graph().overlay_len();
+            during_builds += usize::from(service.graph().frozen_len() > 0);
             let batch = random_batch(service.graph(), 4, 0.5, 0.2, 100 + epoch);
             let rep = service.apply(&batch, &mut scratch).unwrap();
             assert!(rep.correct, "epoch {epoch}: {:?}", rep.error);
@@ -919,12 +926,19 @@ mod tests {
             assert_eq!(service.mis_size(), in_mis, "epoch {epoch}: the kept MIS size drifted");
             let d = service.graph();
             check_mis_survivors(d.graph(), service.states(), d.active()).unwrap();
-            // The overlay only grows between compactions.
-            compactions += usize::from(d.overlay_len() < before);
+            // The live overlay only grows between freezes, and a freeze
+            // leaves a frozen layer for the next batch to read through.
+            froze = d.overlay_len() < before;
+            freezes += usize::from(froze);
             standing += usize::from(d.overlay_len() > 0);
+            epoch += 1;
         }
-        assert!(compactions >= 3, "only {compactions} compactions");
+        assert!(freezes >= 3, "only {freezes} freezes");
         assert!(standing >= 10, "the overlay stood after only {standing} epochs");
+        assert!(
+            during_builds >= freezes,
+            "{during_builds} epochs ran on a frozen layer across {freezes} freezes"
+        );
     }
 
     #[test]

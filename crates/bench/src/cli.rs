@@ -22,14 +22,31 @@ pub fn fail(usage: &str, msg: impl Display) -> ! {
     std::process::exit(2)
 }
 
+/// The most edges a command line may ask a graph to have, by
+/// [`GraphFamily::expected_edges`]. A graph costs about 16 bytes per
+/// edge before any run, and more while it is generated, so 5·10⁷ edges
+/// is under a gigabyte; the largest committed configurations (ER, RGG
+/// and BA at n = 10⁶) have 3–5·10⁶.
+pub const MAX_EDGES: f64 = 5e7;
+
 /// Rejects (see [`fail`]) a size one of `families` cannot generate
-/// ([`GraphFamily::min_nodes`]); `flag` names the option the sizes came
-/// from.
+/// ([`GraphFamily::min_nodes`]) or would generate with more than
+/// [`MAX_EDGES`] edges; `flag` names the option the sizes came from.
 pub fn check_sizes(usage: &str, flag: &str, families: &[GraphFamily], sizes: &[usize]) {
     for family in families {
         let min = family.min_nodes();
         if let Some(n) = sizes.iter().find(|&&n| n < min) {
             fail(usage, format!("{flag} {n}: family {} needs at least {min} nodes", family.key()));
+        }
+        if let Some(n) = sizes.iter().find(|&&n| family.expected_edges(n) > MAX_EDGES) {
+            fail(
+                usage,
+                format!(
+                    "{flag} {n}: family {} would have about {:.1e} edges, more than {MAX_EDGES:.0e}",
+                    family.key(),
+                    family.expected_edges(*n)
+                ),
+            );
         }
     }
 }

@@ -1,9 +1,12 @@
 //! Every bench binary reads its command line through `bench::cli`:
 //! `--help` and `-h` print usage and exit 0, and a bad command line
 //! prints usage on stderr and exits 2 before anything is printed, run
-//! or written. `experiments --help` lists E1–E17, `failure_rate` takes
-//! no arguments, and `serve` ends a session on stdin that is not UTF-8.
-//! No case here runs an experiment or serves a batch.
+//! or written. That includes a family and size whose expected edge
+//! count is past `bench::cli::MAX_EDGES`, which would otherwise be
+//! generated until memory runs out. `experiments --help` lists E1–E17,
+//! `failure_rate` takes no arguments, and `serve` ends a session on
+//! stdin that is not UTF-8. No case here runs an experiment or serves a
+//! batch.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -63,6 +66,8 @@ fn grid_rejects_bad_arguments_before_running() {
         &["--algos", "nosuch"],
         &["--families", "ba", "--sizes", "3"],
         &["--families", "er,ba?attach=5", "--sizes", "16,5"],
+        &["--families", "rgg?radius=0.05", "--sizes", "1000000"],
+        &["--families", "dense", "--sizes", "16,1000000"],
     ]);
 }
 
@@ -78,6 +83,8 @@ fn churn_rejects_bad_arguments_before_running() {
         &["--serve", "100"],
         &["--families", "ba", "--sizes", "3"],
         &["--families", "ba?attach=5", "--sizes", "5"],
+        &["--families", "rgg?radius=0.05", "--sizes", "1000000"],
+        &["--families", "dense", "--sizes", "1000000"],
     ]);
 }
 
@@ -97,6 +104,8 @@ fn sweep_rejects_bad_arguments_before_running() {
         &["--specs", "luby"],
         &["--family", "ba", "--sizes", "3"],
         &["--families", "ba?attach=2..6&step=2", "--sizes", "5"],
+        &["--family", "rgg?radius=0.05", "--sizes", "1000000"],
+        &["--family", "dense", "--sizes", "1000000"],
     ]);
 }
 
@@ -113,6 +122,8 @@ fn faults_rejects_bad_arguments_before_running() {
         &["--specs", "luby"],
         &["--families", "ba", "--sizes", "3"],
         &["--families", "ba?attach=5", "--sizes", "16,5"],
+        &["--families", "rgg?radius=0.05", "--sizes", "1000000"],
+        &["--families", "dense", "--sizes", "1000000"],
     ]);
 }
 
@@ -174,6 +185,8 @@ fn serve_rejects_bad_arguments_before_serving() {
         &["--n", "64", "--stats-every"],
         &["--family", "ba", "--n", "3"],
         &["--family", "ba?attach=5", "--n", "5"],
+        &["--family", "rgg?radius=0.05", "--n", "1000000"],
+        &["--family", "dense", "--n", "1000000"],
     ] {
         let out = run(env!("CARGO_BIN_EXE_serve"), args);
         let stderr = String::from_utf8_lossy(&out.stderr);

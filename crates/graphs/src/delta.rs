@@ -8,30 +8,56 @@
 //!
 //! # Overlay and compaction
 //!
-//! A [`DynGraph`] keeps a *base* CSR (offsets and sorted targets, no
-//! reverse ports) plus an *overlay*: one slot per node saying whether
-//! its current list is still its base list or a replacement list in an
-//! append-only pool. Applying a batch of `k` effective edits costs
-//! `O(k Δ)` and touches nothing of size `n` or `m`, apart from growing
-//! the per-node vectors when nodes are added:
+//! A [`DynGraph`] holds each node's current list in one of three
+//! layers, and a reader takes the first that holds one:
+//!
+//! 1. the *live overlay*, which [`DynGraph::apply`] writes: one slot per
+//!    node saying whether it holds a replacement list for the node, in an
+//!    append-only pool;
+//! 2. the *frozen overlay*, an earlier live overlay that a background
+//!    build is folding into the next base, standing only during a build;
+//! 3. the *base* CSR (offsets and sorted targets, no reverse ports).
+//!
+//! Applying a batch of `k` effective edits costs `O(k Δ)` and touches
+//! nothing of size `n` or `m`, apart from growing the per-node vectors
+//! when nodes are added:
 //!
 //! * the effective edits are sorted once as `(node, other, is_insert)`
 //!   half-edges, so each touched node's edits form one run, ascending in
 //!   `other`;
 //! * each touched node merges its current (sorted) list with its edits
-//!   onto the end of the pool, so its new list comes out sorted without
-//!   a re-sort. Its earlier overlay list, if it had one, goes stale.
+//!   onto the end of the live pool, so its new list comes out sorted
+//!   without a re-sort. Its earlier live list, if it had one, goes stale.
 //!
-//! Once the pool, stale lists included, holds more than a quarter as
-//! many entries as the base has half-edges, the batch ends with a
-//! *compaction* into a fresh base. That is a run copy: one
-//! `extend_from_slice` per run of nodes still on their base lists, plus
-//! each overlay list, with no per-edge search.
+//! Once the live pool, stale lists included, holds more than a quarter
+//! as many entries as the graph has half-edges (`2·m /`
+//! [`COMPACT_DIVISOR`]), the batch ends in a *freeze*. The live overlay
+//! becomes the frozen one behind an `Arc`, an empty live overlay takes
+//! its place, and one builder thread lays out the base and the frozen
+//! overlay as the next base. That is a run copy: one `extend_from_slice`
+//! per run of nodes on their base lists, plus each frozen list, with no
+//! per-edge search. Epochs go on meanwhile and read through the frozen
+//! layer. The first `apply` that finds the build finished swaps the new
+//! base in, after its own rewrites. The live overlay stays as it is,
+//! since each of its lists replaces a whole list. So the freezes, and
+//! [`DynGraph::overlay_len`], depend on the batch stream alone, while a
+//! swap depends on the builder's timing, and the batch after a freeze
+//! always reads and rewrites through the frozen layer.
 //!
-//! [`DynGraph::graph`] lays out the same run copy, adds
-//! [`Graph`]'s linear reverse-port pass, and caches the port-numbered
-//! result until the next [`DynGraph::apply`]. It equals what
-//! [`Graph::from_edges`] builds from the same edge set, vector for
+//! At most one build is in flight per graph: a freeze that finds the
+//! previous build unfinished waits for it and swaps first. During a
+//! build the graph holds the current base, the frozen overlay, the live
+//! overlay and the next base, about twice the CSR. The next base is
+//! allocated at the freeze with exact capacity, and the builder faults
+//! its pages in. The swap frees the retired base and the frozen
+//! overlay; no spare base is kept. Dropping a graph joins its build, and
+//! a clone lays out the frozen layer into its own base on the calling
+//! thread.
+//!
+//! [`DynGraph::graph`] lays out all three layers by the same run copy,
+//! adds [`Graph`]'s linear reverse-port pass, and caches the
+//! port-numbered result until the next [`DynGraph::apply`]. It equals
+//! what [`Graph::from_edges`] builds from the same edge set, vector for
 //! vector. Nothing an epoch runs needs it: repair, local verification
 //! and induced subgraphs read through [`Adjacency`], and batch
 //! generation through [`DynGraph::neighbors`] and its siblings.
@@ -53,7 +79,8 @@
 
 use crate::graph::{Adjacency, Graph, NodeId};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 
 /// Error returned when a [`DeltaBatch`] cannot be applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,13 +281,120 @@ impl AppliedDelta {
     }
 }
 
-/// Slot of a node whose current list is its base list (empty for an id
-/// added since the last compaction).
-const IN_BASE: u32 = u32::MAX;
+/// Slot of a node an overlay holds no list for.
+const NO_LIST: u32 = u32::MAX;
 
-/// Compaction runs once the overlay pool holds more than
-/// `1 / COMPACT_DIVISOR` as many entries as the base has half-edges.
-const COMPACT_DIVISOR: usize = 4;
+/// The live overlay freezes once its pool holds more than
+/// `2·m / COMPACT_DIVISOR` entries, `m` being the edge count after the
+/// batch (see the [module docs](crate::delta)).
+pub const COMPACT_DIVISOR: usize = 4;
+
+/// A CSR without reverse ports: node `v`'s sorted list is
+/// `targets[offsets[v]..offsets[v + 1]]`. Ids past its end have empty
+/// lists.
+struct Csr {
+    offsets: Vec<usize>,
+    targets: Vec<NodeId>,
+}
+
+impl Csr {
+    /// Empty buffers with room for `n` nodes and `m` edges.
+    fn with_capacity(n: usize, m: usize) -> Csr {
+        Csr { offsets: Vec::with_capacity(n + 1), targets: Vec::with_capacity(2 * m) }
+    }
+
+    /// `v`'s list.
+    fn list(&self, v: usize) -> &[NodeId] {
+        match self.offsets.get(v..v + 2) {
+            Some(&[start, end]) => &self.targets[start..end],
+            _ => &[],
+        }
+    }
+
+    /// Appends nodes `lo..hi` with their lists to `out`: one slice copy,
+    /// then the run's offsets shifted to where it now starts.
+    fn copy_run(&self, lo: usize, hi: usize, out: &mut Csr) {
+        let n = self.offsets.len() - 1;
+        let (a, b) = (lo.min(n), hi.min(n));
+        let (start, end) = (self.offsets[a], self.offsets[b]);
+        let shift = out.targets.len();
+        out.targets.extend_from_slice(&self.targets[start..end]);
+        out.offsets.extend(self.offsets[a + 1..=b].iter().map(|&o| o - start + shift));
+        out.offsets.resize(hi + 1, out.targets.len());
+    }
+}
+
+/// Replacement lists for some nodes, each sorted, in an append-only
+/// pool.
+#[derive(Clone)]
+struct Overlay {
+    /// Per node: [`NO_LIST`], or the index in `spans` of its list.
+    slot: Vec<u32>,
+    /// `pool[start..end]` of each list.
+    spans: Vec<(usize, usize)>,
+    /// The lists, stale ones included.
+    pool: Vec<NodeId>,
+}
+
+impl Overlay {
+    /// An overlay of `n` nodes that holds no list.
+    fn new(n: usize) -> Overlay {
+        Overlay { slot: vec![NO_LIST; n], spans: Vec::new(), pool: Vec::new() }
+    }
+
+    /// `v`'s list, if this overlay holds one.
+    fn list(&self, v: usize) -> Option<&[NodeId]> {
+        match self.slot.get(v) {
+            Some(&s) if s != NO_LIST => {
+                let (start, end) = self.spans[s as usize];
+                Some(&self.pool[start..end])
+            }
+            _ => None,
+        }
+    }
+
+    /// Makes `list` node `v`'s list, appended to the pool; `v`'s earlier
+    /// list here, if any, goes stale.
+    fn write(&mut self, v: usize, list: &[NodeId]) {
+        let span = (self.pool.len(), self.pool.len() + list.len());
+        self.pool.extend_from_slice(list);
+        match self.slot[v] {
+            NO_LIST => {
+                self.slot[v] = self.spans.len() as u32;
+                self.spans.push(span);
+            }
+            s => self.spans[s as usize] = span,
+        }
+    }
+}
+
+/// Lays out nodes `0..n` as one CSR in `out`'s empty buffers. A node's
+/// list is the one the first of `overlays` holding one gives, else its
+/// list in `base`. It is a run copy: one slice copy per run of nodes on
+/// their base lists, plus each overlay list, with no per-edge search.
+fn layout(base: &Csr, overlays: &[&Overlay], n: usize, mut out: Csr) -> Csr {
+    out.offsets.push(0);
+    let mut run = 0;
+    for v in 0..n {
+        if let Some(list) = overlays.iter().find_map(|o| o.list(v)) {
+            base.copy_run(run, v, &mut out);
+            out.targets.extend_from_slice(list);
+            out.offsets.push(out.targets.len());
+            run = v + 1;
+        }
+    }
+    base.copy_run(run, n, &mut out);
+    out
+}
+
+/// A background build of the next base from the current base and
+/// `frozen`.
+struct Build {
+    frozen: Arc<Overlay>,
+    /// The edge count at the freeze.
+    m: usize,
+    handle: JoinHandle<Csr>,
+}
 
 /// A mutable graph with stable node ids and an *active* mask.
 ///
@@ -272,23 +406,19 @@ const COMPACT_DIVISOR: usize = 4;
 /// through fresh ids.
 ///
 /// Neighbor lists live in a base CSR plus an overlay that
-/// [`apply`](Self::apply) writes and compacts now and then (see the
-/// [module docs](crate::delta)). Equality is logical: same node count,
-/// active mask and neighbor lists, however they are stored.
-#[derive(Clone)]
+/// [`apply`](Self::apply) writes, and which a background thread now and
+/// then folds into a new base (see the [module docs](crate::delta)).
+/// Equality is logical: same node count, active mask and neighbor lists,
+/// however they are stored.
 pub struct DynGraph {
-    /// Base CSR offsets, covering the ids that existed at the last
-    /// compaction.
-    offsets: Vec<usize>,
-    /// Base CSR targets: each node's sorted list.
-    targets: Vec<NodeId>,
-    /// Per node: [`IN_BASE`], or the index in `spans` of its overlay
-    /// list.
-    slot: Vec<u32>,
-    /// `pool[start..end]` of each overlay list.
-    spans: Vec<(usize, usize)>,
-    /// The overlay lists, each sorted, stale ones included.
-    pool: Vec<NodeId>,
+    /// The base CSR, covering the ids that existed at the freeze it was
+    /// built from.
+    base: Arc<Csr>,
+    /// The overlay [`apply`](Self::apply) writes: one slot per node.
+    live: Overlay,
+    /// The build in flight, whose frozen overlay readers consult between
+    /// `live` and `base`.
+    build: Option<Build>,
     /// Number of undirected edges.
     m: usize,
     active: Vec<bool>,
@@ -307,11 +437,9 @@ impl DynGraph {
         let n = offsets.len() - 1;
         DynGraph {
             m: targets.len() / 2,
-            offsets,
-            targets,
-            slot: vec![IN_BASE; n],
-            spans: Vec::new(),
-            pool: Vec::new(),
+            base: Arc::new(Csr { offsets, targets }),
+            live: Overlay::new(n),
+            build: None,
             active: vec![true; n],
             active_count: n,
             graph: OnceLock::new(),
@@ -324,7 +452,11 @@ impl DynGraph {
     /// [`neighbors`](Self::neighbors) where ports are not needed.
     pub fn graph(&self) -> &Graph {
         self.graph.get_or_init(|| {
-            let (offsets, targets) = self.current_csr();
+            let out = Csr::with_capacity(self.n(), self.m);
+            let Csr { offsets, targets } = match &self.build {
+                Some(b) => layout(&self.base, &[&self.live, &b.frozen], self.n(), out),
+                None => layout(&self.base, &[&self.live], self.n(), out),
+            };
             Graph::from_csr_parts(offsets, targets)
         })
     }
@@ -346,7 +478,7 @@ impl DynGraph {
 
     /// Total id-space size (active + removed).
     pub fn n(&self) -> usize {
-        self.slot.len()
+        self.live.slot.len()
     }
 
     /// Number of undirected edges.
@@ -361,13 +493,12 @@ impl DynGraph {
     ///
     /// Panics if `v >= n`.
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        match self.slot[v as usize] {
-            IN_BASE => self.base_neighbors(v as usize),
-            s => {
-                let (start, end) = self.spans[s as usize];
-                &self.pool[start..end]
-            }
-        }
+        let v = v as usize;
+        assert!(v < self.n(), "node {v} out of range (n = {})", self.n());
+        self.live
+            .list(v)
+            .or_else(|| self.build.as_ref()?.frozen.list(v))
+            .unwrap_or_else(|| self.base.list(v))
     }
 
     /// Degree of node `v`.
@@ -388,24 +519,42 @@ impl DynGraph {
         u != v && self.neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// Entries the overlay holds, stale lists included. It grows with
-    /// every batch that edits an edge and falls to 0 when a batch ends
-    /// in a compaction.
+    /// Entries the live overlay holds, stale lists included. It grows
+    /// with every batch that edits an edge and falls to 0 exactly at the
+    /// batches that end in a freeze, so it depends on the batch stream
+    /// alone, not on when a background build finishes.
     pub fn overlay_len(&self) -> usize {
-        self.pool.len()
+        self.live.pool.len()
+    }
+
+    /// Entries the frozen overlay holds while a background build folds
+    /// it into the next base; 0 when no build stands. A freeze sets it,
+    /// and the first [`apply`](Self::apply) that finds the build finished
+    /// clears it, so unlike [`overlay_len`](Self::overlay_len) it
+    /// depends on the builder's timing.
+    pub fn frozen_len(&self) -> usize {
+        self.build.as_ref().map_or(0, |b| b.frozen.pool.len())
     }
 
     /// Applies a batch and returns the effective changes: validation and
     /// idempotence as [`DeltaError`] and [`AppliedDelta`] describe, with
-    /// removals of already-inactive nodes as no-ops. Writes the lists of
-    /// the touched nodes into the overlay and compacts when it has grown
-    /// past its share of the base (see the [module docs](crate::delta)).
-    /// A rejected batch changes nothing.
+    /// removals of already-inactive nodes as no-ops. A rejected batch
+    /// changes nothing.
+    ///
+    /// The batch writes the lists of the touched nodes into the live
+    /// overlay. Then, if the background build is finished, its base is
+    /// swapped in; and if the live overlay has passed its share of the
+    /// graph, it is frozen and a new build starts, after waiting for an
+    /// unfinished one (see the [module docs](crate::delta)).
     ///
     /// # Errors
     ///
     /// See [`DeltaError`]: out-of-range endpoints, self loops,
     /// insert/delete conflicts, and inserts at removed nodes.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the panic of a background build.
     pub fn apply(&mut self, batch: &DeltaBatch) -> Result<AppliedDelta, DeltaError> {
         let applied = self.effective(batch)?;
 
@@ -423,7 +572,7 @@ impl DynGraph {
         edits.sort_unstable();
 
         let n_new = self.n() + applied.added.len();
-        self.slot.resize(n_new, IN_BASE);
+        self.live.slot.resize(n_new, NO_LIST);
         let mut merged = Vec::new();
         for run in edits.chunk_by(|x, y| x.0 == y.0) {
             self.rewrite(run, &mut merged);
@@ -435,8 +584,11 @@ impl DynGraph {
         }
         self.active_count = self.active_count + applied.added.len() - applied.removed.len();
         self.graph.take();
-        if self.pool.len() > self.targets.len() / COMPACT_DIVISOR {
-            self.compact();
+        if self.build.as_ref().is_some_and(|b| b.handle.is_finished()) {
+            self.swap();
+        }
+        if self.live.pool.len() > 2 * self.m / COMPACT_DIVISOR {
+            self.freeze();
         }
         Ok(applied)
     }
@@ -513,10 +665,10 @@ impl DynGraph {
         Ok(AppliedDelta { inserted, deleted, added, removed })
     }
 
+
     /// Writes node `v`'s current list merged with `edits` —
-    /// `(v, other, is_insert)`, ascending in `other` — onto the end of
-    /// the pool, so the result stays sorted, and points `v`'s slot at
-    /// it. `merged` is scratch space.
+    /// `(v, other, is_insert)`, ascending in `other` — into the live
+    /// overlay, so the result stays sorted. `merged` is scratch space.
     fn rewrite(&mut self, edits: &[(NodeId, NodeId, bool)], merged: &mut Vec<NodeId>) {
         let v = edits[0].0;
         let list = self.neighbors(v);
@@ -534,71 +686,68 @@ impl DynGraph {
             }
         }
         merged.extend_from_slice(&list[i..]);
-        let span = (self.pool.len(), self.pool.len() + merged.len());
-        self.pool.extend_from_slice(merged);
-        match self.slot[v as usize] {
-            IN_BASE => {
-                self.slot[v as usize] = self.spans.len() as u32;
-                self.spans.push(span);
-            }
-            s => self.spans[s as usize] = span,
-        }
+        self.live.write(v as usize, merged);
     }
 
-    /// Makes the current lists the new base and empties the overlay.
-    fn compact(&mut self) {
-        (self.offsets, self.targets) = self.current_csr();
-        self.slot.fill(IN_BASE);
-        self.spans.clear();
-        self.pool.clear();
-    }
-
-    /// The current lists as one CSR, copied run by run: one slice copy
-    /// per run of nodes still on their base lists, plus each overlay
-    /// list.
-    fn current_csr(&self) -> (Vec<usize>, Vec<NodeId>) {
+    /// Freezes the live overlay and starts a background build of the
+    /// next base from it and the current base, after swapping in the
+    /// build in flight, if any.
+    fn freeze(&mut self) {
+        self.swap();
         let n = self.n();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(2 * self.m);
-        offsets.push(0);
-        let mut run = 0;
-        for (v, &s) in self.slot.iter().enumerate() {
-            if s != IN_BASE {
-                self.copy_base_run(run, v, &mut offsets, &mut targets);
-                let (start, end) = self.spans[s as usize];
-                targets.extend_from_slice(&self.pool[start..end]);
-                offsets.push(targets.len());
-                run = v + 1;
-            }
+        let frozen = Arc::new(std::mem::replace(&mut self.live, Overlay::new(n)));
+        // Allocated here with exact capacity: the builder only fills it.
+        let out = Csr::with_capacity(n, self.m);
+        let (base, layer) = (Arc::clone(&self.base), Arc::clone(&frozen));
+        let handle = std::thread::Builder::new()
+            .name("dyngraph-build".to_string())
+            .spawn(move || layout(&base, &[&layer], n, out))
+            .expect("spawn the DynGraph build thread");
+        self.build = Some(Build { frozen, m: self.m, handle });
+    }
+
+    /// Waits for the build in flight, if any, and swaps its base in. The
+    /// retired base and the frozen overlay are freed here; the live
+    /// overlay stays, since its lists replace whole lists.
+    fn swap(&mut self) {
+        if let Some(build) = self.build.take() {
+            let base = build.handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            self.base = Arc::new(base);
         }
-        self.copy_base_run(run, n, &mut offsets, &mut targets);
-        (offsets, targets)
     }
+}
 
-    /// Appends nodes `lo..hi` with their base lists: one slice copy,
-    /// then the run's offsets shifted to where it now starts. Ids the
-    /// base does not cover get empty lists.
-    fn copy_base_run(
-        &self,
-        lo: usize,
-        hi: usize,
-        offsets: &mut Vec<usize>,
-        targets: &mut Vec<NodeId>,
-    ) {
-        let base_n = self.offsets.len() - 1;
-        let (a, b) = (lo.min(base_n), hi.min(base_n));
-        let (start, end) = (self.offsets[a], self.offsets[b]);
-        let shift = targets.len();
-        targets.extend_from_slice(&self.targets[start..end]);
-        offsets.extend(self.offsets[a + 1..=b].iter().map(|&o| o - start + shift));
-        offsets.resize(hi + 1, targets.len());
+impl Drop for DynGraph {
+    /// Joins the build in flight, so no builder outlives its graph. A
+    /// panic of the builder is dropped here, since resuming it while
+    /// another panic unwinds would abort.
+    fn drop(&mut self) {
+        if let Some(build) = self.build.take() {
+            let _ = build.handle.join();
+        }
     }
+}
 
-    /// `v`'s list in the base CSR.
-    fn base_neighbors(&self, v: usize) -> &[NodeId] {
-        match self.offsets.get(v..v + 2) {
-            Some(&[start, end]) => &self.targets[start..end],
-            _ => &[],
+impl Clone for DynGraph {
+    /// Shares the base. A build in flight cannot be shared, so the clone
+    /// lays out the base and the frozen overlay on the calling thread,
+    /// as the builder does, and starts from the result.
+    fn clone(&self) -> DynGraph {
+        let base = match &self.build {
+            Some(b) => {
+                let n = b.frozen.slot.len();
+                Arc::new(layout(&self.base, &[&b.frozen], n, Csr::with_capacity(n, b.m)))
+            }
+            None => Arc::clone(&self.base),
+        };
+        DynGraph {
+            base,
+            live: self.live.clone(),
+            build: None,
+            m: self.m,
+            active: self.active.clone(),
+            active_count: self.active_count,
+            graph: self.graph.clone(),
         }
     }
 }
@@ -629,8 +778,9 @@ impl fmt::Debug for DynGraph {
             .field("n", &self.n())
             .field("m", &self.m)
             .field("active", &self.active_count)
-            .field("overlay_lists", &self.spans.len())
-            .field("overlay_len", &self.pool.len())
+            .field("overlay_lists", &self.live.spans.len())
+            .field("overlay_len", &self.overlay_len())
+            .field("frozen_len", &self.frozen_len())
             .finish()
     }
 }
@@ -781,6 +931,45 @@ mod tests {
         assert_eq!(d.graph(), &g);
         assert!(applied.is_empty());
         assert!(DeltaBatch::new().is_empty());
+    }
+
+    #[test]
+    fn batches_during_a_build_survive_the_swap() {
+        // On a 5-cycle every batch below passes the freeze threshold, so
+        // each one freezes, and each freeze after the first waits for
+        // the build before it and swaps it in. So the batch after a
+        // freeze reads and rewrites through the frozen layer, and its
+        // lists, a new node's included, must survive the swap.
+        let mut edges = vec![(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)];
+        let expect = |edges: &[(NodeId, NodeId)]| Graph::from_edges(6, edges).unwrap();
+        let mut d = DynGraph::new(cycle5());
+        let mut b = DeltaBatch::new();
+        b.insert_edge(0, 2);
+        d.apply(&b).unwrap();
+        assert_eq!((d.overlay_len(), d.frozen_len()), (0, 6));
+        assert_eq!(d.neighbors(0), [1, 2, 4]);
+        // A clone taken during the build keeps the frozen layer's lists.
+        let mut copy = d.clone();
+        assert_eq!(copy, d);
+
+        let mut b = DeltaBatch::new();
+        b.delete_edge(2, 0).add_nodes(1).insert_edge(5, 1).insert_edge(5, 3).insert_edge(0, 3);
+        let applied = d.apply(&b).unwrap();
+        assert_eq!(applied.deleted, [(0, 2)], "the delete must see the frozen list");
+        edges.extend([(1, 5), (3, 5), (0, 3)]);
+        assert_eq!((d.overlay_len(), d.frozen_len() > 0), (0, true));
+        assert_eq!(d.graph(), &expect(&edges));
+        copy.apply(&b).unwrap();
+        assert_eq!(copy, d);
+
+        let mut b = DeltaBatch::new();
+        b.insert_edge(4, 5);
+        d.apply(&b).unwrap();
+        edges.push((4, 5));
+        assert_eq!(d.neighbors(5), [1, 3, 4]);
+        assert_eq!(d.graph(), &expect(&edges));
+        copy.apply(&b).unwrap();
+        assert_eq!(copy, d);
     }
 
     #[test]

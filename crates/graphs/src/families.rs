@@ -166,6 +166,34 @@ impl GraphFamily {
         }
     }
 
+    /// The expected edge count of an `n`-node instance, from the
+    /// family's degree formula alone: nothing is generated. It is exact
+    /// for the deterministic and Barabási–Albert families; for ER it is
+    /// the mean, and for RGG it ignores the border, so it overestimates.
+    /// Meant for rejecting sizes too large to build, not for reporting.
+    pub fn expected_edges(self, n: usize) -> f64 {
+        let pairs = n as f64 * n.saturating_sub(1) as f64 / 2.0;
+        // Each pair is an edge with probability `p` (capped at 1).
+        let gnp = |avg_deg: f64| pairs * (avg_deg / n.saturating_sub(1).max(1) as f64).min(1.0);
+        let rgg = |r: f64| pairs * (std::f64::consts::PI * r * r).min(1.0);
+        let ba = |m: usize| (m * n.saturating_sub(m)) as f64;
+        match self {
+            GraphFamily::Er => gnp(8.0),
+            GraphFamily::ErDeg(d) => gnp(f64::from(d)),
+            GraphFamily::Dense => gnp((n as f64).sqrt()),
+            GraphFamily::Rgg => rgg((10.0 / (std::f64::consts::PI * n as f64)).sqrt()),
+            GraphFamily::RggRadius(r) => rgg(f64::from(r) / RADIUS_UNIT),
+            GraphFamily::Ba => ba(3),
+            GraphFamily::BaAttach(m) => ba(m as usize),
+            GraphFamily::Grid => {
+                let side = ((n as f64).sqrt().round() as usize).max(2);
+                (2 * side * (side - 1)) as f64
+            }
+            GraphFamily::Tree => n.saturating_sub(1) as f64,
+            GraphFamily::Cycle => n.max(3) as f64,
+        }
+    }
+
     /// Generates an `n`-node instance.
     ///
     /// # Panics
@@ -230,6 +258,34 @@ mod tests {
         assert_eq!(GraphFamily::Ba.min_nodes(), 4);
         assert_eq!(GraphFamily::BaAttach(5).min_nodes(), 6);
         assert_eq!(GraphFamily::ErDeg(16).min_nodes(), 0);
+    }
+
+    #[test]
+    fn expected_edges_tracks_the_generated_count() {
+        let parameterized = [
+            GraphFamily::ErDeg(16),
+            GraphFamily::RggRadius(900),
+            GraphFamily::BaAttach(5),
+        ];
+        for family in GraphFamily::all().iter().chain(&parameterized) {
+            for n in [64, 400] {
+                let m = family.generate(n, 3).m() as f64;
+                let expected = family.expected_edges(n);
+                // RGG loses up to half its disc at the border, so it
+                // reads below the border-free expectation.
+                assert!(
+                    m <= 1.25 * expected && m >= 0.5 * expected,
+                    "{} n={n}: generated {m}, expected {expected}",
+                    family.key()
+                );
+            }
+        }
+        assert_eq!(GraphFamily::Er.expected_edges(1), 0.0);
+        assert_eq!(GraphFamily::Tree.expected_edges(0), 0.0);
+        assert_eq!(GraphFamily::Cycle.expected_edges(0), 3.0);
+        // The sizes the command lines must refuse: ~3.9e9 and ~5e8 edges.
+        assert!(GraphFamily::RggRadius(500).expected_edges(1_000_000) > 3.9e9);
+        assert!(GraphFamily::Dense.expected_edges(1_000_000) > 4.9e8);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! * [`delta`] — dynamic-graph support: [`DeltaBatch`] topology deltas
 //!   and [`DynGraph`], a base CSR plus an overlay of rewritten neighbor
 //!   lists with an active-node mask, whose batches cost `O(batch · Δ)`
-//!   and keep the ports of untouched nodes.
+//!   and keep the ports of untouched nodes, and which folds the overlay
+//!   into a new base on a background thread.
 //!
 //! # Example
 //!

@@ -1,5 +1,6 @@
 //! Property tests on the graph substrate.
 
+use graphgen::delta::COMPACT_DIVISOR;
 use graphgen::{
     generators, io, products, props, Adjacency, DeltaBatch, DynGraph, Graph, GraphError, NodeId,
     Port,
@@ -165,7 +166,14 @@ proptest! {
     /// expected edge set, and `graph()` equals that graph, reverse ports
     /// included. The stream mixes single-op batches, which leave the
     /// overlay standing, with larger ones, and runs until it has crossed
-    /// a compaction.
+    /// a freeze, and on past the batch after its last freeze.
+    ///
+    /// The live overlay is pinned to the batch stream: it grows by the
+    /// touched nodes' new lists and falls to 0 exactly at the batches
+    /// that take it past `2·m / COMPACT_DIVISOR`, however fast the
+    /// builder runs. Each freeze leaves a frozen layer standing until a
+    /// later batch swaps it out, so the batch after it reads and writes
+    /// through that layer.
     #[test]
     fn overlay_matches_a_rebuild_across_compactions(
         g in arb_graph(),
@@ -175,24 +183,36 @@ proptest! {
         let mut d = DynGraph::new(g.clone());
         let mut edges: BTreeSet<(NodeId, NodeId)> = g.edges().collect();
         let mut active = vec![true; g.n()];
-        let (mut standing, mut compacted) = (false, false);
+        let (mut standing, mut froze) = (false, false);
+        let (mut freezes, mut during_builds) = (0, 0);
         for step in 0..400 {
-            if standing && compacted && step >= 8 {
+            if standing && freezes > 0 && step >= 8 && !froze {
                 break;
             }
             let ops = if rng.gen_bool(0.1) { 2 * d.n() } else { 1 };
             let batch = churn_batch(&d, ops, &mut rng, &mut edges, &mut active);
             let before = d.overlay_len();
+            if froze {
+                prop_assert!(d.frozen_len() > 0, "step {}: the freeze's layer is gone", step);
+            }
+            during_builds += usize::from(d.frozen_len() > 0);
             let applied = d.apply(&batch).unwrap();
-            let after = d.overlay_len();
-            standing |= after > 0;
-            // Between compactions the overlay only grows, and an
-            // effective insert always grows it.
-            compacted |= after < before || (after == 0 && !applied.inserted.is_empty());
 
             let n = active.len();
             let list: Vec<(NodeId, NodeId)> = edges.iter().copied().collect();
             let expect = Graph::from_edges(n, &list).unwrap();
+            let touched: BTreeSet<NodeId> = applied
+                .inserted
+                .iter()
+                .chain(&applied.deleted)
+                .flat_map(|&(a, b)| [a, b])
+                .collect();
+            let grown = before + touched.iter().map(|&v| expect.degree(v)).sum::<usize>();
+            froze = grown > 2 * expect.m() / COMPACT_DIVISOR;
+            freezes += usize::from(froze);
+            prop_assert_eq!(d.overlay_len(), if froze { 0 } else { grown }, "step {}", step);
+            standing |= d.overlay_len() > 0;
+
             prop_assert_eq!(d.n(), n);
             prop_assert_eq!(d.m(), expect.m());
             prop_assert_eq!(d.active(), active.as_slice());
@@ -207,7 +227,11 @@ proptest! {
             prop_assert_eq!(d.graph(), &expect, "step {}", step);
         }
         prop_assert!(standing, "no batch left the overlay standing");
-        prop_assert!(compacted, "the stream never compacted");
+        prop_assert!(freezes > 0, "the stream never froze");
+        prop_assert!(
+            during_builds >= freezes,
+            "{} batches ran on a frozen layer across {} freezes", during_builds, freezes
+        );
     }
 }
 
