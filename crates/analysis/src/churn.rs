@@ -20,7 +20,8 @@
 //! comparison) lives only in the `meta`/`timing` lines appended by
 //! [`ChurnResult::to_json`].
 
-use crate::grid::{json_escape, point_from_run, summary_json, GridJob, GridMeta, GridPoint};
+use crate::document::{json_escape, list, quoted, summary_json, Document};
+use crate::grid::{point_from_run, GridJob, GridPoint};
 use crate::runners::AlgoResult;
 use crate::spec::RunnerHandle;
 use crate::stats::Summary;
@@ -701,21 +702,6 @@ impl ChurnPoint {
 }
 
 impl ChurnCell {
-    /// The payload fields that identify one churn cell, in key order.
-    pub const KEY_FIELDS: [&'static str; 4] = ["algorithm", "family", "n", "rate"];
-
-    /// This cell's identity as textual key components matching
-    /// [`Self::KEY_FIELDS`] and the artifact JSON spelling (the rate
-    /// renders exactly as the payload writes it).
-    pub fn cell_key(&self) -> Vec<String> {
-        vec![
-            self.algorithm.key().to_string(),
-            self.family.key(),
-            self.n.to_string(),
-            format!("{}", self.rate),
-        ]
-    }
-
     fn json(&self) -> String {
         format!(
             "{{\"algorithm\":\"{}\",\"family\":\"{}\",\"n\":{},\"rate\":{},\"runs\":{},\
@@ -736,67 +722,42 @@ impl ChurnCell {
     }
 }
 
-impl ChurnResult {
-    /// The deterministic JSON payload: schema id, spec echo, cells,
-    /// points. Byte-identical across thread counts and repeat runs.
-    pub fn payload_json(&self) -> String {
-        self.json_with_meta(None)
+impl Document for ChurnResult {
+    const SCHEMA: &'static str = "awake-mis/bench-churn/v1";
+    const FILE: &'static str = "BENCH_churn.json";
+    const KEY_FIELDS: &'static [&'static str] = &["algorithm", "family", "n", "rate"];
+
+    fn spec_json(&self) -> String {
+        let spec = &self.spec;
+        format!(
+            "\"algorithms\": [{}], \"families\": [{}], \"sizes\": [{}], \"rates\": [{}], \
+             \"epochs\": {}, \"insert_frac\": {}, \"node_churn\": {}, \"seeds\": [{}]",
+            quoted(spec.algorithms.iter().map(RunnerHandle::key)),
+            quoted(spec.families.iter().map(|f| f.key())),
+            list(&spec.sizes),
+            list(&spec.rates),
+            spec.epochs,
+            spec.insert_frac,
+            spec.node_churn,
+            list(&spec.seeds),
+        )
     }
 
-    /// The full JSON document: payload plus single-line `meta` and
-    /// `timing` sections (both excluded from determinism comparisons).
-    pub fn to_json(&self, meta: &GridMeta) -> String {
-        self.json_with_meta(Some(meta))
+    fn cell_lines(&self) -> Vec<String> {
+        self.cells.iter().map(ChurnCell::json).collect()
     }
 
-    fn json_with_meta(&self, meta: Option<&GridMeta>) -> String {
-        let mut out = String::from("{\n  \"schema\": \"awake-mis/bench-churn/v1\",\n");
-        if let Some(m) = meta {
-            out.push_str(&format!(
-                "  \"meta\": {{\"threads\": {}, \"wall_ms\": {}}},\n",
-                m.threads, m.wall_ms
-            ));
-            let ns: Vec<String> = self.points.iter().map(|p| p.elapsed_ns.to_string()).collect();
-            let rns: Vec<String> =
-                self.points.iter().map(|p| p.recompute_ns.to_string()).collect();
-            out.push_str(&format!(
-                "  \"timing\": {{\"elapsed_ns\": [{}], \"recompute_ns\": [{}]}},\n",
-                ns.join(", "),
-                rns.join(", ")
-            ));
-        }
-        let algorithms: Vec<String> = self
-            .spec
-            .algorithms
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a.key())))
-            .collect();
-        let families: Vec<String> =
-            self.spec.families.iter().map(|f| format!("\"{}\"", f.key())).collect();
-        let sizes: Vec<String> = self.spec.sizes.iter().map(|n| n.to_string()).collect();
-        let rates: Vec<String> = self.spec.rates.iter().map(|r| r.to_string()).collect();
-        let seeds: Vec<String> = self.spec.seeds.iter().map(|s| s.to_string()).collect();
-        out.push_str(&format!(
-            "  \"spec\": {{\"algorithms\": [{}], \"families\": [{}], \"sizes\": [{}], \
-             \"rates\": [{}], \"epochs\": {}, \"insert_frac\": {}, \"node_churn\": {}, \
-             \"seeds\": [{}]}},\n",
-            algorithms.join(", "),
-            families.join(", "),
-            sizes.join(", "),
-            rates.join(", "),
-            self.spec.epochs,
-            self.spec.insert_frac,
-            self.spec.node_churn,
-            seeds.join(", "),
-        ));
-        out.push_str("  \"cells\": [\n");
-        let cells: Vec<String> = self.cells.iter().map(|c| format!("    {}", c.json())).collect();
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ],\n  \"points\": [\n");
-        let points: Vec<String> = self.points.iter().map(|p| format!("    {}", p.json())).collect();
-        out.push_str(&points.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+    fn point_lines(&self) -> Vec<String> {
+        self.points.iter().map(ChurnPoint::json).collect()
+    }
+
+    /// `recompute_ns` is each point's wall clock of its per-epoch full
+    /// recomputes (0 without [`ChurnSpec::recompute`]).
+    fn timing(&self) -> Vec<(&'static str, Vec<u64>)> {
+        vec![
+            ("elapsed_ns", self.points.iter().map(|p| p.elapsed_ns).collect()),
+            ("recompute_ns", self.points.iter().map(|p| p.recompute_ns).collect()),
+        ]
     }
 }
 

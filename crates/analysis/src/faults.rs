@@ -24,10 +24,10 @@
 //!   failure-rate surface, and `bench-diff` gates on it: a failure-rate
 //!   increase beyond threshold at any swept level exits nonzero.
 
-use crate::grid::{json_escape, push_jobs, run_instances, summary_json, GridMeta, GridPoint};
+use crate::document::{json_escape, summary_json, Document};
+use crate::grid::{push_jobs, run_instances, GridCell, GridPoint};
 use crate::spec::{default_registry, AlgorithmSpec, RunnerHandle, SpecError};
-use crate::stats::Summary;
-use crate::sweep::{expand, SweepGroup};
+use crate::sweep::{expand_specs, spec_echo, SweepGroup};
 use graphgen::GraphFamily;
 use sleeping_congest::batch::resolve_threads;
 
@@ -102,37 +102,19 @@ pub fn fault_axis(key: &str) -> Result<FaultAxis, SpecError> {
 /// Per-`{fault level × family × n}` robustness aggregates.
 #[derive(Debug, Clone)]
 pub struct FaultCell {
-    /// The concrete fault level (a runner handle; its key carries the
-    /// fault knobs).
-    pub algorithm: RunnerHandle,
+    /// The seed-axis statistics, reduced as a grid cell is: the
+    /// concrete fault level (a runner handle whose key carries the
+    /// fault knobs), family, n, runs, the failure rate over seeds (on
+    /// the survivor subgraph; the robustness headline), crash and loss
+    /// totals, awake and round summaries.
+    pub stats: GridCell,
     /// Parsed fault knobs plus the clean base key.
     pub axis: FaultAxis,
-    /// Graph family of this cell.
-    pub family: GraphFamily,
-    /// Node count of this cell.
-    pub n: usize,
-    /// Number of seeds aggregated.
-    pub runs: usize,
-    /// Fraction of seeds that did **not** verify correct (on the
-    /// survivor subgraph). The robustness headline.
-    pub failure_rate: f64,
-    /// Total nodes crashed across seeds.
-    pub crashed: u64,
-    /// Total deliverable message copies dropped across seeds.
-    pub faulted: u64,
-    /// Summary of worst-case awake complexity over seeds.
-    pub awake_max: Summary,
-    /// Summary of node-averaged awake complexity over seeds.
-    pub awake_avg: Summary,
-    /// Summary of round complexity over seeds.
-    pub rounds: Summary,
     /// Mean worst-case awake of this cell divided by the clean
     /// baseline's (the cell whose key equals `axis.base`, same family
     /// and n) — awake inflation under faults. `None` when the sweep
     /// does not include the clean level or the baseline mean is 0.
     pub awake_inflation: Option<f64>,
-    /// Whether every seed verified correct.
-    pub all_correct: bool,
 }
 
 /// The outcome of [`run_faults`].
@@ -161,19 +143,8 @@ pub struct FaultResult {
 /// empty sweep ([`SpecError::Syntax`]) and duplicate levels across
 /// specs ([`SpecError::DuplicateKey`]).
 pub fn run_faults(spec: &FaultSweepSpec) -> Result<FaultResult, SpecError> {
-    let registry = default_registry();
-    let mut groups = Vec::with_capacity(spec.specs.len());
-    let mut flat: Vec<RunnerHandle> = Vec::new();
-    for raw in &spec.specs {
-        let group = expand(registry, raw)?;
-        for r in &group.runners {
-            if flat.iter().any(|f| f.key() == r.key()) {
-                return Err(SpecError::DuplicateKey { key: r.key().to_string() });
-            }
-            flat.push(r.clone());
-        }
-        groups.push(group);
-    }
+    let groups = expand_specs(default_registry(), &spec.specs)?;
+    let flat: Vec<RunnerHandle> = groups.iter().flat_map(|g| g.runners.clone()).collect();
     if flat.is_empty() || spec.seeds.is_empty() {
         return Err(SpecError::Syntax {
             spec: spec.specs.join(","),
@@ -184,174 +155,103 @@ pub fn run_faults(spec: &FaultSweepSpec) -> Result<FaultResult, SpecError> {
     let mut jobs = Vec::new();
     push_jobs(&mut jobs, &flat, &spec.families, &spec.sizes, &spec.seeds);
     let points = run_instances(&jobs, resolve_threads(spec.threads), |point, _| point);
-    let cells = aggregate(spec, &flat, &points)?;
+    let cells = aggregate(&points, spec.seeds.len())?;
     Ok(FaultResult { spec: spec.clone(), groups, points, cells })
 }
 
-fn aggregate(
-    spec: &FaultSweepSpec,
-    flat: &[RunnerHandle],
-    points: &[GridPoint],
-) -> Result<Vec<FaultCell>, SpecError> {
-    let (nf, ns, nk) = (spec.families.len(), spec.sizes.len(), spec.seeds.len());
-    let mut cells = Vec::with_capacity(flat.len() * nf * ns);
-    for (ai, algorithm) in flat.iter().enumerate() {
-        let axis = fault_axis(algorithm.key())?;
-        for (fi, &family) in spec.families.iter().enumerate() {
-            for (si, &n) in spec.sizes.iter().enumerate() {
-                let base = ((ai * nf + fi) * ns + si) * nk;
-                let chunk = &points[base..base + nk];
-                let awake_max: Vec<u64> = chunk.iter().map(|p| p.awake_max).collect();
-                let awake_avg: Vec<f64> = chunk.iter().map(|p| p.awake_avg).collect();
-                let rounds: Vec<u64> = chunk.iter().map(|p| p.rounds).collect();
-                let incorrect = chunk.iter().filter(|p| !p.correct).count();
-                cells.push(FaultCell {
-                    algorithm: algorithm.clone(),
-                    axis: axis.clone(),
-                    family,
-                    n,
-                    runs: nk,
-                    failure_rate: incorrect as f64 / nk as f64,
-                    crashed: chunk.iter().map(|p| p.crashed as u64).sum(),
-                    faulted: chunk.iter().map(|p| p.faulted).sum(),
-                    awake_max: Summary::of_u64(&awake_max),
-                    awake_avg: Summary::of(&awake_avg),
-                    rounds: Summary::of_u64(&rounds),
-                    awake_inflation: None,
-                    all_correct: incorrect == 0,
-                });
-            }
-        }
-    }
+/// The robustness cells of `points`, which come in grid order with
+/// `runs` seeds per cell.
+fn aggregate(points: &[GridPoint], runs: usize) -> Result<Vec<FaultCell>, SpecError> {
+    let mut cells = points
+        .chunks(runs)
+        .map(|chunk| {
+            let stats = GridCell::of(chunk);
+            let axis = fault_axis(stats.algorithm.key())?;
+            Ok(FaultCell { stats, axis, awake_inflation: None })
+        })
+        .collect::<Result<Vec<_>, SpecError>>()?;
     // Second pass: awake inflation against the clean baseline cell of
     // the same base algorithm, family, and n — when the sweep has one.
     let clean: Vec<(String, GraphFamily, usize, f64)> = cells
         .iter()
-        .filter(|c| c.algorithm.key() == c.axis.base)
-        .map(|c| (c.axis.base.clone(), c.family, c.n, c.awake_max.mean))
+        .filter(|c| c.stats.algorithm.key() == c.axis.base)
+        .map(|c| (c.axis.base.clone(), c.stats.family, c.stats.n, c.stats.awake_max.mean))
         .collect();
     for cell in &mut cells {
-        if cell.algorithm.key() == cell.axis.base {
+        let s = &cell.stats;
+        if s.algorithm.key() == cell.axis.base {
             continue;
         }
         cell.awake_inflation = clean
             .iter()
-            .find(|(b, f, n, m)| {
-                *b == cell.axis.base && *f == cell.family && *n == cell.n && *m > 0.0
-            })
-            .map(|(_, _, _, m)| cell.awake_max.mean / m);
+            .find(|(b, f, n, m)| *b == cell.axis.base && *f == s.family && *n == s.n && *m > 0.0)
+            .map(|(_, _, _, m)| s.awake_max.mean / m);
     }
     Ok(cells)
 }
 
 impl FaultCell {
-    /// The payload fields that identify one robustness cell (the
-    /// `algorithm` component is the full fault-level key).
-    pub const KEY_FIELDS: [&'static str; 3] = ["algorithm", "family", "n"];
-
-    /// This cell's identity as textual key components matching
-    /// [`Self::KEY_FIELDS`] and the artifact JSON spelling.
-    pub fn cell_key(&self) -> Vec<String> {
-        vec![self.algorithm.key().to_string(), self.family.key(), self.n.to_string()]
-    }
-
     fn json(&self) -> String {
-        let mut s = format!(
+        let s = &self.stats;
+        let mut out = format!(
             "{{\"algorithm\":\"{}\",\"base\":\"{}\",\"loss\":{},\"crash\":{},\
              \"jitter\":{},\"family\":\"{}\",\"n\":{},\"runs\":{},\"failure_rate\":{},\
              \"crashed\":{},\"faulted\":{},\"awake_max\":{},\"awake_avg\":{},\"rounds\":{},\
              \"all_correct\":{}",
-            json_escape(self.algorithm.key()),
+            json_escape(s.algorithm.key()),
             json_escape(&self.axis.base),
             self.axis.loss,
             self.axis.crash,
             self.axis.jitter,
-            self.family.key(),
-            self.n,
-            self.runs,
-            self.failure_rate,
-            self.crashed,
-            self.faulted,
-            summary_json(&self.awake_max),
-            summary_json(&self.awake_avg),
-            summary_json(&self.rounds),
-            self.all_correct,
+            s.family.key(),
+            s.n,
+            s.runs,
+            s.failure_rate,
+            s.crashed,
+            s.faulted,
+            summary_json(&s.awake_max),
+            summary_json(&s.awake_avg),
+            summary_json(&s.rounds),
+            s.all_correct,
         );
         if let Some(i) = self.awake_inflation {
-            s.push_str(&format!(",\"awake_inflation\":{i}"));
+            out.push_str(&format!(",\"awake_inflation\":{i}"));
         }
-        s.push('}');
-        s
+        out.push('}');
+        out
     }
 }
 
-impl FaultResult {
-    /// The deterministic JSON payload (schema
-    /// `awake-mis/bench-faults/v1`): spec echo with expansions,
-    /// robustness cells, grid-format points. Byte-identical across
-    /// thread counts and repeat runs; clean-level points byte-identical
-    /// to a fault-free grid's.
-    pub fn payload_json(&self) -> String {
-        self.json_with_meta(None)
+impl Document for FaultResult {
+    const SCHEMA: &'static str = "awake-mis/bench-faults/v1";
+    const FILE: &'static str = "BENCH_faults.json";
+    /// The `algorithm` component is the full fault-level key.
+    const KEY_FIELDS: &'static [&'static str] = &["algorithm", "family", "n"];
+
+    fn spec_json(&self) -> String {
+        let spec = &self.spec;
+        spec_echo(&spec.specs, &self.groups, &spec.families, &spec.sizes, &spec.seeds)
     }
 
-    /// The full document: the payload plus `meta` and per-point
-    /// `timing` sections (excluded from determinism comparisons).
-    pub fn to_json(&self, meta: &GridMeta) -> String {
-        self.json_with_meta(Some(meta))
+    fn cell_lines(&self) -> Vec<String> {
+        self.cells.iter().map(FaultCell::json).collect()
     }
 
-    fn json_with_meta(&self, meta: Option<&GridMeta>) -> String {
-        let mut out = String::from("{\n  \"schema\": \"awake-mis/bench-faults/v1\",\n");
-        if let Some(m) = meta {
-            out.push_str(&format!(
-                "  \"meta\": {{\"threads\": {}, \"wall_ms\": {}}},\n",
-                m.threads, m.wall_ms
-            ));
-            let ns: Vec<String> =
-                self.points.iter().map(|p| p.elapsed_ns.to_string()).collect();
-            out.push_str(&format!("  \"timing\": {{\"elapsed_ns\": [{}]}},\n", ns.join(", ")));
-        }
-        let specs: Vec<String> =
-            self.spec.specs.iter().map(|s| format!("\"{}\"", json_escape(s))).collect();
-        let expanded: Vec<String> = self
-            .groups
-            .iter()
-            .map(|g| {
-                let keys: Vec<String> =
-                    g.runners.iter().map(|r| format!("\"{}\"", json_escape(r.key()))).collect();
-                format!("[{}]", keys.join(", "))
-            })
-            .collect();
-        let families: Vec<String> =
-            self.spec.families.iter().map(|f| format!("\"{}\"", f.key())).collect();
-        let sizes: Vec<String> = self.spec.sizes.iter().map(|n| n.to_string()).collect();
-        let seeds: Vec<String> = self.spec.seeds.iter().map(|s| s.to_string()).collect();
-        out.push_str(&format!(
-            "  \"spec\": {{\"specs\": [{}], \"expanded\": [{}], \"families\": [{}], \
-             \"sizes\": [{}], \"seeds\": [{}]}},\n",
-            specs.join(", "),
-            expanded.join(", "),
-            families.join(", "),
-            sizes.join(", "),
-            seeds.join(", "),
-        ));
-        out.push_str("  \"cells\": [\n");
-        let cells: Vec<String> = self.cells.iter().map(|c| format!("    {}", c.json())).collect();
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ],\n  \"points\": [\n");
-        let points: Vec<String> =
-            self.points.iter().map(|p| format!("    {}", p.json())).collect();
-        out.push_str(&points.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+    /// Grid-format points: a clean level's are byte-identical to a
+    /// fault-free grid's.
+    fn point_lines(&self) -> Vec<String> {
+        self.points.iter().map(GridPoint::json).collect()
+    }
+
+    fn timing(&self) -> Vec<(&'static str, Vec<u64>)> {
+        vec![("elapsed_ns", self.points.iter().map(|p| p.elapsed_ns).collect())]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{run_grid, GridSpec};
+    use crate::grid::{run_grid, GridMeta, GridSpec};
 
     #[test]
     fn fault_axis_parses_and_strips() {
@@ -381,15 +281,15 @@ mod tests {
         assert_eq!(result.cells.len(), 2);
         let (clean, lossy) = (&result.cells[0], &result.cells[1]);
         // The loss=0 level collapses to the clean runner identity.
-        assert_eq!(clean.algorithm.key(), "luby");
-        assert_eq!(clean.failure_rate, 0.0);
-        assert_eq!(clean.faulted, 0);
-        assert!(clean.all_correct);
+        assert_eq!(clean.stats.algorithm.key(), "luby");
+        assert_eq!(clean.stats.failure_rate, 0.0);
+        assert_eq!(clean.stats.faulted, 0);
+        assert!(clean.stats.all_correct);
         assert!(clean.awake_inflation.is_none(), "the baseline has no inflation");
-        assert_eq!(lossy.algorithm.key(), "luby?loss=0.05");
+        assert_eq!(lossy.stats.algorithm.key(), "luby?loss=0.05");
         assert_eq!(lossy.axis.base, "luby");
-        assert!(lossy.faulted > 0, "5% loss must drop messages");
-        assert!(lossy.failure_rate >= clean.failure_rate, "loss cannot help");
+        assert!(lossy.stats.faulted > 0, "5% loss must drop messages");
+        assert!(lossy.stats.failure_rate >= clean.stats.failure_rate, "loss cannot help");
         assert!(
             lossy.awake_inflation.is_some(),
             "clean level present, so inflation is computable"

@@ -30,6 +30,7 @@
 //! [`GridMeta`] object and the per-point `timing` section appended by
 //! [`GridResult::to_json`] — never in the payload.
 
+use crate::document::{json_escape, list, quoted, summary_json, Document};
 use crate::runners::AlgoResult;
 use crate::spec::RunnerHandle;
 use crate::stats::Summary;
@@ -413,73 +414,17 @@ fn aggregate_segment(points: &[GridPoint], runs: usize, cells: &mut Vec<GridCell
     if runs == 0 {
         return;
     }
-    cells.extend(points.chunks(runs).map(|chunk| {
-        let head = &chunk[0].job;
-        let awake_max: Vec<u64> = chunk.iter().map(|p| p.awake_max).collect();
-        let awake_avg: Vec<f64> = chunk.iter().map(|p| p.awake_avg).collect();
-        let awake_p95: Vec<f64> = chunk.iter().map(|p| p.awake_dist.p95).collect();
-        let awake_gini: Vec<f64> = chunk.iter().map(|p| p.awake_dist.gini).collect();
-        let rounds: Vec<u64> = chunk.iter().map(|p| p.rounds).collect();
-        GridCell {
-            algorithm: head.algorithm.clone(),
-            family: head.family,
-            n: head.n,
-            runs,
-            awake_max: Summary::of_u64(&awake_max),
-            awake_avg: Summary::of(&awake_avg),
-            awake_p95: Summary::of(&awake_p95),
-            awake_gini: Summary::of(&awake_gini),
-            rounds: Summary::of_u64(&rounds),
-            max_message_bits: chunk.iter().map(|p| p.max_message_bits).max().unwrap_or(0),
-            all_correct: chunk.iter().all(|p| p.correct),
-            failure_rate: chunk.iter().filter(|p| !p.correct).count() as f64 / runs as f64,
-            crashed: chunk.iter().map(|p| p.crashed as u64).sum(),
-            faulted: chunk.iter().map(|p| p.faulted).sum(),
-        }
-    }));
+    cells.extend(points.chunks(runs).map(GridCell::of));
 }
 
-/// One axes block of the spec echo, shared by the base grid and tiers.
-fn axes_json(
-    algorithms: &[RunnerHandle],
-    families: &[GraphFamily],
-    sizes: &[usize],
-    seeds: &[u64],
-) -> String {
-    let algorithms: Vec<String> =
-        algorithms.iter().map(|a| format!("\"{}\"", json_escape(a.key()))).collect();
-    let families: Vec<String> = families.iter().map(|f| format!("\"{}\"", f.key())).collect();
-    let sizes: Vec<String> = sizes.iter().map(|n| n.to_string()).collect();
-    let seeds: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
+/// The families, sizes and seeds of a spec echo, shared by the grid's
+/// base axes and tiers and by the sweep and fault documents.
+pub(crate) fn axes_json(families: &[GraphFamily], sizes: &[usize], seeds: &[u64]) -> String {
     format!(
-        "\"algorithms\": [{}], \"families\": [{}], \"sizes\": [{}], \"seeds\": [{}]",
-        algorithms.join(", "),
-        families.join(", "),
-        sizes.join(", "),
-        seeds.join(", "),
-    )
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub(crate) fn summary_json(s: &Summary) -> String {
-    format!(
-        "{{\"mean\":{},\"std\":{},\"min\":{},\"median\":{},\"max\":{}}}",
-        s.mean, s.std, s.min, s.median, s.max
+        "\"families\": [{}], \"sizes\": [{}], \"seeds\": [{}]",
+        quoted(families.iter().map(|f| f.key())),
+        list(sizes),
+        list(seeds),
     )
 }
 
@@ -528,15 +473,36 @@ impl GridPoint {
 }
 
 impl GridCell {
-    /// The payload fields that identify one grid cell, in key order —
-    /// the single source of truth `bench-diff`/`bench-report` use when
-    /// grouping `points` into cells.
-    pub const KEY_FIELDS: [&'static str; 3] = ["algorithm", "family", "n"];
-
-    /// This cell's identity as textual key components matching
-    /// [`Self::KEY_FIELDS`] and the artifact JSON spelling.
-    pub fn cell_key(&self) -> Vec<String> {
-        vec![self.algorithm.key().to_string(), self.family.key(), self.n.to_string()]
+    /// The seed-axis reducer: one cell over `points`, the runs of one
+    /// `{algorithm × family × n}` (one per seed). The sweep's entries
+    /// and the fault cells hold one of these as their statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `points` is empty.
+    pub(crate) fn of<'a>(points: impl IntoIterator<Item = &'a GridPoint>) -> GridCell {
+        let points: Vec<&GridPoint> = points.into_iter().collect();
+        let head = &points[0].job;
+        let runs = points.len();
+        let summary = |f: fn(&GridPoint) -> f64| {
+            Summary::of(&points.iter().map(|&p| f(p)).collect::<Vec<f64>>())
+        };
+        GridCell {
+            algorithm: head.algorithm.clone(),
+            family: head.family,
+            n: head.n,
+            runs,
+            awake_max: summary(|p| p.awake_max as f64),
+            awake_avg: summary(|p| p.awake_avg),
+            awake_p95: summary(|p| p.awake_dist.p95),
+            awake_gini: summary(|p| p.awake_dist.gini),
+            rounds: summary(|p| p.rounds as f64),
+            max_message_bits: points.iter().map(|p| p.max_message_bits).max().unwrap_or(0),
+            all_correct: points.iter().all(|p| p.correct),
+            failure_rate: points.iter().filter(|p| !p.correct).count() as f64 / runs as f64,
+            crashed: points.iter().map(|p| p.crashed as u64).sum(),
+            faulted: points.iter().map(|p| p.faulted).sum(),
+        }
     }
 
     fn json(&self) -> String {
@@ -563,65 +529,46 @@ impl GridCell {
     }
 }
 
-impl GridResult {
-    /// The deterministic JSON payload: schema id, spec echo, cells,
-    /// points. Byte-identical across thread counts and repeat runs.
-    pub fn payload_json(&self) -> String {
-        self.json_with_meta(None)
-    }
+impl Document for GridResult {
+    const SCHEMA: &'static str = "awake-mis/bench-grid/v3";
+    const FILE: &'static str = "BENCH_grid.json";
+    const KEY_FIELDS: &'static [&'static str] = &["algorithm", "family", "n"];
 
-    /// The full JSON document: the payload plus a `meta` object and a
-    /// per-point `timing` section carrying wall-clock fields (both
-    /// excluded from determinism comparisons).
-    pub fn to_json(&self, meta: &GridMeta) -> String {
-        self.json_with_meta(Some(meta))
-    }
-
-    fn json_with_meta(&self, meta: Option<&GridMeta>) -> String {
-        let mut out = String::from("{\n  \"schema\": \"awake-mis/bench-grid/v3\",\n");
-        if let Some(m) = meta {
-            out.push_str(&format!(
-                "  \"meta\": {{\"threads\": {}, \"wall_ms\": {}}},\n",
-                m.threads, m.wall_ms
-            ));
-            // Per-point wall-clock timing, in grid (= points) order.
-            // Lives beside the payload, not in it, for the same reason
-            // as `meta`: payloads must compare byte-identical.
-            let ns: Vec<String> = self.points.iter().map(|p| p.elapsed_ns.to_string()).collect();
-            out.push_str(&format!("  \"timing\": {{\"elapsed_ns\": [{}]}},\n", ns.join(", ")));
-        }
-        let mut spec_body = axes_json(
-            &self.spec.algorithms,
-            &self.spec.families,
-            &self.spec.sizes,
-            &self.spec.seeds,
-        );
+    fn spec_json(&self) -> String {
+        let axes = |algorithms: &[RunnerHandle], families, sizes, seeds| {
+            format!(
+                "\"algorithms\": [{}], {}",
+                quoted(algorithms.iter().map(RunnerHandle::key)),
+                axes_json(families, sizes, seeds)
+            )
+        };
+        let spec = &self.spec;
+        let mut body = axes(&spec.algorithms, &spec.families, &spec.sizes, &spec.seeds);
         // `tiers` is echoed only when present, so pre-tier documents
         // (and every small explicit-axes grid) stay byte-unchanged.
-        if !self.spec.tiers.is_empty() {
-            let tiers: Vec<String> = self
-                .spec
-                .tiers
-                .iter()
-                .map(|t| {
-                    format!(
-                        "{{\"name\": \"{}\", {}}}",
-                        json_escape(&t.name),
-                        axes_json(&t.algorithms, &t.families, &t.sizes, &t.seeds)
-                    )
-                })
-                .collect();
-            spec_body.push_str(&format!(", \"tiers\": [{}]", tiers.join(", ")));
+        if !spec.tiers.is_empty() {
+            let tiers = list(spec.tiers.iter().map(|t| {
+                format!(
+                    "{{\"name\": \"{}\", {}}}",
+                    json_escape(&t.name),
+                    axes(&t.algorithms, &t.families, &t.sizes, &t.seeds)
+                )
+            }));
+            body.push_str(&format!(", \"tiers\": [{tiers}]"));
         }
-        out.push_str(&format!("  \"spec\": {{{spec_body}}},\n"));
-        out.push_str("  \"cells\": [\n");
-        let cells: Vec<String> = self.cells.iter().map(|c| format!("    {}", c.json())).collect();
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ],\n  \"points\": [\n");
-        let points: Vec<String> = self.points.iter().map(|p| format!("    {}", p.json())).collect();
-        out.push_str(&points.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        body
+    }
+
+    fn cell_lines(&self) -> Vec<String> {
+        self.cells.iter().map(GridCell::json).collect()
+    }
+
+    fn point_lines(&self) -> Vec<String> {
+        self.points.iter().map(GridPoint::json).collect()
+    }
+
+    fn timing(&self) -> Vec<(&'static str, Vec<u64>)> {
+        vec![("elapsed_ns", self.points.iter().map(|p| p.elapsed_ns).collect())]
     }
 }
 

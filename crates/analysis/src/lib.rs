@@ -16,13 +16,19 @@
 //! `BENCH_sweep.json` energy-frontier payload; [`faults`] sweeps the
 //! fault-model knobs (`loss`, `crash`, `jitter` — parameters every
 //! builtin accepts) into robustness surfaces with survivor-aware
-//! verification — the `BENCH_faults.json` payload; [`stats`] summarizes
+//! verification — the `BENCH_faults.json` payload; [`churn`] runs the
+//! MIS service ([`churn::MisService`]) through epochs of random
+//! topology deltas and incremental repair — the `BENCH_churn.json`
+//! payload; [`document`] is the one writer of those four documents
+//! (the [`Document`] trait: one envelope, each kind's schema id, file
+//! name and cell key fields); [`stats`] summarizes
 //! repeated runs; [`fit`] decides which growth law (`log n` vs
 //! `log log n`) a measured curve follows; [`table`] renders the
 //! paper-style tables; and [`energy`] converts awake/sleeping rounds
 //! into the energy figures that motivate the sleeping model (paper §1.2).
 
 pub mod churn;
+pub mod document;
 pub mod energy;
 pub mod faults;
 pub mod fit;
@@ -39,6 +45,7 @@ pub use churn::{
     random_batch, run_churn, ChurnCell, ChurnJob, ChurnPoint, ChurnResult, ChurnSpec, EpochReport,
     MisService,
 };
+pub use document::Document;
 pub use energy::EnergyModel;
 pub use faults::{fault_axis, run_faults, FaultAxis, FaultCell, FaultResult, FaultSweepSpec};
 pub use fit::{fit_linear, growth_exponent, Fit};
@@ -47,8 +54,8 @@ pub use runners::AlgoResult;
 pub use spec::{default_registry, AlgorithmSpec, DynRunner, Registry, RunnerHandle, SpecError};
 pub use stats::Summary;
 pub use sweep::{
-    expand_families, run_sweep, SweepCell, SweepEntry, SweepGroup, SweepPoint, SweepResult,
-    SweepSpec,
+    expand_families, expand_specs, run_sweep, SweepCell, SweepEntry, SweepGroup, SweepPoint,
+    SweepResult, SweepSpec,
 };
 pub use table::Table;
 pub use timeline::{render_timeline, TimelineError};

@@ -113,8 +113,9 @@ pub enum SpecError {
         /// The repeated parameter name.
         param: String,
     },
-    /// [`Registry::register`] was called with a key (or alias) already
-    /// registered.
+    /// A key is taken twice: [`Registry::register`] was called with a
+    /// key (or alias) already registered, or two points of a sweep
+    /// ([`crate::sweep::expand_specs`]) canonicalize to one key.
     DuplicateKey {
         /// The contested key.
         key: String,
@@ -142,7 +143,7 @@ impl fmt::Display for SpecError {
                 write!(f, "parameter {param:?} given more than once")
             }
             SpecError::DuplicateKey { key } => {
-                write!(f, "an algorithm is already registered under {key:?}")
+                write!(f, "key {key:?} is taken twice")
             }
         }
     }

@@ -54,8 +54,9 @@
 //! assert_eq!(expand(default_registry(), "luby").unwrap().runners.len(), 1);
 //! ```
 
+use crate::document::{json_escape, list, quoted, summary_json, Document};
 use crate::energy::EnergyModel;
-use crate::grid::{json_escape, push_jobs, run_instances, summary_json, GridMeta, GridPoint};
+use crate::grid::{axes_json, push_jobs, run_instances, GridCell, GridPoint};
 use crate::spec::{default_registry, AlgorithmSpec, Registry, RunnerHandle, SpecError};
 use crate::stats::Summary;
 use graphgen::GraphFamily;
@@ -114,46 +115,41 @@ fn expand_value(param: &str, value: &str, step: u64) -> Result<(Vec<String>, boo
     Ok((vec![value.to_string()], false))
 }
 
-/// Expands one (possibly range-valued) spec string into its ordered
-/// family of concrete runners, resolving each point through `registry`.
-///
-/// # Errors
-///
-/// Everything [`AlgorithmSpec::parse`] and the registry reject, plus the
-/// sweep-grammar errors documented in the module docs
-/// ([`SpecError::BadValue`] for malformed ranges/steps,
-/// [`SpecError::DuplicateKey`] when two expansion points collapse to the
-/// same canonical spec).
-pub fn expand(registry: &Registry, raw: &str) -> Result<SweepGroup, SpecError> {
-    let spec = AlgorithmSpec::parse(raw)?;
-
+/// The range grammar behind [`expand`] and [`expand_families`]: expands
+/// the `name=value` `params` of `base` (the reserved `step=` among
+/// them) into every concrete spelling `base?name=v&…`, last parameter
+/// fastest, and returns what `resolve` makes of each. `too_many` builds
+/// the error for an expansion past [`MAX_EXPANSION`] points from its
+/// `expected` text; two points whose `key`s agree are a
+/// [`SpecError::DuplicateKey`].
+fn expand_grammar<T>(
+    base: &str,
+    params: &[(&str, &str)],
+    too_many: impl FnOnce(String) -> SpecError,
+    resolve: impl Fn(&str) -> Result<T, SpecError>,
+    key: impl Fn(&T) -> String,
+) -> Result<Vec<T>, SpecError> {
     // Pull out the reserved `step=` parameter.
     let mut step: Option<u64> = None;
-    let mut params: Vec<(&str, &str)> = Vec::new();
-    for (name, value) in spec.params() {
+    let mut swept: Vec<(&str, &str)> = Vec::new();
+    for &(name, value) in params {
         if name == "step" {
-            let v: u64 = value.parse().map_err(|_| SpecError::BadValue {
-                param: "step".to_string(),
-                value: value.to_string(),
-                expected: "a positive integer".to_string(),
-            })?;
-            if v == 0 {
-                return Err(SpecError::BadValue {
+            let v =
+                value.parse().ok().filter(|&v: &u64| v > 0).ok_or_else(|| SpecError::BadValue {
                     param: "step".to_string(),
                     value: value.to_string(),
                     expected: "a positive integer".to_string(),
-                });
-            }
+                })?;
             step = Some(v);
         } else {
-            params.push((name, value));
+            swept.push((name, value));
         }
     }
 
     // Expand every parameter value; cartesian product in spec order.
     let mut axes: Vec<(&str, Vec<String>)> = Vec::new();
     let mut saw_range = false;
-    for (name, value) in &params {
+    for (name, value) in swept {
         let (values, was_range) = expand_value(name, value, step.unwrap_or(1))?;
         saw_range |= was_range;
         axes.push((name, values));
@@ -169,14 +165,10 @@ pub fn expand(registry: &Registry, raw: &str) -> Result<SweepGroup, SpecError> {
     }
     let count: usize = axes.iter().map(|(_, v)| v.len()).product();
     if count > MAX_EXPANSION {
-        return Err(SpecError::BadValue {
-            param: "spec".to_string(),
-            value: raw.trim().to_string(),
-            expected: format!("at most {MAX_EXPANSION} expansion points, got {count}"),
-        });
+        return Err(too_many(format!("at most {MAX_EXPANSION} expansion points, got {count}")));
     }
 
-    let mut runners = Vec::with_capacity(count);
+    let mut out: Vec<T> = Vec::with_capacity(count);
     for idx in 0..count {
         // Mixed-radix decode, last axis fastest.
         let mut rest = idx;
@@ -185,20 +177,71 @@ pub fn expand(registry: &Registry, raw: &str) -> Result<SweepGroup, SpecError> {
             picks[a] = rest % values.len();
             rest /= values.len();
         }
-        let mut s = spec.key().to_string();
+        let mut s = base.to_string();
         for (a, (name, values)) in axes.iter().enumerate() {
             s.push(if a == 0 { '?' } else { '&' });
             s.push_str(name);
             s.push('=');
             s.push_str(&values[picks[a]]);
         }
-        let runner = registry.resolve(&s)?;
-        if runners.iter().any(|r: &RunnerHandle| r.key() == runner.key()) {
-            return Err(SpecError::DuplicateKey { key: runner.key().to_string() });
+        let point = resolve(&s)?;
+        let k = key(&point);
+        if out.iter().any(|o| key(o) == k) {
+            return Err(SpecError::DuplicateKey { key: k });
         }
-        runners.push(runner);
+        out.push(point);
     }
-    Ok(SweepGroup { raw: raw.trim().to_string(), runners })
+    Ok(out)
+}
+
+/// Expands one (possibly range-valued) spec string into its ordered
+/// family of concrete runners, resolving each point through `registry`.
+///
+/// # Errors
+///
+/// Everything [`AlgorithmSpec::parse`] and the registry reject, plus the
+/// sweep-grammar errors documented in the module docs
+/// ([`SpecError::BadValue`] for malformed ranges/steps,
+/// [`SpecError::DuplicateKey`] when two expansion points collapse to the
+/// same canonical spec).
+pub fn expand(registry: &Registry, raw: &str) -> Result<SweepGroup, SpecError> {
+    let spec = AlgorithmSpec::parse(raw)?;
+    let raw = raw.trim();
+    let params: Vec<(&str, &str)> =
+        spec.params().iter().map(|(name, value)| (name.as_str(), value.as_str())).collect();
+    let runners = expand_grammar(
+        spec.key(),
+        &params,
+        |expected| SpecError::BadValue {
+            param: "spec".to_string(),
+            value: raw.to_string(),
+            expected,
+        },
+        |s| registry.resolve(s),
+        |r| r.key().to_string(),
+    )?;
+    Ok(SweepGroup { raw: raw.to_string(), runners })
+}
+
+/// Expands every spec of a sweep in input order: the one spec-list
+/// expander behind [`run_sweep`], [`crate::faults::run_faults`] and the
+/// `sweep` and `faults` binaries' check of their command line.
+///
+/// # Errors
+///
+/// The first spec [`expand`] rejects, or [`SpecError::DuplicateKey`]
+/// for a point two specs share.
+pub fn expand_specs(registry: &Registry, specs: &[String]) -> Result<Vec<SweepGroup>, SpecError> {
+    let mut groups: Vec<SweepGroup> = Vec::with_capacity(specs.len());
+    for raw in specs {
+        let group = expand(registry, raw)?;
+        let taken = |key: &str| groups.iter().flat_map(|g| &g.runners).any(|e| e.key() == key);
+        if let Some(r) = group.runners.iter().find(|r| taken(r.key())) {
+            return Err(SpecError::DuplicateKey { key: r.key().to_string() });
+        }
+        groups.push(group);
+    }
+    Ok(groups)
 }
 
 /// Expands one (possibly range-valued) *family* spec into its ordered
@@ -226,87 +269,33 @@ pub fn expand(registry: &Registry, raw: &str) -> Result<SweepGroup, SpecError> {
 /// same canonical family.
 pub fn expand_families(raw: &str) -> Result<Vec<GraphFamily>, SpecError> {
     let trimmed = raw.trim();
-    let bad_family = |value: &str, expected: &str| SpecError::BadValue {
+    let bad_family = |value: &str, expected: String| SpecError::BadValue {
         param: "family".to_string(),
         value: value.to_string(),
-        expected: expected.to_string(),
+        expected,
     };
-    let Some((base, params_str)) = trimmed.split_once('?') else {
-        let f = GraphFamily::parse(trimmed)
-            .ok_or_else(|| bad_family(trimmed, "a known graph family key"))?;
-        return Ok(vec![f]);
-    };
-
-    // Same reserved `step=` convention as algorithm sweeps.
-    let mut step: Option<u64> = None;
-    let mut params: Vec<(&str, &str)> = Vec::new();
-    for part in params_str.split('&') {
-        let (name, value) = part.split_once('=').ok_or_else(|| SpecError::Syntax {
-            spec: trimmed.to_string(),
-            detail: format!("family parameter {part:?} is not `name=value`"),
-        })?;
-        if name == "step" {
-            let v = value.parse().ok().filter(|&v: &u64| v > 0).ok_or_else(|| {
-                SpecError::BadValue {
-                    param: "step".to_string(),
-                    value: value.to_string(),
-                    expected: "a positive integer".to_string(),
-                }
-            })?;
-            step = Some(v);
-        } else {
-            params.push((name, value));
-        }
-    }
-
-    let mut axes: Vec<(&str, Vec<String>)> = Vec::new();
-    let mut saw_range = false;
-    for (name, value) in &params {
-        let (values, was_range) = expand_value(name, value, step.unwrap_or(1))?;
-        saw_range |= was_range;
-        axes.push((name, values));
-    }
-    if let Some(s) = step {
-        if !saw_range {
-            return Err(SpecError::BadValue {
-                param: "step".to_string(),
-                value: s.to_string(),
-                expected: "a range-valued parameter for step= to apply to".to_string(),
+    let (base, params) = match trimmed.split_once('?') {
+        None => (trimmed, Vec::new()),
+        Some((base, rest)) => {
+            let params = rest.split('&').map(|part| {
+                part.split_once('=').ok_or_else(|| SpecError::Syntax {
+                    spec: trimmed.to_string(),
+                    detail: format!("family parameter {part:?} is not `name=value`"),
+                })
             });
+            (base, params.collect::<Result<Vec<_>, _>>()?)
         }
-    }
-    let count: usize = axes.iter().map(|(_, v)| v.len()).product();
-    if count > MAX_EXPANSION {
-        return Err(bad_family(
-            trimmed,
-            &format!("at most {MAX_EXPANSION} expansion points, got {count}"),
-        ));
-    }
-
-    let mut out = Vec::with_capacity(count);
-    for idx in 0..count {
-        // Mixed-radix decode, last axis fastest (as in [`expand`]).
-        let mut rest = idx;
-        let mut picks = vec![0usize; axes.len()];
-        for (a, (_, values)) in axes.iter().enumerate().rev() {
-            picks[a] = rest % values.len();
-            rest /= values.len();
-        }
-        let mut s = base.to_string();
-        for (a, (name, values)) in axes.iter().enumerate() {
-            s.push(if a == 0 { '?' } else { '&' });
-            s.push_str(name);
-            s.push('=');
-            s.push_str(&values[picks[a]]);
-        }
-        let family = GraphFamily::parse(&s)
-            .ok_or_else(|| bad_family(&s, "a family point GraphFamily::parse accepts"))?;
-        if out.contains(&family) {
-            return Err(SpecError::DuplicateKey { key: family.key() });
-        }
-        out.push(family);
-    }
-    Ok(out)
+    };
+    expand_grammar(
+        base,
+        &params,
+        |expected| bad_family(trimmed, expected),
+        |s| {
+            GraphFamily::parse(s)
+                .ok_or_else(|| bad_family(s, "a known graph family and its parameters".to_string()))
+        },
+        |f| f.key(),
+    )
 }
 
 /// A sweep: range-valued specs crossed with graph families, sizes, and
@@ -342,27 +331,17 @@ pub struct SweepPoint {
 /// Per-`{family × n}` aggregates of one swept `(algorithm, param)` point.
 #[derive(Debug, Clone)]
 pub struct SweepEntry {
-    /// The concrete algorithm point.
-    pub algorithm: RunnerHandle,
+    /// The seed-axis statistics of this point, reduced as a grid cell
+    /// is: the algorithm point, runs, awake and round summaries, max
+    /// message bits and whether every seed verified.
+    pub stats: GridCell,
     /// Index into [`SweepResult::groups`] of the spec this point was
     /// expanded from.
     pub group: usize,
-    /// Number of seeds aggregated.
-    pub runs: usize,
-    /// Summary of worst-case awake complexity over seeds.
-    pub awake_max: Summary,
-    /// Summary of node-averaged awake complexity over seeds.
-    pub awake_avg: Summary,
-    /// Summary of round complexity over seeds.
-    pub rounds: Summary,
     /// Summary of worst-node energy (mJ) over seeds.
     pub energy_max_mj: Summary,
     /// Summary of mean-node energy (mJ) over seeds.
     pub energy_mean_mj: Summary,
-    /// Largest message observed across seeds, in bits.
-    pub max_message_bits: usize,
-    /// Whether every seed verified correct with zero failures.
-    pub all_correct: bool,
     /// True when this entry is on the cell's Pareto frontier over
     /// `(rounds, awake max, awake mean, worst-node energy)`, all
     /// minimized. Incorrect entries never make the frontier.
@@ -384,19 +363,9 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
-    /// The payload fields that identify one sweep cell (entries within
-    /// a cell are keyed by their `algorithm` spec point).
-    pub const KEY_FIELDS: [&'static str; 2] = ["family", "n"];
-
-    /// This cell's identity as textual key components matching
-    /// [`Self::KEY_FIELDS`] and the artifact JSON spelling.
-    pub fn cell_key(&self) -> Vec<String> {
-        vec![self.family.key(), self.n.to_string()]
-    }
-
     /// Keys of the non-dominated entries, in sweep order.
     pub fn frontier(&self) -> Vec<&str> {
-        self.entries.iter().filter(|e| e.pareto).map(|e| e.algorithm.key()).collect()
+        self.entries.iter().filter(|e| e.pareto).map(|e| e.stats.algorithm.key()).collect()
     }
 }
 
@@ -457,19 +426,12 @@ pub fn dominators(objectives: &[Vec<f64>]) -> Vec<Option<usize>> {
 /// Expansion errors (see [`expand`]); also rejects a sweep with zero
 /// expanded points or zero seeds ([`SpecError::Syntax`]).
 pub fn run_sweep(spec: &SweepSpec) -> Result<SweepResult, SpecError> {
-    let registry = default_registry();
-    let mut groups = Vec::with_capacity(spec.specs.len());
-    let mut flat: Vec<(usize, RunnerHandle)> = Vec::new();
-    for (gi, raw) in spec.specs.iter().enumerate() {
-        let group = expand(registry, raw)?;
-        for r in &group.runners {
-            if flat.iter().any(|(_, f)| f.key() == r.key()) {
-                return Err(SpecError::DuplicateKey { key: r.key().to_string() });
-            }
-            flat.push((gi, r.clone()));
-        }
-        groups.push(group);
-    }
+    let groups = expand_specs(default_registry(), &spec.specs)?;
+    let flat: Vec<(usize, RunnerHandle)> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(gi, g)| g.runners.iter().map(move |r| (gi, r.clone())))
+        .collect();
     if flat.is_empty() || spec.seeds.is_empty() {
         return Err(SpecError::Syntax {
             spec: spec.specs.join(","),
@@ -509,29 +471,16 @@ fn aggregate(
             let mut entries: Vec<SweepEntry> = flat
                 .iter()
                 .enumerate()
-                .map(|(ai, (group, algorithm))| {
+                .map(|(ai, &(group, _))| {
                     let base = ((ai * nf + fi) * ns + si) * nk;
                     let chunk = &points[base..base + nk];
-                    let awake_max: Vec<u64> = chunk.iter().map(|p| p.point.awake_max).collect();
-                    let awake_avg: Vec<f64> = chunk.iter().map(|p| p.point.awake_avg).collect();
-                    let rounds: Vec<u64> = chunk.iter().map(|p| p.point.rounds).collect();
                     let e_max: Vec<f64> = chunk.iter().map(|p| p.energy_max_mj).collect();
                     let e_mean: Vec<f64> = chunk.iter().map(|p| p.energy_mean_mj).collect();
                     SweepEntry {
-                        algorithm: algorithm.clone(),
-                        group: *group,
-                        runs: nk,
-                        awake_max: Summary::of_u64(&awake_max),
-                        awake_avg: Summary::of(&awake_avg),
-                        rounds: Summary::of_u64(&rounds),
+                        stats: GridCell::of(chunk.iter().map(|p| &p.point)),
+                        group,
                         energy_max_mj: Summary::of(&e_max),
                         energy_mean_mj: Summary::of(&e_mean),
-                        max_message_bits: chunk
-                            .iter()
-                            .map(|p| p.point.max_message_bits)
-                            .max()
-                            .unwrap_or(0),
-                        all_correct: chunk.iter().all(|p| p.point.correct),
                         pareto: false,
                         dominated_by: None,
                     }
@@ -542,12 +491,12 @@ fn aggregate(
             // Incorrect entries are excluded outright: an aborted or
             // failing run's zeroed measurements must never "dominate".
             let scored: Vec<usize> =
-                (0..entries.len()).filter(|&i| entries[i].all_correct).collect();
+                (0..entries.len()).filter(|&i| entries[i].stats.all_correct).collect();
             let objectives: Vec<Vec<f64>> = scored
                 .iter()
                 .map(|&i| {
-                    let e = &entries[i];
-                    vec![e.rounds.mean, e.awake_max.mean, e.awake_avg.mean, e.energy_max_mj.mean]
+                    let (e, s) = (&entries[i], &entries[i].stats);
+                    vec![s.rounds.mean, s.awake_max.mean, s.awake_avg.mean, e.energy_max_mj.mean]
                 })
                 .collect();
             for (rank, dom) in dominators(&objectives).into_iter().enumerate() {
@@ -556,7 +505,7 @@ fn aggregate(
                     None => entries[i].pareto = true,
                     Some(d) => {
                         entries[i].dominated_by =
-                            Some(entries[scored[d]].algorithm.key().to_string());
+                            Some(entries[scored[d]].stats.algorithm.key().to_string());
                     }
                 }
             }
@@ -580,20 +529,21 @@ impl SweepPoint {
 
 impl SweepEntry {
     fn json(&self) -> String {
+        let stats = &self.stats;
         let mut s = format!(
             "{{\"algorithm\":\"{}\",\"group\":{},\"runs\":{},\"awake_max\":{},\
              \"awake_avg\":{},\"rounds\":{},\"energy_max_mj\":{},\"energy_mean_mj\":{},\
              \"max_message_bits\":{},\"all_correct\":{},\"pareto\":{}",
-            json_escape(self.algorithm.key()),
+            json_escape(stats.algorithm.key()),
             self.group,
-            self.runs,
-            summary_json(&self.awake_max),
-            summary_json(&self.awake_avg),
-            summary_json(&self.rounds),
+            stats.runs,
+            summary_json(&stats.awake_max),
+            summary_json(&stats.awake_avg),
+            summary_json(&stats.rounds),
             summary_json(&self.energy_max_mj),
             summary_json(&self.energy_mean_mj),
-            self.max_message_bits,
-            self.all_correct,
+            stats.max_message_bits,
+            stats.all_correct,
             self.pareto,
         );
         if let Some(d) = &self.dominated_by {
@@ -604,92 +554,73 @@ impl SweepEntry {
     }
 }
 
-impl SweepResult {
-    /// The deterministic JSON payload (schema
-    /// `awake-mis/bench-sweep/v1`): spec echo with expansions, cells
-    /// with frontier annotations, energy-priced points. Byte-identical
-    /// across thread counts and repeat runs.
-    pub fn payload_json(&self) -> String {
-        self.json_with_meta(None)
-    }
+/// The spec echo of an expanded sweep, shared by the sweep and fault
+/// documents: the specs as written, their expansions, and the axes.
+pub(crate) fn spec_echo(
+    specs: &[String],
+    groups: &[SweepGroup],
+    families: &[GraphFamily],
+    sizes: &[usize],
+    seeds: &[u64],
+) -> String {
+    let expanded = list(
+        groups.iter().map(|g| format!("[{}]", quoted(g.runners.iter().map(RunnerHandle::key)))),
+    );
+    format!(
+        "\"specs\": [{}], \"expanded\": [{expanded}], {}",
+        quoted(specs),
+        axes_json(families, sizes, seeds)
+    )
+}
 
-    /// The full document: the payload plus `meta` and per-point `timing`
-    /// sections (excluded from determinism comparisons, like the grid's).
-    pub fn to_json(&self, meta: &GridMeta) -> String {
-        self.json_with_meta(Some(meta))
-    }
+impl Document for SweepResult {
+    const SCHEMA: &'static str = "awake-mis/bench-sweep/v1";
+    const FILE: &'static str = "BENCH_sweep.json";
+    /// Entries within a cell are further keyed by their `algorithm`
+    /// spec point.
+    const KEY_FIELDS: &'static [&'static str] = &["family", "n"];
 
-    fn json_with_meta(&self, meta: Option<&GridMeta>) -> String {
-        let mut out = String::from("{\n  \"schema\": \"awake-mis/bench-sweep/v1\",\n");
-        if let Some(m) = meta {
-            out.push_str(&format!(
-                "  \"meta\": {{\"threads\": {}, \"wall_ms\": {}}},\n",
-                m.threads, m.wall_ms
-            ));
-            let ns: Vec<String> =
-                self.points.iter().map(|p| p.point.elapsed_ns.to_string()).collect();
-            out.push_str(&format!("  \"timing\": {{\"elapsed_ns\": [{}]}},\n", ns.join(", ")));
-        }
-        let specs: Vec<String> =
-            self.spec.specs.iter().map(|s| format!("\"{}\"", json_escape(s))).collect();
-        let expanded: Vec<String> = self
-            .groups
-            .iter()
-            .map(|g| {
-                let keys: Vec<String> =
-                    g.runners.iter().map(|r| format!("\"{}\"", json_escape(r.key()))).collect();
-                format!("[{}]", keys.join(", "))
-            })
-            .collect();
-        let families: Vec<String> =
-            self.spec.families.iter().map(|f| format!("\"{}\"", f.key())).collect();
-        let sizes: Vec<String> = self.spec.sizes.iter().map(|n| n.to_string()).collect();
-        let seeds: Vec<String> = self.spec.seeds.iter().map(|s| s.to_string()).collect();
-        let e = &self.spec.energy;
-        out.push_str(&format!(
-            "  \"spec\": {{\"specs\": [{}], \"expanded\": [{}], \"families\": [{}], \
-             \"sizes\": [{}], \"seeds\": [{}], \"energy\": {{\"awake_mw\": {}, \
-             \"sleep_mw\": {}, \"round_ms\": {}}}}},\n",
-            specs.join(", "),
-            expanded.join(", "),
-            families.join(", "),
-            sizes.join(", "),
-            seeds.join(", "),
+    fn spec_json(&self) -> String {
+        let (spec, e) = (&self.spec, &self.spec.energy);
+        format!(
+            "{}, \"energy\": {{\"awake_mw\": {}, \"sleep_mw\": {}, \"round_ms\": {}}}",
+            spec_echo(&spec.specs, &self.groups, &spec.families, &spec.sizes, &spec.seeds),
             e.awake_mw,
             e.sleep_mw,
             e.round_ms,
-        ));
-        out.push_str("  \"cells\": [\n");
-        let cells: Vec<String> = self
-            .cells
+        )
+    }
+
+    fn cell_lines(&self) -> Vec<String> {
+        self.cells
             .iter()
             .map(|c| {
-                let frontier: Vec<String> =
-                    c.frontier().iter().map(|k| format!("\"{}\"", json_escape(k))).collect();
                 let entries: Vec<String> =
                     c.entries.iter().map(|e| format!("      {}", e.json())).collect();
                 format!(
-                    "    {{\"family\":\"{}\",\"n\":{},\"frontier\":[{}],\"entries\":[\n{}\n    ]}}",
+                    "{{\"family\":\"{}\",\"n\":{},\"frontier\":[{}],\"entries\":[\n{}\n    ]}}",
                     c.family.key(),
                     c.n,
-                    frontier.join(", "),
+                    quoted(c.frontier()),
                     entries.join(",\n"),
                 )
             })
-            .collect();
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ],\n  \"points\": [\n");
-        let points: Vec<String> =
-            self.points.iter().map(|p| format!("    {}", p.json())).collect();
-        out.push_str(&points.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+            .collect()
+    }
+
+    fn point_lines(&self) -> Vec<String> {
+        self.points.iter().map(SweepPoint::json).collect()
+    }
+
+    fn timing(&self) -> Vec<(&'static str, Vec<u64>)> {
+        vec![("elapsed_ns", self.points.iter().map(|p| p.point.elapsed_ns).collect())]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::GridMeta;
 
     #[test]
     fn ranges_lists_and_scalars_expand() {
@@ -833,16 +764,16 @@ mod tests {
         assert_eq!(result.cells.len(), 1);
         let cell = &result.cells[0];
         assert_eq!(cell.entries.len(), 4);
-        assert!(cell.entries.iter().all(|e| e.all_correct), "all entries must verify");
+        assert!(cell.entries.iter().all(|e| e.stats.all_correct), "all entries must verify");
         // Every entry is either on the frontier or annotated with a
         // dominator that is itself on the frontier... or at least
         // present in the cell.
-        let keys: Vec<&str> = cell.entries.iter().map(|e| e.algorithm.key()).collect();
+        let keys: Vec<&str> = cell.entries.iter().map(|e| e.stats.algorithm.key()).collect();
         for e in &cell.entries {
             match (&e.pareto, &e.dominated_by) {
                 (true, None) => {}
                 (false, Some(d)) => assert!(keys.contains(&d.as_str()), "dangling dominator {d}"),
-                other => panic!("entry {} in impossible state {other:?}", e.algorithm.key()),
+                other => panic!("entry {} in impossible state {other:?}", e.stats.algorithm.key()),
             }
         }
         assert!(!cell.frontier().is_empty(), "a non-empty cell has a frontier");

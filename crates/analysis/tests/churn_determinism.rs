@@ -7,7 +7,7 @@
 
 use analysis::churn::{run_churn, run_churn_point, ChurnSpec};
 use analysis::grid::run_point;
-use analysis::{default_registry, GridJob, GridMeta};
+use analysis::{default_registry, Document, GridJob, GridMeta};
 use graphgen::GraphFamily;
 use sleeping_congest::ScratchArena;
 

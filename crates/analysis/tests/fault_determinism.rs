@@ -7,7 +7,7 @@
 //! anchor of every robustness surface IS the benchmarked algorithm.
 
 use analysis::faults::{run_faults, FaultSweepSpec};
-use analysis::GridMeta;
+use analysis::{Document, GridMeta};
 use graphgen::GraphFamily;
 
 fn spec(threads: usize) -> FaultSweepSpec {

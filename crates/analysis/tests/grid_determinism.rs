@@ -11,7 +11,7 @@ use analysis::grid::{
 };
 use analysis::spec::default_registry;
 use analysis::sweep::{run_sweep, SweepSpec};
-use analysis::EnergyModel;
+use analysis::{Document, EnergyModel};
 use graphgen::GraphFamily;
 use sleeping_congest::ScratchArena;
 

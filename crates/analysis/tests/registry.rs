@@ -16,6 +16,7 @@
 
 use analysis::grid::{run_grid, GridSpec};
 use analysis::spec::{default_registry, Registry, RunnerHandle, SpecError};
+use analysis::Document;
 use graphgen::GraphFamily;
 
 /// The golden grid: every built-in (worst-case *and* node-averaged

@@ -5,7 +5,7 @@
 //! separate `meta`/`timing` sections).
 
 use analysis::sweep::{run_sweep, SweepSpec};
-use analysis::{EnergyModel, GridMeta};
+use analysis::{Document, EnergyModel, GridMeta};
 use graphgen::GraphFamily;
 
 fn spec(threads: usize) -> SweepSpec {
@@ -62,7 +62,7 @@ fn every_cell_has_a_multi_point_frontier() {
     // dominates a cell.
     let result = run_sweep(&spec(0)).expect("sweep");
     for cell in &result.cells {
-        assert!(cell.entries.iter().all(|e| e.all_correct), "all entries must verify");
+        assert!(cell.entries.iter().all(|e| e.stats.all_correct), "all entries must verify");
         let frontier = cell.frontier();
         assert!(
             frontier.len() >= 2,
@@ -74,7 +74,7 @@ fn every_cell_has_a_multi_point_frontier() {
         for e in &cell.entries {
             if let Some(d) = &e.dominated_by {
                 assert!(
-                    cell.entries.iter().any(|o| o.algorithm.key() == d),
+                    cell.entries.iter().any(|o| o.stats.algorithm.key() == d),
                     "dangling dominator {d}"
                 );
                 assert!(!e.pareto, "a dominated entry cannot be on the frontier");

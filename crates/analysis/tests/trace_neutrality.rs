@@ -7,6 +7,7 @@
 
 use analysis::grid::{run_grid, GridSpec};
 use analysis::spec::default_registry;
+use analysis::Document;
 use graphgen::GraphFamily;
 
 /// Serial, sharded, and faulted runners in one grid: `awake` plain,

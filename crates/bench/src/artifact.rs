@@ -14,12 +14,13 @@
 //! sample once per revision. Its per-kind arms are the one gate table:
 //! which measures each kind has and how growth of each is judged.
 //!
-//! Cell-key field lists come from the `analysis` result types
-//! ([`GridCell::KEY_FIELDS`] et al.), so the writer and both readers
-//! cannot drift apart.
+//! Every kind's schema id, file name and cell key fields come from the
+//! `analysis` result type that writes it ([`analysis::Document`]), by
+//! way of the one kind table, so the writer and both readers cannot
+//! drift apart.
 
 use crate::json::{self, Value};
-use analysis::{ChurnCell, FaultCell, GridCell, SweepCell};
+use analysis::{ChurnResult, Document, FaultResult, GridResult, SweepResult};
 
 /// The deterministic payload sections — everything except `meta` and
 /// `timing`, which carry machine-dependent wall-clock data. This is
@@ -29,67 +30,76 @@ pub const PAYLOAD_SECTIONS: [&str; 3] = ["spec", "cells", "points"];
 /// The kind of benchmark document, by schema id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKind {
-    /// `awake-mis/bench-grid/v1`–`v3`: the worst-case/node-averaged
-    /// awake grid.
+    /// The worst-case/node-averaged awake grid.
     Grid,
-    /// `awake-mis/bench-sweep/v1`: the energy/awake Pareto frontier.
+    /// The energy/awake Pareto frontier.
     Sweep,
-    /// `awake-mis/bench-faults/v1`: the robustness surface.
+    /// The robustness surface.
     Faults,
-    /// `awake-mis/bench-churn/v1`: the dynamic-graph locality surface.
+    /// The dynamic-graph locality surface.
     Churn,
 }
+
+/// One row of the kind table: what the readers know of a kind.
+struct KindRow {
+    kind: ArtifactKind,
+    short: &'static str,
+    schema: &'static str,
+    path: &'static str,
+    key_fields: &'static [&'static str],
+}
+
+/// `kind`'s row, read from `D`, the `analysis` type that writes it.
+const fn row<D: Document>(kind: ArtifactKind, short: &'static str) -> KindRow {
+    KindRow { kind, short, schema: D::SCHEMA, path: D::FILE, key_fields: D::KEY_FIELDS }
+}
+
+/// The kind table, one row per kind in declaration order (the order
+/// the committed artifacts are reported in).
+const KINDS: [KindRow; 4] = [
+    row::<GridResult>(ArtifactKind::Grid, "grid"),
+    row::<SweepResult>(ArtifactKind::Sweep, "sweep"),
+    row::<FaultResult>(ArtifactKind::Faults, "faults"),
+    row::<ChurnResult>(ArtifactKind::Churn, "churn"),
+];
+
+/// Older grid schema ids, still read as [`ArtifactKind::Grid`]: v1
+/// predates `awake_dist`, v2 the fault counters.
+const GRID_ALIASES: [&str; 2] = ["awake-mis/bench-grid/v2", "awake-mis/bench-grid/v1"];
 
 impl ArtifactKind {
     /// Every kind, in the order the committed artifacts are reported.
     pub fn all() -> [ArtifactKind; 4] {
-        [ArtifactKind::Grid, ArtifactKind::Sweep, ArtifactKind::Faults, ArtifactKind::Churn]
+        KINDS.map(|r| r.kind)
+    }
+
+    fn row(self) -> &'static KindRow {
+        &KINDS[self as usize]
     }
 
     /// Maps a schema id to its kind; `None` for foreign documents.
     pub fn from_schema(schema: &str) -> Option<ArtifactKind> {
-        match schema {
-            "awake-mis/bench-grid/v3" | "awake-mis/bench-grid/v2" | "awake-mis/bench-grid/v1" => {
-                Some(ArtifactKind::Grid)
-            }
-            "awake-mis/bench-sweep/v1" => Some(ArtifactKind::Sweep),
-            "awake-mis/bench-faults/v1" => Some(ArtifactKind::Faults),
-            "awake-mis/bench-churn/v1" => Some(ArtifactKind::Churn),
-            _ => None,
+        if GRID_ALIASES.contains(&schema) {
+            return Some(ArtifactKind::Grid);
         }
+        KINDS.iter().find(|r| r.schema == schema).map(|r| r.kind)
     }
 
     /// Short display name (`grid`, `sweep`, `faults`, `churn`).
     pub fn short(self) -> &'static str {
-        match self {
-            ArtifactKind::Grid => "grid",
-            ArtifactKind::Sweep => "sweep",
-            ArtifactKind::Faults => "faults",
-            ArtifactKind::Churn => "churn",
-        }
+        self.row().short
     }
 
     /// The committed artifact path at the repository root.
     pub fn default_path(self) -> &'static str {
-        match self {
-            ArtifactKind::Grid => "BENCH_grid.json",
-            ArtifactKind::Sweep => "BENCH_sweep.json",
-            ArtifactKind::Faults => "BENCH_faults.json",
-            ArtifactKind::Churn => "BENCH_churn.json",
-        }
+        self.row().path
     }
 
-    /// The payload fields identifying one cell of this kind — sourced
-    /// from the `analysis` result types that *write* the payloads.
-    /// For sweeps this is the cell identity; entries within a sweep
-    /// cell are additionally keyed by their `algorithm` spec point.
+    /// The payload fields identifying one cell of this kind. For sweeps
+    /// this is the cell identity; entries within a sweep cell are
+    /// additionally keyed by their `algorithm` spec point.
     pub fn key_fields(self) -> &'static [&'static str] {
-        match self {
-            ArtifactKind::Grid => &GridCell::KEY_FIELDS,
-            ArtifactKind::Sweep => &SweepCell::KEY_FIELDS,
-            ArtifactKind::Faults => &FaultCell::KEY_FIELDS,
-            ArtifactKind::Churn => &ChurnCell::KEY_FIELDS,
-        }
+        self.row().key_fields
     }
 }
 
@@ -112,10 +122,8 @@ impl Artifact {
             .and_then(Value::as_str)
             .and_then(ArtifactKind::from_schema)
             .ok_or_else(|| {
-                format!(
-                    "{origin}: not an awake-mis/bench-grid/v1|v2|v3, bench-sweep/v1, \
-                     bench-faults/v1, or bench-churn/v1 document"
-                )
+                let known: Vec<&str> = KINDS.iter().map(|r| r.schema).chain(GRID_ALIASES).collect();
+                format!("{origin}: not an {} document", known.join(", "))
             })?;
         Ok(Artifact { kind, doc })
     }

@@ -29,9 +29,9 @@
 //! and recompute baselines alike. Observational only: the payload is
 //! byte-identical with or without it.
 
-use analysis::churn::{run_churn, ChurnSpec};
+use analysis::churn::{run_churn, ChurnResult, ChurnSpec};
 use analysis::spec::default_registry;
-use analysis::{GridMeta, Table};
+use analysis::{Document, GridMeta, Table};
 use bench::cli::{self, Args};
 use bench::with_profile;
 use graphgen::GraphFamily;
@@ -50,13 +50,13 @@ fn main() {
     let mut sizes = vec![256usize, 1024];
     let mut rates = vec![0.0f64, 0.005, 0.01, 0.02, 0.08];
     let mut epochs = 8usize;
-    let mut seed_count = 3u64;
+    let mut seeds: Vec<u64> = (1..=3).collect();
     let mut insert_frac = 0.5f64;
     let mut node_churn = 0.1f64;
     let mut threads = 0usize;
     let mut recompute = true;
     let mut profile = false;
-    let mut out_path = String::from("BENCH_churn.json");
+    let mut out_path = String::from(ChurnResult::FILE);
 
     let mut args = Args::new(USAGE);
     while let Some(arg) = args.next() {
@@ -64,11 +64,11 @@ fn main() {
             "--algos" => algos_spec = args.value(),
             "--families" => families = args.list(GraphFamily::parse, "family"),
             "--sizes" => sizes = args.list(|s| s.parse().ok(), "size"),
-            "--rates" => rates = args.list(|s| s.parse().ok(), "rate"),
+            "--rates" => rates = args.list(cli::fraction, "rate (a number in [0, 1])"),
             "--epochs" => epochs = args.parse(),
-            "--seeds" => seed_count = args.parse(),
-            "--insert-frac" => insert_frac = args.parse(),
-            "--node-churn" => node_churn = args.parse(),
+            "--seeds" => seeds = args.seeds(),
+            "--insert-frac" => insert_frac = args.fraction(),
+            "--node-churn" => node_churn = args.fraction(),
             "--threads" => threads = args.parse(),
             "--no-recompute" => recompute = false,
             "--profile" => profile = true,
@@ -89,7 +89,7 @@ fn main() {
         epochs,
         insert_frac,
         node_churn,
-        seeds: (1..=seed_count).collect(),
+        seeds,
         threads,
         recompute,
     };

@@ -151,11 +151,11 @@ fn run_e1_e2_sweep() -> Vec<SweepRow> {
             c.entries.iter().map(|e| SweepRow {
                 family: c.family,
                 n: c.n,
-                alg: e.algorithm.clone(),
-                awake_max: e.awake_max,
-                awake_avg: e.awake_avg,
-                rounds: e.rounds,
-                correct: e.all_correct,
+                alg: e.stats.algorithm.clone(),
+                awake_max: e.stats.awake_max,
+                awake_avg: e.stats.awake_avg,
+                rounds: e.stats.rounds,
+                correct: e.stats.all_correct,
             })
         })
         .collect()
@@ -680,7 +680,7 @@ fn e11() {
     })
     .expect("builtin specs sweep");
     for cell in &sweep.cells {
-        let (base, abl) = (&cell.entries[0], &cell.entries[1]);
+        let (base, abl) = (&cell.entries[0].stats, &cell.entries[1].stats);
         assert_eq!(abl.algorithm.key(), "awake?always_awake_comm=true");
         let params = awake_mis_core::derive_params(cell.n, &AwakeMisConfig::default());
         t.row(vec![

@@ -22,10 +22,11 @@
 //! the measurement. Regressions are gated by `bench-diff` against the
 //! committed surface instead.
 
-use analysis::faults::{run_faults, FaultSweepSpec};
-use analysis::{GridMeta, Table};
+use analysis::faults::{run_faults, FaultResult, FaultSweepSpec};
+use analysis::spec::default_registry;
+use analysis::sweep::expand_specs;
+use analysis::{Document, GridMeta, Table};
 use bench::cli::{self, Args};
-use bench::count_points;
 use graphgen::GraphFamily;
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
@@ -49,9 +50,9 @@ fn main() {
     let mut specs: Vec<String> = Vec::new();
     let mut families = vec![GraphFamily::Er, GraphFamily::Dense];
     let mut sizes = vec![256usize, 1024];
-    let mut seed_count = 8u64;
+    let mut seeds: Vec<u64> = (1..=8).collect();
     let mut threads = 0usize;
-    let mut out_path = String::from("BENCH_faults.json");
+    let mut out_path = String::from(FaultResult::FILE);
 
     let mut args = Args::new(USAGE);
     while let Some(arg) = args.next() {
@@ -59,7 +60,7 @@ fn main() {
             "--spec" => specs.push(args.value()),
             "--families" => families = args.list(GraphFamily::parse, "family"),
             "--sizes" => sizes = args.list(|s| s.parse().ok(), "size"),
-            "--seeds" => seed_count = args.parse(),
+            "--seeds" => seeds = args.seeds(),
             "--threads" => threads = args.parse(),
             "--out" => out_path = args.value(),
             other => args.fail(format!("unknown argument {other:?}")),
@@ -68,19 +69,12 @@ fn main() {
     if specs.is_empty() {
         specs = DEFAULT_SPECS.iter().map(|s| s.to_string()).collect();
     }
-    let expanded_total = count_points(&specs).unwrap_or_else(|e| cli::fail(USAGE, e));
-    if seed_count == 0 {
-        cli::fail(USAGE, "--seeds must be at least 1");
-    }
+    let groups = expand_specs(default_registry(), &specs)
+        .unwrap_or_else(|e| cli::fail(USAGE, format!("--spec: {e}")));
+    let expanded_total: usize = groups.iter().map(|g| g.runners.len()).sum();
     cli::check_sizes(USAGE, "--sizes", &families, &sizes);
 
-    let spec = FaultSweepSpec {
-        specs,
-        families,
-        sizes,
-        seeds: (1..=seed_count).collect(),
-        threads,
-    };
+    let spec = FaultSweepSpec { specs, families, sizes, seeds, threads };
     let jobs = expanded_total * spec.families.len() * spec.sizes.len() * spec.seeds.len();
     let threads_used = resolve_threads(spec.threads);
     println!(
@@ -96,16 +90,17 @@ fn main() {
         "awake infl", "rounds (mean)",
     ]);
     for c in &result.cells {
+        let s = &c.stats;
         t.row(vec![
-            c.algorithm.key().to_string(),
-            c.family.name().to_string(),
-            c.n.to_string(),
-            format!("{:.3}", c.failure_rate),
-            c.crashed.to_string(),
-            c.faulted.to_string(),
-            format!("{:.1}", c.awake_max.mean),
+            s.algorithm.key().to_string(),
+            s.family.name().to_string(),
+            s.n.to_string(),
+            format!("{:.3}", s.failure_rate),
+            s.crashed.to_string(),
+            s.faulted.to_string(),
+            format!("{:.1}", s.awake_max.mean),
             c.awake_inflation.map_or_else(|| "-".to_string(), |i| format!("{i:.2}×")),
-            format!("{:.3e}", c.rounds.mean),
+            format!("{:.3e}", s.rounds.mean),
         ]);
     }
     print!("{}", t.render());

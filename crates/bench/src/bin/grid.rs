@@ -34,9 +34,9 @@
 //! the run. Tracing is observational: the JSON payload is byte-
 //! identical with or without `--profile`.
 
-use analysis::grid::{run_grid, GridMeta, GridSpec, GridTier};
+use analysis::grid::{run_grid, GridMeta, GridResult, GridSpec, GridTier};
 use analysis::spec::default_registry;
-use analysis::Table;
+use analysis::{Document, Table};
 use bench::cli::{self, Args};
 use bench::with_profile;
 use graphgen::GraphFamily;
@@ -55,10 +55,10 @@ fn main() {
     let mut algos_spec = String::from("awake,luby,na,gp-avg");
     let mut families = vec![GraphFamily::Er, GraphFamily::Rgg, GraphFamily::Ba, GraphFamily::Grid, GraphFamily::Tree];
     let mut sizes = vec![1_000usize, 10_000, 100_000];
-    let mut seed_count = 8u64;
+    let mut seeds: Vec<u64> = (1..=8).collect();
     let mut threads = 0usize;
     let mut shards = 0usize;
-    let mut out_path = String::from("BENCH_grid.json");
+    let mut out_path = String::from(GridResult::FILE);
     let mut explicit_axes = false;
     let mut large: Option<bool> = None;
     let mut profile = false;
@@ -70,7 +70,7 @@ fn main() {
             "--algos" => algos_spec = args.value(),
             "--families" => families = args.list(GraphFamily::parse, "family"),
             "--sizes" => sizes = args.list(|s| s.parse().ok(), "size"),
-            "--seeds" => seed_count = args.parse(),
+            "--seeds" => seeds = args.seeds(),
             "--threads" => threads = args.parse(),
             "--shards" => shards = args.parse(),
             "--large" => large = Some(true),
@@ -114,14 +114,7 @@ fn main() {
     } else {
         Vec::new()
     };
-    let spec = GridSpec {
-        algorithms,
-        families,
-        sizes,
-        seeds: (1..=seed_count).collect(),
-        tiers,
-        threads,
-    };
+    let spec = GridSpec { algorithms, families, sizes, seeds, tiers, threads };
     let jobs = spec.jobs().len();
     let threads_used = resolve_threads(spec.threads);
     println!("running {jobs} grid jobs over {threads_used} threads…");

@@ -226,8 +226,8 @@ fn main() {
             "--seed" => seed = args.parse(),
             "--batches" => batches = args.parse(),
             "--ops" => ops = args.parse(),
-            "--insert-frac" => insert_frac = args.parse(),
-            "--node-churn" => node_churn = args.parse(),
+            "--insert-frac" => insert_frac = args.fraction(),
+            "--node-churn" => node_churn = args.fraction(),
             "--stdin" => stdin_mode = true,
             "--quiet" => quiet = true,
             "--stats-every" => stats_every = args.parse(),

@@ -29,10 +29,10 @@
 //! The JSON payload (everything except `meta` and `timing`) is
 //! byte-identical for any thread count.
 
-use analysis::sweep::{expand_families, run_sweep, SweepSpec};
-use analysis::{EnergyModel, GridMeta, Table};
+use analysis::spec::default_registry;
+use analysis::sweep::{expand_families, expand_specs, run_sweep, SweepResult, SweepSpec};
+use analysis::{Document, EnergyModel, GridMeta, Table};
 use bench::cli::{self, Args};
-use bench::count_points;
 use graphgen::GraphFamily;
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
@@ -73,9 +73,9 @@ fn main() {
     let mut specs: Vec<String> = Vec::new();
     let mut family_specs: Vec<String> = Vec::new();
     let mut sizes = vec![1024usize, 4096];
-    let mut seed_count = 4u64;
+    let mut seeds: Vec<u64> = (1..=4).collect();
     let mut threads = 0usize;
-    let mut out_path = String::from("BENCH_sweep.json");
+    let mut out_path = String::from(SweepResult::FILE);
 
     let mut args = Args::new(USAGE);
     while let Some(arg) = args.next() {
@@ -84,7 +84,7 @@ fn main() {
             "--family" => family_specs.push(args.value()),
             "--families" => family_specs.extend(args.list(|s| Some(s.to_string()), "family")),
             "--sizes" => sizes = args.list(|s| s.parse().ok(), "size"),
-            "--seeds" => seed_count = args.parse(),
+            "--seeds" => seeds = args.seeds(),
             "--threads" => threads = args.parse(),
             "--out" => out_path = args.value(),
             other => args.fail(format!("unknown argument {other:?}")),
@@ -97,22 +97,13 @@ fn main() {
         family_specs = DEFAULT_FAMILIES.iter().map(|s| s.to_string()).collect();
     }
     let families = expand_family_axis(&family_specs).unwrap_or_else(|e| cli::fail(USAGE, e));
-    let expanded_total = count_points(&specs).unwrap_or_else(|e| cli::fail(USAGE, e));
-    if seed_count == 0 {
-        cli::fail(USAGE, "--seeds must be at least 1");
-    }
+    let groups = expand_specs(default_registry(), &specs)
+        .unwrap_or_else(|e| cli::fail(USAGE, format!("--spec: {e}")));
+    let expanded_total: usize = groups.iter().map(|g| g.runners.len()).sum();
     cli::check_sizes(USAGE, "--sizes", &families, &sizes);
 
-    let spec = SweepSpec {
-        specs,
-        families,
-        sizes,
-        seeds: (1..=seed_count).collect(),
-        threads,
-        energy: EnergyModel::default(),
-    };
-    let jobs =
-        expanded_total * spec.families.len() * spec.sizes.len() * spec.seeds.len();
+    let spec = SweepSpec { specs, families, sizes, seeds, threads, energy: EnergyModel::default() };
+    let jobs = expanded_total * spec.families.len() * spec.sizes.len() * spec.seeds.len();
     let threads_used = resolve_threads(spec.threads);
     println!(
         "running {jobs} sweep jobs ({expanded_total} algorithm points) over {threads_used} threads…"
@@ -131,10 +122,10 @@ fn main() {
             t.row(vec![
                 c.family.name().to_string(),
                 c.n.to_string(),
-                e.algorithm.key().to_string(),
-                format!("{:.1}", e.awake_max.mean),
-                format!("{:.2}", e.awake_avg.mean),
-                format!("{:.3e}", e.rounds.mean),
+                e.stats.algorithm.key().to_string(),
+                format!("{:.1}", e.stats.awake_max.mean),
+                format!("{:.2}", e.stats.awake_avg.mean),
+                format!("{:.3e}", e.stats.rounds.mean),
                 format!("{:.3}", e.energy_max_mj.mean),
                 format!("{:.3}", e.energy_mean_mj.mean),
                 match (&e.pareto, &e.dominated_by) {
@@ -142,7 +133,7 @@ fn main() {
                     (false, Some(d)) => format!("≺ {d}"),
                     (false, None) => "-".to_string(),
                 },
-                if e.all_correct { "yes".into() } else { "NO".to_string() },
+                if e.stats.all_correct { "yes".into() } else { "NO".to_string() },
             ]);
         }
     }

@@ -51,6 +51,12 @@ pub fn check_sizes(usage: &str, flag: &str, families: &[GraphFamily], sizes: &[u
     }
 }
 
+/// Reads a fraction: a number in `[0, 1]`. NaN and the infinities are
+/// not fractions.
+pub fn fraction(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|v| (0.0..=1.0).contains(v))
+}
+
 /// The process arguments after the program name, pulled one at a time
 /// through [`Iterator::next`].
 pub struct Args {
@@ -88,6 +94,22 @@ impl Args {
     {
         let v = self.value();
         v.parse().unwrap_or_else(|e| self.fail(format!("{} {v:?}: {e}", self.flag)))
+    }
+
+    /// The current flag's value as a [`fraction`].
+    pub fn fraction(&mut self) -> f64 {
+        let v = self.value();
+        fraction(&v)
+            .unwrap_or_else(|| self.fail(format!("{} {v:?}: not a number in [0, 1]", self.flag)))
+    }
+
+    /// The current flag's value as a seed count `k` of at least 1: the
+    /// seeds `1..=k`.
+    pub fn seeds(&mut self) -> Vec<u64> {
+        match self.parse::<u64>() {
+            0 => self.fail(format!("{} must be at least 1", self.flag)),
+            k => (1..=k).collect(),
+        }
     }
 
     /// The current flag's value as a comma-separated list, each element
@@ -134,5 +156,23 @@ mod tests {
         args.next();
         assert!(args.list(|s| s.parse::<usize>().ok(), "size").is_empty());
         assert_eq!(args.next(), None);
+    }
+
+    #[test]
+    fn fractions_are_numbers_in_the_unit_interval() {
+        assert_eq!(fraction("0"), Some(0.0));
+        assert_eq!(fraction("0.25"), Some(0.25));
+        assert_eq!(fraction("1"), Some(1.0));
+        for bad in ["nan", "NaN", "inf", "-inf", "-0.5", "2", "1.0001", "half", ""] {
+            assert_eq!(fraction(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_seed_count_yields_the_seeds_from_one() {
+        let rest: Vec<String> = ["--seeds", "3"].iter().map(|a| a.to_string()).collect();
+        let mut args = Args { usage: "usage: t", rest: rest.into_iter(), flag: String::new() };
+        args.next();
+        assert_eq!(args.seeds(), [1, 2, 3]);
     }
 }

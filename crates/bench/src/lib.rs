@@ -3,12 +3,14 @@
 //! The workload families live in [`graphgen::families`]; binaries use
 //! [`graphgen::GraphFamily`] directly. [`json`] is the registry-free
 //! JSON reader behind the bench tools, [`cli`] is the one command-line
-//! reader of every binary, and [`with_profile`] and [`count_points`]
-//! are the spec helpers the grid, sweep, faults and churn binaries
-//! share.
+//! reader of every binary, and [`with_profile`] is the spec helper the
+//! grid and churn binaries share. The sweep and faults binaries check
+//! their `--spec` lists with [`analysis::sweep::expand_specs`], the
+//! expander their harnesses run.
 //!
 //! The bench-trajectory pipeline lives here too: [`artifact`] is the
 //! one reader for all four committed `BENCH_*.json` schemas and holds
+//! the kind table (read from the [`analysis::Document`] writers) and
 //! the one gate table, [`history`] walks every committed revision of an
 //! artifact out of git, [`trend`] builds per-cell
 //! [`trend::TrendSeries`] with drift statistics and the gate, and
@@ -23,9 +25,6 @@ pub mod json;
 pub mod report;
 pub mod trend;
 
-use analysis::default_registry;
-use analysis::sweep::expand;
-
 /// Appends the execution-only `trace=profile` param to every spec in a
 /// comma-separated list (no-op when `--profile` is off).
 pub fn with_profile(specs: &str, profile: bool) -> String {
@@ -38,27 +37,6 @@ pub fn with_profile(specs: &str, profile: bool) -> String {
         .map(|s| format!("{s}{}trace=profile", if s.contains('?') { '&' } else { '?' }))
         .collect::<Vec<_>>()
         .join(",")
-}
-
-/// Expands every `--spec` of a sweep or fault sweep and counts the
-/// algorithm points, so that a bad spec, or a point two specs share,
-/// rejects the command line before the binary prints anything.
-///
-/// # Errors
-///
-/// The first spec that does not expand, or the first repeated point.
-pub fn count_points(specs: &[String]) -> Result<usize, String> {
-    let mut keys: Vec<String> = Vec::new();
-    for raw in specs {
-        let group = expand(default_registry(), raw).map_err(|e| format!("--spec {raw:?}: {e}"))?;
-        for r in &group.runners {
-            if keys.iter().any(|k| k == r.key()) {
-                return Err(format!("--spec {raw:?}: {} is already in the sweep", r.key()));
-            }
-            keys.push(r.key().to_string());
-        }
-    }
-    Ok(keys.len())
 }
 
 #[cfg(test)]

@@ -3,16 +3,39 @@
 //! prints usage on stderr and exits 2 before anything is printed, run
 //! or written. That includes a family and size whose expected edge
 //! count is past `bench::cli::MAX_EDGES`, which would otherwise be
-//! generated until memory runs out. `experiments --help` lists E1–E17,
+//! generated until memory runs out, a fraction flag (`--rates`,
+//! `--insert-frac`, `--node-churn`) outside [0, 1], and a seed count of
+//! 0. `experiments --help` lists E1–E17,
 //! `failure_rate` takes no arguments, and `serve` ends a session on
 //! stdin that is not UTF-8. No case here runs an experiment or serves a
 //! batch.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
+/// Runs `bin` on `args`, killing it after a deadline: a case that is not
+/// rejected may run for good (`churn --rates inf` asks for `usize::MAX`
+/// deltas per epoch), and a killed run has no exit code.
 fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin).args(args).output().expect("run binary")
+    let mut child = Command::new(bin)
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run binary");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().expect("poll binary").is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let _ = child.kill();
+    child.wait_with_output().expect("wait for binary")
+}
+
+/// Each value that is not a fraction in [0, 1], as the value of `flag`.
+fn non_fractions(flag: &'static str) -> Vec<[&'static str; 2]> {
+    ["nan", "-0.5", "2", "inf"].map(|v| [flag, v]).to_vec()
 }
 
 #[test]
@@ -61,6 +84,7 @@ fn grid_rejects_bad_arguments_before_running() {
         &["--bogus"],
         &["--sizes"],
         &["--seeds", "many"],
+        &["--seeds", "0"],
         &["--families", "er,nope"],
         &["--sizes", "16,x"],
         &["--algos", "nosuch"],
@@ -77,6 +101,7 @@ fn churn_rejects_bad_arguments_before_running() {
         &["--bogus"],
         &["--epochs"],
         &["--seeds", "many"],
+        &["--seeds", "0"],
         &["--families", "er,nope"],
         &["--rates", "0,x"],
         &["--algos", "nosuch"],
@@ -86,6 +111,17 @@ fn churn_rejects_bad_arguments_before_running() {
         &["--families", "rgg?radius=0.05", "--sizes", "1000000"],
         &["--families", "dense", "--sizes", "1000000"],
     ]);
+}
+
+#[test]
+fn churn_rejects_fractions_outside_the_unit_interval() {
+    let quick = ["--sizes", "16", "--seeds", "1", "--epochs", "1", "--algos", "luby"];
+    for flag in ["--rates", "--insert-frac", "--node-churn"] {
+        let cases = non_fractions(flag);
+        let cases: Vec<&[&str]> = cases.iter().map(|c| &c[..]).collect();
+        rejects("churn", env!("CARGO_BIN_EXE_churn"), &quick, &cases);
+    }
+    rejects("churn", env!("CARGO_BIN_EXE_churn"), &quick, &[&["--rates", "0,0.5,1.5"]]);
 }
 
 #[test]
@@ -173,7 +209,8 @@ fn serve_help_prints_usage_and_exits_0() {
 
 #[test]
 fn serve_rejects_bad_arguments_before_serving() {
-    for args in [
+    let fractions = [non_fractions("--insert-frac"), non_fractions("--node-churn")].concat();
+    for args in fractions.iter().map(|c| &c[..]).chain([
         &["--bogus"][..],
         &["--n"],
         &["--n", "many"],
@@ -187,7 +224,7 @@ fn serve_rejects_bad_arguments_before_serving() {
         &["--family", "ba?attach=5", "--n", "5"],
         &["--family", "rgg?radius=0.05", "--n", "1000000"],
         &["--family", "dense", "--n", "1000000"],
-    ] {
+    ]) {
         let out = run(env!("CARGO_BIN_EXE_serve"), args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");

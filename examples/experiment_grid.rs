@@ -8,6 +8,7 @@
 
 use awake_mis::analysis::grid::{run_grid, GridSpec};
 use awake_mis::analysis::spec::default_registry;
+use awake_mis::analysis::Document;
 use awake_mis::graphs::GraphFamily;
 use awake_mis::sim::batch::available_threads;
 

@@ -71,6 +71,7 @@ pub use vtree;
 pub mod prelude {
     pub use crate::analysis::grid::{run_grid, GridMeta, GridResult, GridSpec};
     pub use crate::analysis::runners::AlgoResult;
+    pub use crate::analysis::Document;
     pub use crate::analysis::spec::{
         default_registry, AlgorithmSpec, DynRunner, Registry, RunnerHandle, SpecError,
     };
