@@ -37,6 +37,8 @@
 //! have been removed; resolve a [`RunnerHandle`] instead.
 
 use crate::spec::{AlgorithmSpec, DynRunner, ParamReader, Registry, RunnerHandle, SpecError};
+use awake_mis_core::state::id_space;
+use awake_mis_core::vt_mis::MAX_ID_SPACE;
 use awake_mis_core::{
     AvgMis, AvgMisConfig, AvgMisOutput, AwakeMis, AwakeMisConfig, AwakeMisOutput, LdtMis,
     LdtMisOutput, LdtMisParams, LdtStrategy, LeMis, LeMisConfig, LeMisOutput, Luby, MisState,
@@ -300,6 +302,10 @@ fn read_adv_ids(p: &mut ParamReader<'_>) -> Result<IdAssignment, SpecError> {
     Ok(read_choice(p, "adv_ids", &choices)?.unwrap_or(IdAssignment::Random))
 }
 
+/// The largest ID space `adv_ids=worst` ranks for `VT-MIS`:
+/// [`worst_vt_ids`] holds and sorts every ID in it (128 MiB at `2^24`).
+const MAX_WORST_ID_SPACE: u64 = 1 << 24;
+
 /// The adversarial ID multiset for `VT-MIS`: the `n` IDs in
 /// `[1, upper]` with the *longest* virtual-tree wake schedules,
 /// assigned to nodes in ascending order. VT-MIS nodes attend their full
@@ -554,10 +560,24 @@ fn le(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
 /// IDs in `[1, max(U, n)]`, so awake complexity scales with `log U`).
 /// `adv_ids=worst` replaces the random draw with the adversarial
 /// assignment: the `n` longest-schedule IDs (see [`worst_vt_ids`]).
+/// `U` is at most [`MAX_ID_SPACE`], so every schedule ends within the
+/// engine's round cap, and at most [`MAX_WORST_ID_SPACE`] with
+/// `adv_ids=worst`.
 fn vt(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
     let mut p = spec.reader();
     let id_upper = p.u64("id_upper")?;
     let adv_ids = read_adv_ids(&mut p)?;
+    let (cap, with) = match adv_ids {
+        IdAssignment::Random => (MAX_ID_SPACE, ""),
+        IdAssignment::Worst => (MAX_WORST_ID_SPACE, " with adv_ids=worst"),
+    };
+    if let Some(u) = id_upper.filter(|&u| u > cap) {
+        return Err(SpecError::BadValue {
+            param: "id_upper".to_string(),
+            value: u.to_string(),
+            expected: format!("an ID space of at most {cap}{with}"),
+        });
+    }
     sim_runner(spec, p, "VT-MIS", move |g, seed| {
         let n = g.n();
         let upper = id_upper.map_or(n as u64, |u| u.max(n as u64));
@@ -597,7 +617,7 @@ fn ldt(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
     let adv_ids = read_adv_ids(&mut p)?;
     sim_runner(spec, p, "LDT-MIS", move |g, seed| {
         let n = g.n();
-        let id_upper = (n.max(4) as u64).pow(3).max(1 << 24);
+        let id_upper = id_space(n);
         let ids = match adv_ids {
             IdAssignment::Random => draw_distinct_ids(n, id_upper, seed),
             IdAssignment::Worst => (1..=n as u64).collect(),
@@ -929,6 +949,17 @@ mod tests {
             reg.resolve("vt?adv_ids=sideways"),
             Err(SpecError::BadValue { ref param, .. }) if param == "adv_ids"
         ));
+        // An ID space `worst_vt_ids` cannot hold, or whose schedules
+        // outlast the engine's round cap.
+        for bad in ["vt?id_upper=1000000000000&adv_ids=worst", "vt?id_upper=18446744073709551615"] {
+            assert!(
+                matches!(reg.resolve(bad), Err(SpecError::BadValue { ref param, .. }) if param == "id_upper"),
+                "{bad} must be rejected"
+            );
+        }
+        for good in ["vt?id_upper=16777216&adv_ids=worst", "vt?id_upper=2305843009213693952"] {
+            assert!(reg.resolve(good).is_ok(), "{good} must resolve");
+        }
         assert!(matches!(
             reg.resolve("luby?trace=flamegraph"),
             Err(SpecError::BadValue { ref param, .. }) if param == "trace"

@@ -244,6 +244,27 @@ pub fn expand_specs(registry: &Registry, specs: &[String]) -> Result<Vec<SweepGr
     Ok(groups)
 }
 
+/// Expands every family spec of a sweep's family axis in input order
+/// through [`expand_families`]: the family counterpart of
+/// [`expand_specs`].
+///
+/// # Errors
+///
+/// The first spec [`expand_families`] rejects, or
+/// [`SpecError::DuplicateKey`] naming a family two specs share.
+pub fn expand_family_specs(specs: &[String]) -> Result<Vec<GraphFamily>, SpecError> {
+    let mut out: Vec<GraphFamily> = Vec::new();
+    for raw in specs {
+        for family in expand_families(raw)? {
+            if out.contains(&family) {
+                return Err(SpecError::DuplicateKey { key: family.key() });
+            }
+            out.push(family);
+        }
+    }
+    Ok(out)
+}
+
 /// Expands one (possibly range-valued) *family* spec into its ordered
 /// list of concrete [`GraphFamily`] values, reusing the algorithm-sweep
 /// range grammar: `er?avg_deg=8..16&step=4` → `er`, `er?avg_deg=12`,
@@ -712,6 +733,28 @@ mod tests {
         assert!(matches!(expand_families("er?avg_deg=8,8"), Err(SpecError::DuplicateKey { .. })));
         // Oversized expansions fail loudly.
         assert!(matches!(expand_families("er?avg_deg=1..10000"), Err(SpecError::BadValue { .. })));
+    }
+
+    #[test]
+    fn a_family_axis_expands_in_order_and_rejects_a_family_twice() {
+        let specs = |raw: &[&str]| raw.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let keys: Vec<String> = expand_family_specs(&specs(&["er?avg_deg=8..12&step=4", "tree"]))
+            .unwrap()
+            .iter()
+            .map(|f| f.key())
+            .collect();
+        assert_eq!(keys, ["er", "er?avg_deg=12", "tree"]);
+        // A family two specs share is named, however it is spelled.
+        for twice in [&["er", "er"][..], &["er?avg_deg=8..16&step=8", "er?avg_deg=16"]] {
+            match expand_family_specs(&specs(twice)) {
+                Err(SpecError::DuplicateKey { key }) => {
+                    assert_eq!(key, if twice[0] == "er" { "er" } else { "er?avg_deg=16" });
+                }
+                other => panic!("{twice:?}: {other:?}"),
+            }
+        }
+        // A bad spec is the expander's own error.
+        assert!(matches!(expand_family_specs(&specs(&["er", "nope"])), Err(SpecError::BadValue { .. })));
     }
 
     #[test]

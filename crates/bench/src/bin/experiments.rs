@@ -17,6 +17,7 @@ use analysis::shattering::{residual_profile, shatter_once};
 use analysis::spec::{default_registry, RunnerHandle};
 use analysis::sweep::{run_sweep, SweepSpec};
 use analysis::{EnergyModel, Summary, Table};
+use awake_mis_core::state::id_space;
 use awake_mis_core::{AwakeMis, AwakeMisConfig};
 use bench::cli::{self, Args};
 use graphgen::{generators, GraphFamily, NodeId};
@@ -507,7 +508,6 @@ fn e8() {
         "E8 (Lemmas 6/7/15)",
         "LDT construction: awake strategy O(log n') awake; round strategy O(log n'·log* I) awake, deterministic",
     );
-    let id_upper = |n: usize| ((n.max(4) as u64).pow(3)).max(1 << 24);
     let sizes = [64usize, 256, 1024];
     let cells: Vec<(usize, &str, &str)> = sizes
         .iter()
@@ -531,7 +531,7 @@ fn e8() {
             let mut seen = std::collections::HashSet::new();
             let mut ids = Vec::new();
             while ids.len() < n {
-                let id = rng.gen_range(1..=id_upper(n));
+                let id = rng.gen_range(1..=id_space(n));
                 if seen.insert(id) {
                     ids.push(id);
                 }
@@ -539,7 +539,7 @@ fn e8() {
             ids
         };
         let params =
-            |v: usize| ConstructParams { my_id: ids[v], id_upper: id_upper(n), k: n as u32 };
+            |v: usize| ConstructParams { my_id: ids[v], id_upper: id_space(n), k: n as u32 };
         if strat == "awake" {
             let nodes = (0..n).map(|v| Standalone::new(ConstructAwake::new(params(v)))).collect();
             let rep = Simulator::new(g, nodes, SimConfig::seeded(seed ^ 1)).run().unwrap();
@@ -864,7 +864,7 @@ fn e15() {
     // LDT freshly constructed from that seed's ID assignment.
     let runs = run_batch(&jobs, 0, |_| (), |(), _i, &(n, op, seed)| {
         let g = generators::cycle(n);
-        let id_upper = ((n as u64).pow(3)).max(1 << 24);
+        let id_upper = id_space(n);
         let ids: Vec<u64> = {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut seen = std::collections::HashSet::new();

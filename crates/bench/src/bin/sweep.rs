@@ -30,10 +30,9 @@
 //! byte-identical for any thread count.
 
 use analysis::spec::default_registry;
-use analysis::sweep::{expand_families, expand_specs, run_sweep, SweepResult, SweepSpec};
+use analysis::sweep::{expand_family_specs, expand_specs, run_sweep, SweepResult, SweepSpec};
 use analysis::{Document, EnergyModel, GridMeta, Table};
 use bench::cli::{self, Args};
-use graphgen::GraphFamily;
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
 
@@ -52,22 +51,6 @@ const DEFAULT_SPECS: [&str; 6] =
 /// parameterized graph point (ER at double the default degree), so the
 /// committed frontier also pins a graph-parameter dial.
 const DEFAULT_FAMILIES: [&str; 3] = ["er", "dense", "er?avg_deg=16"];
-
-/// Expands a list of family specs (each through the range grammar),
-/// rejecting a bad spec and families that appear twice across the
-/// whole axis.
-fn expand_family_axis(raw_specs: &[String]) -> Result<Vec<GraphFamily>, String> {
-    let mut out: Vec<GraphFamily> = Vec::new();
-    for raw in raw_specs {
-        for f in expand_families(raw).map_err(|e| format!("family spec {raw:?}: {e}"))? {
-            if out.contains(&f) {
-                return Err(format!("family {} appears twice in the family axis", f.key()));
-            }
-            out.push(f);
-        }
-    }
-    Ok(out)
-}
 
 fn main() {
     let mut specs: Vec<String> = Vec::new();
@@ -96,7 +79,8 @@ fn main() {
     if family_specs.is_empty() {
         family_specs = DEFAULT_FAMILIES.iter().map(|s| s.to_string()).collect();
     }
-    let families = expand_family_axis(&family_specs).unwrap_or_else(|e| cli::fail(USAGE, e));
+    let families = expand_family_specs(&family_specs)
+        .unwrap_or_else(|e| cli::fail(USAGE, format!("--family: {e}")));
     let groups = expand_specs(default_registry(), &specs)
         .unwrap_or_else(|e| cli::fail(USAGE, format!("--spec: {e}")));
     let expanded_total: usize = groups.iter().map(|g| g.runners.len()).sum();

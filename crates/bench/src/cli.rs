@@ -29,6 +29,11 @@ pub fn fail(usage: &str, msg: impl Display) -> ! {
 /// and BA at n = 10⁶) have 3–5·10⁶.
 pub const MAX_EDGES: f64 = 5e7;
 
+/// The largest seed count `--seeds` takes. Each seed reruns every point
+/// of the axes; the committed artifacts use 3–8 seeds, and a count is
+/// checked before its seeds and jobs are allocated.
+pub const MAX_SEEDS: u64 = 10_000;
+
 /// Rejects (see [`fail`]) a size one of `families` cannot generate
 /// ([`GraphFamily::min_nodes`]) or would generate with more than
 /// [`MAX_EDGES`] edges; `flag` names the option the sizes came from.
@@ -103,11 +108,12 @@ impl Args {
             .unwrap_or_else(|| self.fail(format!("{} {v:?}: not a number in [0, 1]", self.flag)))
     }
 
-    /// The current flag's value as a seed count `k` of at least 1: the
-    /// seeds `1..=k`.
+    /// The current flag's value as a seed count `k` in
+    /// `1..=`[`MAX_SEEDS`]: the seeds `1..=k`.
     pub fn seeds(&mut self) -> Vec<u64> {
         match self.parse::<u64>() {
             0 => self.fail(format!("{} must be at least 1", self.flag)),
+            k if k > MAX_SEEDS => self.fail(format!("{} {k}: at most {MAX_SEEDS}", self.flag)),
             k => (1..=k).collect(),
         }
     }

@@ -4,8 +4,9 @@
 //! or written. That includes a family and size whose expected edge
 //! count is past `bench::cli::MAX_EDGES`, which would otherwise be
 //! generated until memory runs out, a fraction flag (`--rates`,
-//! `--insert-frac`, `--node-churn`) outside [0, 1], and a seed count of
-//! 0. `experiments --help` lists E1–E17,
+//! `--insert-frac`, `--node-churn`) outside [0, 1], a seed count of 0
+//! or above `bench::cli::MAX_SEEDS`, and an `adv_ids=worst` ID space
+//! too large to rank. `experiments --help` lists E1–E17,
 //! `failure_rate` takes no arguments, and `serve` ends a session on
 //! stdin that is not UTF-8. No case here runs an experiment or serves a
 //! batch.
@@ -78,10 +79,27 @@ fn rejects(name: &str, bin: &str, quick: &[&str], cases: &[&[&str]]) {
     }
 }
 
+/// Seed counts past `bench::cli::MAX_SEEDS`. Counts such as 10⁹, for
+/// which an unchecked reader allocates gigabytes, stay out of the cases.
+#[test]
+fn seed_counts_past_the_bound_are_rejected() {
+    let past = (bench::cli::MAX_SEEDS + 1).to_string();
+    let cases: [&[&str]; 2] = [&["--seeds", "18446744073709551615"], &["--seeds", &past]];
+    for (name, bin, quick) in [
+        ("grid", env!("CARGO_BIN_EXE_grid"), &["--no-large", "--sizes", "16"][..]),
+        ("sweep", env!("CARGO_BIN_EXE_sweep"), &["--sizes", "16"]),
+        ("faults", env!("CARGO_BIN_EXE_faults"), &["--sizes", "16"]),
+        ("churn", env!("CARGO_BIN_EXE_churn"), &["--sizes", "16"]),
+    ] {
+        rejects(name, bin, quick, &cases);
+    }
+}
+
 #[test]
 fn grid_rejects_bad_arguments_before_running() {
     rejects("grid", env!("CARGO_BIN_EXE_grid"), &["--no-large", "--sizes", "16", "--seeds", "1"], &[
         &["--bogus"],
+        &["--algos", "vt?id_upper=1000000000000&adv_ids=worst"],
         &["--sizes"],
         &["--seeds", "many"],
         &["--seeds", "0"],

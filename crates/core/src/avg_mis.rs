@@ -14,7 +14,9 @@
 //!    who leave immediately, so the undecided set decays geometrically
 //!    and most nodes pay `O(1)`.
 //! 2. **Ranked stage**: every survivor draws a random rank from
-//!    `[1, N³]` and finishes via the virtual-binary-tree schedule of
+//!    `[1, N³]` (capped at [`MAX_ID_SPACE`] `= 2^61`, which only
+//!    `N > 1.3·10⁶` reaches, so the schedule fits the engine's round
+//!    cap) and finishes via the virtual-binary-tree schedule of
 //!    [`VtMis`] over the rank space — awake cost **at most**
 //!    `⌈log₂ N³⌉ + 1` rounds, deterministically (Observation 4), and the
 //!    result is the LFMIS of the residual graph under the rank order.
@@ -42,14 +44,21 @@
 //! Monte Carlo failure (`AlgoResult::failures`, `correct = false`) —
 //! the same convention `Awake-MIS` uses for its failure probability.
 
-use crate::na_mis::{priority_upper, DropoutCore};
-use crate::state::{MisMsg, MisState};
-use crate::vt_mis::VtMis;
+use crate::na_mis::DropoutCore;
+use crate::state::{id_space, MisMsg, MisState};
+use crate::vt_mis::{VtMis, MAX_ID_SPACE};
 use graphgen::Port;
 use rand::Rng;
 use sleeping_congest::{
     bits_for_value, Action, MessageSize, NodeCtx, Outbox, Protocol, Round, SubAction, SubProtocol,
 };
+
+/// The ranked stage's rank space: the [`id_space`] `[1, N³]`, capped at
+/// [`MAX_ID_SPACE`] so the last rank's wake round stays within the
+/// engine's round cap.
+fn rank_space(n_upper: usize) -> u64 {
+    id_space(n_upper).min(MAX_ID_SPACE)
+}
 
 /// Knobs of [`AvgMis`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,10 +143,10 @@ impl AvgMis {
     }
 
     /// Enters the ranked stage: draws the random rank and builds the
-    /// virtual-tree schedule over the `[1, N³]` rank space.
+    /// virtual-tree schedule over the [`rank_space`].
     fn enter_ranked(&mut self, ctx: &mut NodeCtx) -> &mut VtMis {
         debug_assert!(self.ranked.is_none());
-        let upper = priority_upper(ctx.n_upper);
+        let upper = rank_space(ctx.n_upper);
         self.rank = ctx.rng.gen_range(1..=upper);
         self.ranked.insert(VtMis::new(self.rank, upper, None))
     }
@@ -294,7 +303,7 @@ mod tests {
             let report = run(&g, cfg, seed);
             check_mis(&g, &states(&report)).unwrap();
             let cap = 2 * cfg.balance
-                + u64::from(vtree::depth(crate::na_mis::priority_upper(g.n())))
+                + u64::from(vtree::depth(rank_space(g.n())))
                 + 1;
             assert!(
                 report.metrics.awake_complexity() <= cap,
@@ -325,6 +334,14 @@ mod tests {
     }
 
     #[test]
+    fn the_rank_space_is_capped_where_n_cubed_outgrows_the_round_cap() {
+        assert_eq!(rank_space(8), 1 << 24);
+        assert_eq!(rank_space(1_000_000), 1_000_000u64.pow(3));
+        assert_eq!(rank_space(2_000_000), MAX_ID_SPACE);
+        assert_eq!(rank_space(usize::MAX), MAX_ID_SPACE);
+    }
+
+    #[test]
     fn empty_and_tiny_graphs() {
         for cfg in [AvgMisConfig { balance: 0 }, AvgMisConfig::default()] {
             let g = graphgen::Graph::empty(3);
@@ -343,7 +360,7 @@ mod tests {
         // from a neighbor must raise the Monte Carlo flag, and a
         // different rank must not.
         use sleeping_congest::NodeCtx;
-        let upper = priority_upper(8);
+        let upper = rank_space(8);
         let mut node = AvgMis::new(AvgMisConfig { balance: 0 });
         node.rank = 5;
         node.ranked = Some(VtMis::new(5, upper, None));

@@ -20,6 +20,15 @@
 //!   (`O(log n)`-sized), so the window costs `O(log log n)` awake
 //!   rounds.
 //!
+//! A node holds state only for the stage it is in. Outside its window
+//! it keeps its batch, its decision and the shared parameters, but no
+//! LDT-MIS state and no schedule vector: each time it wakes,
+//! [`vtree::next_wake`] computes its next communication phase from its
+//! batch in O(1). The LDT-MIS state is boxed when the node enters its own
+//! phase's window and freed when the window reports `Done`, so the few
+//! nodes still undecided at their own phase are the only ones to pay
+//! for it. A node is 152 bytes; `LdtMis` alone is 920.
+//!
 //! The algorithm is Monte Carlo: parameter overflows (an oversized
 //! component, a construction running out of phases) surface as `failed`
 //! nodes in the output, never as extra awake rounds or hangs — matching
@@ -28,7 +37,7 @@
 
 use crate::ldt_mis::{round_budget, LdtMis, LdtMisMsg, LdtMisParams, LdtStrategy};
 use sleeping_congest::SubProtocol;
-use crate::state::{MisMsg, MisState};
+use crate::state::{id_space, MisMsg, MisState};
 use graphgen::Port;
 use rand::Rng;
 use sleeping_congest::{MessageSize, NodeCtx, Outbox, Protocol, Round};
@@ -92,7 +101,7 @@ pub struct DerivedParams {
     pub phases: u64,
     /// Component-size bound `K`.
     pub k: u32,
-    /// ID space `I = N³`.
+    /// ID space `I = N³` ([`id_space`]).
     pub id_upper: u64,
     /// Rounds per phase (1 communication round + the LDT-MIS window).
     pub r_phase: Round,
@@ -107,13 +116,7 @@ pub fn derive_params(n_upper: usize, config: &AwakeMisConfig) -> DerivedParams {
     let two_delta = 2 * delta_prime;
     let ell = (n / (config.ell_density * log2_n)).log2().ceil().max(1.0) as u64;
     let k = ((config.comp_factor * ln_n).ceil() as u32 + 4).max(8);
-    let id_upper = {
-        // N^3 keeps IDs unique w.h.p. for large n; the 2^24 floor keeps
-        // the collision (Monte Carlo failure) probability negligible on
-        // small networks too, at O(1) extra bits per message.
-        let nn = n_upper.max(4) as u64;
-        nn.saturating_mul(nn).saturating_mul(nn).max(1 << 24)
-    };
+    let id_upper = id_space(n_upper);
     let r_phase = 1 + round_budget(k, id_upper, config.strategy);
     DerivedParams { ell, two_delta, phases: ell * two_delta, k, id_upper, r_phase }
 }
@@ -160,9 +163,10 @@ pub struct AwakeMis {
     my_id: u64,
     batch: (u64, u64),
     batch_g: u64,
-    comm_wakes: Vec<Round>,
     state: MisState,
-    ldt: Option<LdtMis>,
+    /// The LDT-MIS window: allocated when the node enters its own
+    /// phase's window, freed when the window reports `Done`.
+    ldt: Option<Box<LdtMis>>,
     window_start: Round,
     comp_size: u64,
     failed: bool,
@@ -178,7 +182,6 @@ impl AwakeMis {
             my_id: 0,
             batch: (0, 0),
             batch_g: 0,
-            comm_wakes: Vec::new(),
             state: MisState::Undecided,
             ldt: None,
             window_start: 0,
@@ -224,20 +227,25 @@ impl AwakeMis {
         let j = ctx.rng.gen_range(1..=params.two_delta);
         self.batch = (i, j);
         self.batch_g = (i - 1) * params.two_delta + j;
-        let wake_phases: Vec<u64> = if self.config.always_awake_comm {
-            (1..=params.phases).collect()
-        } else {
-            vtree::wake_rounds(self.batch_g, params.phases)
-        };
-        self.comm_wakes = wake_phases.into_iter().map(|p| (p - 1) * params.r_phase).collect();
         self.params = Some(params);
     }
 
-    /// The action moving this node to its next event after round `r`.
+    /// The action moving this node to its next event after round `r`:
+    /// the first communication round after `r` of a phase in its
+    /// schedule (phase `q`'s is round `(q − 1)·r_phase`), or termination
+    /// when none is left.
     fn plan(&mut self, r: Round) -> sleeping_congest::Action {
         use sleeping_congest::Action;
-        let next_comm = self.comm_wakes.iter().copied().find(|&w| w > r);
-        match next_comm {
+        let params = self.params.expect("setup ran in round 0");
+        // Phase `q`'s communication round is after `r` exactly when `q`
+        // is after the phase `r` falls in.
+        let phase = r / params.r_phase + 1;
+        let next_phase = if self.config.always_awake_comm {
+            Some(phase + 1).filter(|&q| q <= params.phases)
+        } else {
+            vtree::next_wake(self.batch_g, params.phases, phase)
+        };
+        match next_phase.map(|q| (q - 1) * params.r_phase) {
             Some(w) => {
                 if w == r + 1 {
                     Action::Continue
@@ -338,12 +346,12 @@ impl Protocol for AwakeMis {
         if phase == self.batch_g && self.state == MisState::Undecided && !self.failed {
             // Our own phase: run LDT-MIS over the shattered component.
             self.window_start = r + 1;
-            self.ldt = Some(LdtMis::new(LdtMisParams {
+            self.ldt = Some(Box::new(LdtMis::new(LdtMisParams {
                 my_id: self.my_id,
                 id_upper: params.id_upper,
                 k: params.k,
                 strategy: self.config.strategy,
-            }));
+            })));
             return Action::Continue; // window starts next round (local 0)
         }
         self.plan(r)
@@ -385,6 +393,31 @@ mod tests {
         // Phases are polylogarithmic: far below n.
         assert!(large.phases < 8192);
         assert_eq!(large.id_upper, 8192u64.pow(3));
+    }
+
+    #[test]
+    fn a_node_fits_in_three_cache_lines() {
+        // 1,088 bytes when the node kept its LDT-MIS window inline
+        // (`LdtMis` alone is 920) and its wake schedule in a `Vec`; 152
+        // with the window boxed and the schedule computed on each wake.
+        // Sub-protocol state belongs behind a pointer.
+        let bytes = std::mem::size_of::<AwakeMis>();
+        assert!(bytes <= 192, "AwakeMis is {bytes} bytes");
+    }
+
+    #[test]
+    fn next_wake_follows_wake_rounds_at_derived_phase_counts() {
+        for n in [1_000usize, 10_000, 100_000, 1_000_000] {
+            let phases = derive_params(n, &AwakeMisConfig::default()).phases;
+            let ks = (1..=phases).step_by((phases / 61) as usize).chain([phases - 1, phases]);
+            for k in ks {
+                let rounds = vtree::wake_rounds(k, phases);
+                for after in 0..=phases {
+                    let expected = rounds.iter().copied().find(|&q| q > after);
+                    assert_eq!(vtree::next_wake(k, phases, after), expected, "P={phases} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

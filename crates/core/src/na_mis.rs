@@ -46,21 +46,15 @@
 //! terminated and parked nodes are equally lost) and lets the run
 //! complete.
 
-use crate::state::MisState;
+use crate::state::{id_space, MisState};
 use graphgen::Port;
 use rand::Rng;
 use sleeping_congest::{bits_for_value, Action, MessageSize, NodeCtx, Outbox, Protocol, Round, SLEEP_FOREVER};
 
-/// Priority space: the `[1, N³]` ID convention used across the repo
-/// (floored at `2²⁴` so tiny networks still draw collision-free w.h.p.).
-pub(crate) fn priority_upper(n_upper: usize) -> u64 {
-    (n_upper.max(4) as u64).pow(3).max(1 << 24)
-}
-
 /// The shared compete/resolve core of a dropout phase, used by both
 /// [`NaMis`] and [`AvgMis`](crate::avg_mis::AvgMis)'s first stage.
 ///
-/// Compete: draw a fresh random priority from `[1, N³]`; lose to any
+/// Compete: draw a fresh random priority from [`id_space`]; lose to any
 /// received priority `≤` yours (a tie counts as beaten for *both*
 /// endpoints, like Luby — neither joins, both redraw next phase), win
 /// into the MIS otherwise. Resolve: leave as `NotInMis` when a
@@ -80,7 +74,7 @@ impl DropoutCore {
     /// Compete-round send: draws and records this phase's priority.
     pub(crate) fn draw(&mut self, ctx: &mut NodeCtx) -> u64 {
         debug_assert_eq!(self.state, MisState::Undecided);
-        self.priority = ctx.rng.gen_range(1..=priority_upper(ctx.n_upper));
+        self.priority = ctx.rng.gen_range(1..=id_space(ctx.n_upper));
         self.priority
     }
 

@@ -15,6 +15,13 @@ use crate::state::{MisMsg, MisState};
 use graphgen::Port;
 use sleeping_congest::{NodeCtx, Outbox, Round, SubAction, SubProtocol};
 
+/// The largest ID space a [`VtMis`] schedule may span. The node with
+/// ID `k` is awake up to local round `k − 1`, so a space of `2^61` IDs
+/// ends far below the engine's default round cap
+/// (`SimConfig::max_rounds`, `u64::MAX / 4`) after any start offset
+/// below `2^61`.
+pub const MAX_ID_SPACE: u64 = 1 << 61;
+
 /// The `VT-MIS` subprotocol for one node.
 ///
 /// Local round `lr` corresponds to paper round `r = lr + 1 ∈ [1, I]`.

@@ -1,10 +1,10 @@
 //! End-to-end tests for `Awake-MIS` (Theorem 13 and Corollary 14).
 
-use awake_mis_core::{check_mis, AwakeMis, AwakeMisConfig, Luby, MisState};
+use awake_mis_core::{check_mis, derive_params, AwakeMis, AwakeMisConfig, Luby, MisState};
 use graphgen::{generators, Graph};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sleeping_congest::{Metrics, SimConfig, Simulator};
+use sleeping_congest::{Metrics, Round, SimConfig, Simulator};
 
 fn run(g: &Graph, cfg: AwakeMisConfig, seed: u64) -> (Vec<awake_mis_core::AwakeMisOutput>, Metrics) {
     let nodes = (0..g.n()).map(|_| AwakeMis::new(cfg)).collect();
@@ -126,6 +126,63 @@ fn awake_complexity_growth_is_flat() {
         awakes[2] <= awakes[0] * 1.75,
         "awake grew too fast: {awakes:?} (not O(log log n)-shaped)"
     );
+}
+
+/// The wake-history oracle. Outside its own phase's LDT-MIS window a
+/// node wakes exactly in round 0, where every node sets up, and in the
+/// communication round `(p − 1)·r_phase` of each phase `p` of its
+/// virtual-tree schedule `vtree::wake_rounds(g, P)` (every phase under
+/// `always_awake_comm`), up to its termination round. It wakes inside
+/// that window only when it ran LDT-MIS there.
+#[test]
+fn each_node_wakes_in_its_schedule_outside_its_window() {
+    let mut rng = SmallRng::seed_from_u64(1000);
+    let graphs = [
+        ("gnp96", generators::gnp(96, 0.06, &mut rng)),
+        ("tree96", generators::random_tree(96, &mut rng)),
+    ];
+    let configs = [
+        ("default", AwakeMisConfig::default()),
+        ("always_awake_comm", AwakeMisConfig { always_awake_comm: true, ..Default::default() }),
+        ("round_efficient", AwakeMisConfig::round_efficient()),
+    ];
+    for (gname, g) in &graphs {
+        for (cname, cfg) in configs {
+            let params = derive_params(g.n(), &cfg);
+            for seed in 0..4u64 {
+                let name = format!("{gname} {cname} seed {seed}");
+                let nodes = (0..g.n()).map(|_| AwakeMis::new(cfg)).collect();
+                let sim = SimConfig { record_wake_history: true, ..SimConfig::seeded(seed) };
+                let report = Simulator::new(g.clone(), nodes, sim).run().expect("run");
+                assert_valid(&name, g, &report.outputs);
+                let history = report.metrics.wake_history.as_ref().expect("history recorded");
+                for (v, (out, rounds)) in report.outputs.iter().zip(history).enumerate() {
+                    let (i, j) = out.batch;
+                    let batch_g = (i - 1) * params.two_delta + j;
+                    let end = report.metrics.terminated_at[v];
+                    let phases = if cfg.always_awake_comm {
+                        (1..=params.phases).collect()
+                    } else {
+                        vtree::wake_rounds(batch_g, params.phases)
+                    };
+                    let mut expected: Vec<Round> = std::iter::once(0)
+                        .chain(phases.iter().map(|p| (p - 1) * params.r_phase))
+                        .filter(|&r| r <= end)
+                        .collect();
+                    expected.dedup();
+                    // Phase `batch_g`'s rounds after its communication round.
+                    let window = (batch_g - 1) * params.r_phase + 1..batch_g * params.r_phase;
+                    let in_window = |r: Round| window.contains(&r);
+                    let outside: Vec<Round> =
+                        rounds.iter().copied().filter(|&r| !in_window(r)).collect();
+                    assert_eq!(outside, expected, "{name} node {v}");
+                    assert_eq!(rounds.last(), Some(&end), "{name} node {v}");
+                    let ran_window = rounds.iter().any(|&r| in_window(r));
+                    assert_eq!(ran_window, out.comp_size > 0 || out.failed, "{name} node {v}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
