@@ -21,8 +21,7 @@ use awake_mis_core::state::id_space;
 use awake_mis_core::{AwakeMis, AwakeMisConfig};
 use bench::cli::{self, Args};
 use graphgen::{generators, GraphFamily, NodeId};
-use ldt::construct::{ConstructAwake, ConstructParams};
-use ldt::construct_round::ConstructRound;
+use ldt::construct::{Construct, ConstructParams, LdtStrategy};
 use ldt::ops::{LdtBroadcast, LdtRanking};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -540,17 +539,11 @@ fn e8() {
         };
         let params =
             |v: usize| ConstructParams { my_id: ids[v], id_upper: id_space(n), k: n as u32 };
-        if strat == "awake" {
-            let nodes = (0..n).map(|v| Standalone::new(ConstructAwake::new(params(v)))).collect();
-            let rep = Simulator::new(g, nodes, SimConfig::seeded(seed ^ 1)).run().unwrap();
-            let ph = rep.outputs.iter().map(|o| o.phases_used).max().unwrap() as u64;
-            (rep.metrics.awake_complexity(), ph, rep.metrics.round_complexity())
-        } else {
-            let nodes = (0..n).map(|v| Standalone::new(ConstructRound::new(params(v)))).collect();
-            let rep = Simulator::new(g, nodes, SimConfig::seeded(seed ^ 1)).run().unwrap();
-            let ph = rep.outputs.iter().map(|o| o.phases_used).max().unwrap() as u64;
-            (rep.metrics.awake_complexity(), ph, rep.metrics.round_complexity())
-        }
+        let strategy = if strat == "awake" { LdtStrategy::Awake } else { LdtStrategy::Round };
+        let nodes = (0..n).map(|v| Standalone::new(Construct::new(params(v), strategy))).collect();
+        let rep = Simulator::new(g, nodes, SimConfig::seeded(seed ^ 1)).run().unwrap();
+        let ph = rep.outputs.iter().map(|o| o.phases_used).max().unwrap() as u64;
+        (rep.metrics.awake_complexity(), ph, rep.metrics.round_complexity())
     });
 
     let mut t = Table::new(vec![
@@ -879,11 +872,8 @@ fn e15() {
         };
         let nodes = (0..n)
             .map(|v| {
-                Standalone::new(ConstructAwake::new(ConstructParams {
-                    my_id: ids[v],
-                    id_upper,
-                    k: n as u32,
-                }))
+                let params = ConstructParams { my_id: ids[v], id_upper, k: n as u32 };
+                Standalone::new(Construct::new(params, LdtStrategy::Awake))
             })
             .collect();
         let built = Simulator::new(g.clone(), nodes, SimConfig::seeded(seed)).run().unwrap();

@@ -5,12 +5,14 @@
 //! hands out the arguments one at a time and reads the current flag's
 //! value. `--help` and `-h` print the usage on stdout and exit 0. A bad
 //! command line never panics: [`fail`] prints `NAME: message` and the
-//! usage on stderr and exits 2. Binaries make their checks after
-//! parsing, such as a spec the registry rejects, before they print, run
-//! or write anything.
+//! usage on stderr and exits 2. Both exit codes hold even when the
+//! stream cannot be written (a closed pipe, a full disk). Binaries make
+//! their checks after parsing, such as a spec the registry rejects,
+//! before they print, run or write anything.
 
 use graphgen::GraphFamily;
 use std::fmt::Display;
+use std::io::Write;
 use std::str::FromStr;
 
 /// Rejects the command line: `NAME: msg` and `usage` on stderr, exit 2.
@@ -18,7 +20,8 @@ use std::str::FromStr;
 /// checks they make after parsing.
 pub fn fail(usage: &str, msg: impl Display) -> ! {
     let name = usage.trim_start_matches("usage: ").split_whitespace().next().unwrap_or_default();
-    eprintln!("{name}: {msg}\n{usage}");
+    // A failed write must not turn exit code 2 into a panic.
+    let _ = writeln!(std::io::stderr().lock(), "{name}: {msg}\n{usage}");
     std::process::exit(2)
 }
 
@@ -138,7 +141,7 @@ impl Iterator for Args {
     fn next(&mut self) -> Option<String> {
         let arg = self.rest.next()?;
         if arg == "--help" || arg == "-h" {
-            println!("{}", self.usage);
+            let _ = writeln!(std::io::stdout().lock(), "{}", self.usage);
             std::process::exit(0);
         }
         self.flag.clone_from(&arg);

@@ -8,22 +8,42 @@
 //! or above `bench::cli::MAX_SEEDS`, and an `adv_ids=worst` ID space
 //! too large to rank. `experiments --help` lists E1–E17,
 //! `failure_rate` takes no arguments, and `serve` ends a session on
-//! stdin that is not UTF-8. No case here runs an experiment or serves a
+//! stdin that is not UTF-8. Both exit codes hold when the stream the
+//! binary writes to is full. No case here runs an experiment or serves a
 //! batch.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-/// Runs `bin` on `args`, killing it after a deadline: a case that is not
-/// rejected may run for good (`churn --rates inf` asks for `usize::MAX`
-/// deltas per epoch), and a killed run has no exit code.
+/// Every bench binary, by name.
+const BINARIES: [(&str, &str); 9] = [
+    ("grid", env!("CARGO_BIN_EXE_grid")),
+    ("churn", env!("CARGO_BIN_EXE_churn")),
+    ("sweep", env!("CARGO_BIN_EXE_sweep")),
+    ("faults", env!("CARGO_BIN_EXE_faults")),
+    ("serve", env!("CARGO_BIN_EXE_serve")),
+    ("experiments", env!("CARGO_BIN_EXE_experiments")),
+    ("failure_rate", env!("CARGO_BIN_EXE_failure_rate")),
+    ("bench-report", env!("CARGO_BIN_EXE_bench-report")),
+    ("bench-diff", env!("CARGO_BIN_EXE_bench-diff")),
+];
+
+/// Runs `bin` on `args` with its output piped (see [`run_to`]).
 fn run(bin: &str, args: &[&str]) -> Output {
+    run_to(bin, args, Stdio::piped(), Stdio::piped())
+}
+
+/// Runs `bin` on `args` with the given stdout and stderr, killing it
+/// after a deadline: a case that is not rejected may run for good
+/// (`churn --rates inf` asks for `usize::MAX` deltas per epoch), and a
+/// killed run has no exit code.
+fn run_to(bin: &str, args: &[&str], stdout: Stdio, stderr: Stdio) -> Output {
     let mut child = Command::new(bin)
         .args(args)
         .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
+        .stdout(stdout)
+        .stderr(stderr)
         .spawn()
         .expect("run binary");
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -212,6 +232,24 @@ fn failure_rate_takes_no_arguments() {
         assert_eq!(out.status.code(), Some(2), "{arg}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{arg}");
         assert!(out.stdout.is_empty(), "{arg} must run nothing");
+    }
+}
+
+/// `/dev/full` fails every write with "no space left on device". A
+/// rejected flag still exits 2 with stderr there, and `--help` still
+/// exits 0 with stdout there (`failure_rate` rejects `--help`: 2).
+#[cfg(target_os = "linux")]
+#[test]
+fn exit_codes_hold_when_output_cannot_be_written() {
+    let full = || -> Stdio {
+        std::fs::OpenOptions::new().write(true).open("/dev/full").expect("open /dev/full").into()
+    };
+    for (name, bin) in BINARIES {
+        let out = run_to(bin, &["--bogus"], Stdio::null(), full());
+        assert_eq!(out.status.code(), Some(2), "{name} --bogus 2>/dev/full");
+        let help = if name == "failure_rate" { 2 } else { 0 };
+        let out = run_to(bin, &["--help"], full(), Stdio::null());
+        assert_eq!(out.status.code(), Some(help), "{name} --help >/dev/full");
     }
 }
 

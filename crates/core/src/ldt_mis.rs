@@ -4,9 +4,9 @@
 //! The pipeline, run independently by every connected component of the
 //! participating subgraph:
 //!
-//! 1. **Construct** an LDT (strategy selectable: the awake-efficient
-//!    [`ldt::ConstructAwake`] for Lemma 11, or the deterministic
-//!    [`ldt::ConstructRound`] for Corollary 12's `LDT-MIS-ROUND`).
+//! 1. **Construct** an LDT with [`ldt::Construct`] (strategy selectable:
+//!    the awake-efficient coin rule for Lemma 11, or the deterministic
+//!    matching rule for Corollary 12's `LDT-MIS-ROUND`).
 //! 2. **Rank** the component: every node learns its rank and the exact
 //!    component size `n″` (`O(1)` awake rounds).
 //! 3. **Permutation broadcast**: the root draws a uniformly random
@@ -27,23 +27,13 @@
 use crate::state::{MisMsg, MisState};
 use crate::vt_mis::VtMis;
 use graphgen::Port;
-use ldt::construct::{awake_phase_len, awake_round_budget, ConstructAwake, ConstructParams};
-use ldt::construct_round::{round_phase_len, round_round_budget, ConstructRound};
+use ldt::construct::{Construct, ConstructParams};
 use ldt::ops::{broadcast_len, ranking_len, LdtRanking, RankResult};
 use ldt::{ConstructMsg, LdtOutput, OpsMsg};
 use rand::seq::SliceRandom;
 use sleeping_congest::{bits_for_value, MessageSize, NodeCtx, Outbox, Round, SubAction, SubProtocol};
 
-/// Which LDT construction the pipeline uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LdtStrategy {
-    /// Awake-efficient construction (`LDT-MIS`, Lemma 11 / Theorem 13).
-    #[default]
-    Awake,
-    /// Round-efficient deterministic construction (`LDT-MIS-ROUND`,
-    /// Corollary 12 / Corollary 14).
-    Round,
-}
+pub use ldt::LdtStrategy;
 
 /// Parameters shared by every participant.
 #[derive(Debug, Clone, Copy)]
@@ -108,18 +98,10 @@ pub fn chunk_count(total: u64, id_upper: u64) -> u64 {
     total.div_ceil(entries_per_chunk(total, id_upper))
 }
 
-/// Local-round budget of the construction stage.
-pub fn construct_budget(k: u32, id_upper: u64, strategy: LdtStrategy) -> Round {
-    match strategy {
-        LdtStrategy::Awake => awake_round_budget(k),
-        LdtStrategy::Round => round_round_budget(k, id_upper),
-    }
-}
-
 /// Local-round budget of the whole `LDT-MIS` pipeline (worst case over
 /// components of at most `k` nodes).
 pub fn round_budget(k: u32, id_upper: u64, strategy: LdtStrategy) -> Round {
-    construct_budget(k, id_upper, strategy)
+    strategy.round_budget(k, id_upper)
         + ranking_len(k)
         + chunk_count(k as u64, id_upper) * broadcast_len(k)
         + k as Round
@@ -138,34 +120,6 @@ pub struct LdtMisOutput {
     pub comp_size: u64,
 }
 
-/// Construction stage dispatcher.
-#[derive(Debug, Clone)]
-enum ConstructSub {
-    Awake(ConstructAwake),
-    Round(ConstructRound),
-}
-
-impl ConstructSub {
-    fn send(&mut self, lr: Round, ctx: &mut NodeCtx) -> Outbox<ConstructMsg> {
-        match self {
-            ConstructSub::Awake(c) => c.send(lr, ctx),
-            ConstructSub::Round(c) => c.send(lr, ctx),
-        }
-    }
-    fn receive(&mut self, lr: Round, ctx: &mut NodeCtx, inbox: &[(Port, ConstructMsg)]) -> SubAction {
-        match self {
-            ConstructSub::Awake(c) => c.receive(lr, ctx, inbox),
-            ConstructSub::Round(c) => c.receive(lr, ctx, inbox),
-        }
-    }
-    fn output(&self) -> LdtOutput {
-        match self {
-            ConstructSub::Awake(c) => c.output(),
-            ConstructSub::Round(c) => c.output(),
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Stage {
     Construct,
@@ -179,7 +133,7 @@ enum Stage {
 #[derive(Debug, Clone)]
 pub struct LdtMis {
     params: LdtMisParams,
-    construct: ConstructSub,
+    construct: Construct,
     stage: Stage,
     ldt: Option<LdtOutput>,
     rank_sub: Option<LdtRanking>,
@@ -201,13 +155,9 @@ impl LdtMis {
     /// Creates the pipeline participant for one node.
     pub fn new(params: LdtMisParams) -> LdtMis {
         let cp = ConstructParams { my_id: params.my_id, id_upper: params.id_upper, k: params.k };
-        let construct = match params.strategy {
-            LdtStrategy::Awake => ConstructSub::Awake(ConstructAwake::new(cp)),
-            LdtStrategy::Round => ConstructSub::Round(ConstructRound::new(cp)),
-        };
         LdtMis {
             params,
-            construct,
+            construct: Construct::new(cp, params.strategy),
             stage: Stage::Construct,
             ldt: None,
             rank_sub: None,
@@ -224,17 +174,7 @@ impl LdtMis {
         }
     }
 
-    fn phase_len(&self) -> Round {
-        match self.params.strategy {
-            LdtStrategy::Awake => awake_phase_len(self.params.k),
-            LdtStrategy::Round => round_phase_len(self.params.k, self.params.id_upper),
-        }
-    }
-
     fn fail(&mut self) -> SubAction {
-        if std::env::var_os("LDT_MIS_DEBUG").is_some() {
-            eprintln!("LdtMis FAIL at stage {:?} (id {})", self.stage, self.params.my_id);
-        }
         self.failed = true;
         self.finished = true;
         self.stage = Stage::Finished;
@@ -261,7 +201,7 @@ impl LdtMis {
             self.ldt = Some(out);
             return self.finish(MisState::InMis);
         }
-        let r0 = 1 + out.phases_used * self.phase_len();
+        let r0 = 1 + out.phases_used * self.construct.phase_len();
         let rank_sub = LdtRanking::new(self.params.k, out.tree.clone());
         let first = r0 + rank_sub.first_wake();
         self.ldt = Some(out);

@@ -1,19 +1,18 @@
-//! Round-efficient deterministic LDT construction
-//! (`LDT-Construct-Round`, paper Appendix A.2).
+//! The matching merge rule of `LDT-Construct-Round` (paper Appendix A.2,
+//! [`LdtStrategy::Round`](crate::LdtStrategy::Round)).
 //!
-//! Like [`crate::construct::ConstructAwake`], fragments merge in phases;
-//! unlike it, merging is **deterministic**: every phase *every* fragment
-//! merges with at least one other (so `⌈log₂ n′⌉ + 1` phases always
-//! suffice), at the price of an `O(log* I)` factor in awake complexity
-//! from simulating a Cole–Vishkin coloring of the fragment supergraph.
+//! Unlike the coin rule, merging is **deterministic**: every phase
+//! *every* fragment merges with at least one other (so `⌈log₂ n′⌉ + 1`
+//! phases always suffice), at the price of an `O(log* I)` factor in awake
+//! complexity from simulating a Cole–Vishkin coloring of the fragment
+//! supergraph.
 //!
-//! Each phase follows the paper's three stages:
+//! After the decide wave, each phase follows the paper's three stages:
 //!
-//! 1. **Stage 1** — every fragment finds its minimum outgoing edge
-//!    (gather/scatter wave), marks it across the cut (side round), and
-//!    detects *core edges* (edges chosen from both sides). The smaller-ID
-//!    fragment of each core edge is the root of its supergraph tree
-//!    `T_i`.
+//! 1. **Stage 1** — every fragment marks its minimum outgoing edge across
+//!    the cut (side round) and detects *core edges* (edges chosen from
+//!    both sides). The smaller-ID fragment of each core edge is the root
+//!    of its supergraph tree `T_i`.
 //! 2. **Stage 2** — the fragments of each `T_i` 6-color themselves with
 //!    Cole–Vishkin steps (each step: a side round moving parent colors
 //!    across edges plus a wave updating the fragment color), compute a
@@ -23,22 +22,21 @@
 //!    diameter ≤ 4).
 //! 3. **Stage 3** — each SDT elects its minimum fragment ID as the core
 //!    (5 side+wave iterations cover diameter 4), then merges onto the
-//!    core in 4 re-rooting waves, exactly as in the awake strategy.
+//!    core in 4 rounds of announce, acknowledge and re-root wave.
 //!
 //! Every node is awake `O(log* I)` rounds per phase, giving
 //! `O(log n′ · log* I)` awake complexity and `O(n′ log n′ log* I)` round
 //! complexity — the shape of paper Lemma 7 / Lemma 15.
 
-use crate::construct::{ceil_log2, ConstructParams, LdtOutput};
+use crate::construct::{min_edge, side, unicast, Driver, MergeRule, Op};
 use crate::msg::ConstructMsg;
-use crate::state::{EdgeKey, PortInfo, TreeState};
-use crate::wave::WaveSchedule;
+use crate::state::EdgeKey;
 use graphgen::Port;
-use sleeping_congest::{NodeCtx, Outbox, Round, SubAction, SubProtocol};
+use sleeping_congest::{NodeCtx, Outbox, Round};
 
 /// Number of Cole–Vishkin iterations needed to reach 6 colors starting
 /// from colors below `2^initial_bits`.
-pub fn cv_iterations(initial_bits: u32) -> u32 {
+fn cv_iterations(initial_bits: u32) -> u32 {
     let mut max_color: u64 = if initial_bits >= 64 { u64::MAX } else { (1u64 << initial_bits) - 1 };
     let mut iters = 0;
     while max_color > 5 {
@@ -51,115 +49,38 @@ pub fn cv_iterations(initial_bits: u32) -> u32 {
 
 /// One Cole–Vishkin color-reduction step: the index of the lowest bit
 /// where `own` and `parent` differ, shifted up, plus that bit of `own`.
-pub fn cv_step(own: u64, parent: u64) -> u64 {
+fn cv_step(own: u64, parent: u64) -> u64 {
     let idx = (own ^ parent).trailing_zeros().min(63) as u64;
     2 * idx + ((own >> idx) & 1)
 }
 
-/// Phases provisioned for components of at most `k` nodes (fragment
-/// count at least halves every phase).
-pub fn round_phase_budget(k: u32) -> u64 {
-    ceil_log2(k.max(2) as u64) + 2
+/// The ops of one phase for IDs in `[1, id_upper]`.
+pub(crate) fn ops(id_upper: u64) -> Vec<Op> {
+    build_ops(cv_iterations(64 - id_upper.leading_zeros()))
 }
 
-/// The op sequence of one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ROp {
-    /// Wave: min outgoing edge → decision.
-    GsDecide,
-    /// Side: mark chosen edges across cuts; detect core edges.
-    SideChosen,
-    /// Wave: determine whether this fragment roots its `T_i`.
-    GsRootFlag,
-    /// Side: move parent colors down `T_i` edges.
-    SideColor,
-    /// Wave: apply one Cole–Vishkin step.
-    GsColor,
-    /// Side: children report (matched, color) to parents.
-    SideStatus,
-    /// Wave: fragments of this color pick an unmatched child.
-    GsMatch(u8),
-    /// Side: tell the picked child it is matched.
-    SideMatchInform,
-    /// Wave: disseminate "we got matched" inside the child fragment.
-    GsGotMatched,
-    /// Wave: unmatched `T_i` roots pick a child to attach to.
-    GsRootAttach,
-    /// Side: mark attach edges (F-edges) across cuts.
-    SideAttach,
-    /// Side: exchange SDT minima across F-edges.
-    SideSdtMin,
-    /// Wave: fold SDT minima into the fragment register.
-    GsSdtMin,
-    /// Side: merged fragments announce (depth, core) over F-edges.
-    SideMerged,
-    /// Side: attaching endpoints acknowledge, so the merged side adopts
-    /// them as children.
-    SideMergeAck,
-    /// Wave: re-root fragments that heard the merge wavefront.
-    Reroot,
-    /// Side: refresh neighbor fragment IDs.
-    SideRefresh,
-}
-
-impl ROp {
-    fn is_wave(self) -> bool {
-        matches!(
-            self,
-            ROp::GsDecide
-                | ROp::GsRootFlag
-                | ROp::GsColor
-                | ROp::GsMatch(_)
-                | ROp::GsGotMatched
-                | ROp::GsRootAttach
-                | ROp::GsSdtMin
-                | ROp::Reroot
-        )
-    }
-}
-
-fn build_ops(cv_iters: u32) -> Vec<ROp> {
-    let mut ops = vec![ROp::GsDecide, ROp::SideChosen, ROp::GsRootFlag];
+fn build_ops(cv_iters: u32) -> Vec<Op> {
+    let mut ops = vec![Op::Decide, Op::Chosen, Op::RootFlag];
     for _ in 0..cv_iters {
-        ops.push(ROp::SideColor);
-        ops.push(ROp::GsColor);
+        ops.extend([Op::ParentColor, Op::Color]);
     }
     for c in 0..6u8 {
-        ops.push(ROp::SideStatus);
-        ops.push(ROp::GsMatch(c));
-        ops.push(ROp::SideMatchInform);
-        ops.push(ROp::GsGotMatched);
+        ops.extend([Op::Status, Op::Match(c), Op::MatchInform, Op::GotMatched]);
     }
-    ops.push(ROp::GsRootAttach);
-    ops.push(ROp::SideAttach);
+    ops.extend([Op::RootAttach, Op::Attach]);
     for _ in 0..5 {
-        ops.push(ROp::SideSdtMin);
-        ops.push(ROp::GsSdtMin);
+        ops.extend([Op::SdtExchange, Op::SdtMin]);
     }
     for _ in 0..4 {
-        ops.push(ROp::SideMerged);
-        ops.push(ROp::SideMergeAck);
-        ops.push(ROp::Reroot);
+        ops.extend([Op::Merged, Op::MergeAck, Op::Reroot]);
     }
-    ops.push(ROp::SideRefresh);
+    ops.push(Op::Refresh);
     ops
 }
 
-/// Rounds in one phase of the round strategy.
-pub fn round_phase_len(k: u32, id_upper: u64) -> u64 {
-    let w = 2 * k as u64 + 1;
-    let cv = cv_iterations(64 - id_upper.leading_zeros());
-    build_ops(cv).iter().map(|op| if op.is_wave() { w } else { 1 }).sum()
-}
-
-/// Total local-round budget of [`ConstructRound`].
-pub fn round_round_budget(k: u32, id_upper: u64) -> u64 {
-    1 + round_phase_budget(k) * round_phase_len(k, id_upper)
-}
-
-/// Per-phase scratch registers.
+/// Per-phase registers of the matching rule.
 #[derive(Debug, Clone, Default)]
-struct Regs {
+pub(crate) struct MatchingRule {
     up_edge: Option<EdgeKey>,
     up_val: Option<u64>,
     up_flag: bool,
@@ -176,445 +97,97 @@ struct Regs {
     got_matched: bool,
     sdt_min: u64,
     side_min_heard: Option<u64>,
-    reroot_val: Option<(u64, u32)>,
-    id_changed: bool,
     child_edge: Vec<bool>,
     f_edge: Vec<bool>,
 }
 
-/// The `LDT-Construct-Round` subprotocol (one instance per node).
-#[derive(Debug, Clone)]
-pub struct ConstructRound {
-    params: ConstructParams,
-    wave: WaveSchedule,
-    ops: Vec<ROp>,
-    starts: Vec<Round>,
-    phase_len: Round,
-    n_phases: u64,
-    tree: TreeState,
-    pending: Option<TreeState>,
-    ports: Vec<PortInfo>,
-    regs: Regs,
-    agenda: Vec<Round>,
-    cur_phase: u64,
-    cur_op: usize,
-    finished: bool,
-    ok: bool,
-    phases_used: u64,
-}
-
-impl ConstructRound {
-    /// Creates the subprotocol for one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.k == 0` or `params.my_id` is outside
-    /// `[1, id_upper]`.
-    pub fn new(params: ConstructParams) -> ConstructRound {
-        assert!(params.k >= 1, "component bound k must be >= 1");
-        assert!(
-            params.my_id >= 1 && params.my_id <= params.id_upper,
-            "id {} outside [1, {}]",
-            params.my_id,
-            params.id_upper
-        );
-        let wave = WaveSchedule::new(params.k);
-        let cv = cv_iterations(64 - params.id_upper.leading_zeros());
-        let ops = build_ops(cv);
-        let w = wave.block_len();
-        let mut starts = Vec::with_capacity(ops.len());
-        let mut acc = 0;
-        for op in &ops {
-            starts.push(acc);
-            acc += if op.is_wave() { w } else { 1 };
-        }
-        ConstructRound {
-            params,
-            wave,
-            phase_len: acc,
-            n_phases: round_phase_budget(params.k),
-            ops,
-            starts,
-            tree: TreeState::singleton(params.my_id),
-            pending: None,
-            ports: Vec::new(),
-            regs: Regs::default(),
-            agenda: Vec::new(),
-            cur_phase: 0,
-            cur_op: 0,
-            finished: false,
-            ok: false,
-            phases_used: 0,
-        }
-    }
-
-    fn my_id(&self) -> u64 {
-        self.params.my_id
-    }
-
-    fn op_start(&self, phase: u64, op: usize) -> Round {
-        1 + phase * self.phase_len + self.starts[op]
-    }
-
-    fn locate(&self, lr: Round) -> (u64, usize, Round) {
-        debug_assert!(lr >= 1);
-        let rel = lr - 1;
-        let phase = rel / self.phase_len;
-        let within = rel % self.phase_len;
-        let op = match self.starts.binary_search(&within) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        (phase, op, within - self.starts[op])
-    }
-
-    fn cross_ports(&self) -> impl Iterator<Item = Port> + '_ {
-        self.ports
-            .iter()
-            .enumerate()
-            .filter(|(_, pi)| pi.participant && pi.fragment_id != self.tree.root_id)
-            .map(|(p, _)| p as Port)
-    }
-
-    fn local_candidate(&self) -> Option<EdgeKey> {
-        self.cross_ports()
-            .map(|p| EdgeKey::new(self.my_id(), self.ports[p as usize].neighbor_id))
-            .min()
-    }
-
+impl MatchingRule {
     fn child_edge_ports(&self) -> impl Iterator<Item = Port> + '_ {
-        self.regs.child_edge.iter().enumerate().filter(|(_, &b)| b).map(|(p, _)| p as Port)
+        self.child_edge.iter().enumerate().filter(|(_, &b)| b).map(|(p, _)| p as Port)
     }
 
     fn f_edge_ports(&self) -> impl Iterator<Item = Port> + '_ {
-        self.regs.f_edge.iter().enumerate().filter(|(_, &b)| b).map(|(p, _)| p as Port)
+        self.f_edge.iter().enumerate().filter(|(_, &b)| b).map(|(p, _)| p as Port)
     }
 
-    fn merged(&self) -> bool {
-        self.tree.root_id == self.regs.sdt_min
-    }
-
-    /// Wake offsets of a full-fragment gather/scatter wave.
-    fn wave_agenda(&self, base: Round) -> Vec<Round> {
-        let d = self.tree.depth;
-        let mut v = Vec::new();
-        if !self.tree.children_ports.is_empty() {
-            v.extend(self.wave.up_receive(d));
-        }
-        if self.tree.parent_port.is_some() {
-            v.extend(self.wave.up_send(d));
-            v.extend(self.wave.down_receive(d));
-        }
-        if self.tree.is_root() || !self.tree.children_ports.is_empty() {
-            v.extend(self.wave.down_send(d));
-        }
-        v.into_iter().map(|o| base + o).collect()
-    }
-
-    fn initial_agenda(&self, phase: u64, op: usize) -> Vec<Round> {
-        let base = self.op_start(phase, op);
-        let d = self.tree.depth;
-        let mut v: Vec<Round> = Vec::new();
-        match self.ops[op] {
-            ROp::GsDecide | ROp::GsRootFlag | ROp::GsColor | ROp::GsSdtMin => {
-                v = self.wave_agenda(base);
-            }
-            ROp::SideChosen => {
-                if self.regs.owner_port.is_some() || self.cross_ports().next().is_some() {
-                    v.push(base);
-                }
-            }
-            ROp::SideColor => {
-                let sends = self.child_edge_ports().next().is_some();
-                let listens = self.regs.owner_port.is_some() && !self.regs.is_ti_root;
-                if sends || listens {
-                    v.push(base);
-                }
-            }
-            ROp::SideStatus => {
-                let sends = self.regs.owner_port.is_some() && !self.regs.is_ti_root;
-                let listens = self.child_edge_ports().next().is_some();
-                if sends || listens {
-                    v.push(base);
-                }
-            }
-            ROp::GsMatch(c) => {
-                if self.regs.color == c as u64 && !self.regs.matched && !self.regs.complete {
-                    v = self.wave_agenda(base);
-                }
-            }
-            ROp::SideMatchInform => {
-                let sends = self.regs.hold_match_edge.is_some();
-                let listens = self.regs.owner_port.is_some() && !self.regs.matched;
-                if sends || listens {
-                    v.push(base);
-                }
-            }
-            ROp::GsGotMatched => {
-                if !self.regs.matched {
-                    v = self.wave_agenda(base);
-                }
-            }
-            ROp::GsRootAttach => {
-                if self.regs.is_ti_root && !self.regs.matched {
-                    v = self.wave_agenda(base);
-                }
-            }
-            ROp::SideAttach => {
-                let attach_up = !self.regs.matched && !self.regs.is_ti_root;
-                let sends = (attach_up && self.regs.owner_port.is_some())
-                    || self.regs.hold_match_edge.is_some();
-                let listens = self.cross_ports().next().is_some();
-                if sends || listens {
-                    v.push(base);
-                }
-            }
-            ROp::SideSdtMin => {
-                if self.f_edge_ports().next().is_some() {
-                    v.push(base);
-                }
-            }
-            ROp::SideMerged => {
-                if self.f_edge_ports().next().is_some() {
-                    v.push(base);
-                }
-            }
-            ROp::SideMergeAck => {
-                let sends = self.regs.reroot_val.is_some();
-                let listens = self.merged() && self.f_edge_ports().next().is_some();
-                if sends || listens {
-                    v.push(base);
-                }
-            }
-            ROp::Reroot => {
-                if !self.merged() {
-                    if self.regs.reroot_val.is_some() {
-                        if self.tree.parent_port.is_some() {
-                            v.extend(self.wave.up_send(d));
-                        }
-                        if !self.tree.children_ports.is_empty() {
-                            v.extend(self.wave.down_send(d));
-                        }
-                    } else {
-                        if !self.tree.children_ports.is_empty() {
-                            v.extend(self.wave.up_receive(d));
-                        }
-                        if self.tree.parent_port.is_some() {
-                            v.extend(self.wave.down_receive(d));
-                        }
-                    }
-                    v = v.into_iter().map(|o| base + o).collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    return v;
-                }
-            }
-            ROp::SideRefresh => {
-                if self.regs.id_changed || self.cross_ports().next().is_some() {
-                    v.push(base);
-                }
-            }
-        }
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    fn push_agenda(&mut self, lr: Round) {
-        if let Err(pos) = self.agenda.binary_search(&lr) {
-            self.agenda.insert(pos, lr);
-        }
-    }
-
-    fn advance(&mut self, lr: Round) -> SubAction {
-        loop {
-            if self.finished {
-                return SubAction::Done;
-            }
-            if self.ops[self.cur_op] == ROp::Reroot {
-                if let Some(next) = self.pending.take() {
-                    self.regs.id_changed = next.root_id != self.tree.root_id;
-                    if let Some(p) = next.parent_port {
-                        self.ports[p as usize].fragment_id = next.root_id;
-                    }
-                    self.tree = next;
-                    self.regs.reroot_val = None;
-                }
-            }
-            self.cur_op += 1;
-            if self.cur_op == self.ops.len() {
-                self.cur_op = 0;
-                self.cur_phase += 1;
-                if self.cur_phase >= self.n_phases {
-                    self.finished = true;
-                    self.ok = false;
-                    self.phases_used = self.cur_phase;
-                    return SubAction::Done;
-                }
-                self.reset_phase_regs();
-            }
-            if self.ops[self.cur_op] == ROp::SideStatus {
-                // New matching subphase: one-shot registers start clean.
-                self.regs.up_edge = None;
-                self.regs.up_val = None;
-                self.regs.up_flag = false;
-                self.regs.got_matched = false;
-                self.regs.hold_match_edge = None;
-                self.regs.child_status.clear();
-            }
-            self.agenda = self.initial_agenda(self.cur_phase, self.cur_op);
-            if let Some(&first) = self.agenda.first() {
-                debug_assert!(first > lr, "agenda round {first} not after {lr}");
-                return SubAction::SleepUntil(first);
-            }
-        }
-    }
-
-    fn reset_phase_regs(&mut self) {
-        let deg = self.ports.len();
-        self.regs = Regs {
-            color: self.tree.root_id,
-            sdt_min: self.tree.root_id,
-            child_edge: vec![false; deg],
-            f_edge: vec![false; deg],
-            ..Regs::default()
-        };
-    }
-
-    fn next_action(&mut self, lr: Round) -> SubAction {
-        if self.finished {
-            return SubAction::Done;
-        }
-        if let Some(&next) = self.agenda.iter().find(|&&r| r > lr) {
-            return SubAction::SleepUntil(next);
-        }
-        self.advance(lr)
-    }
-
-    fn fail(&mut self) -> SubAction {
-        self.finished = true;
-        self.ok = false;
-        self.phases_used = self.cur_phase;
-        SubAction::Done
-    }
-
-    fn complete(&mut self) -> SubAction {
-        self.finished = true;
-        self.ok = true;
-        self.phases_used = self.cur_phase + 1;
-        SubAction::Done
-    }
-
-    fn note_owner_port(&mut self) {
-        self.regs.owner_port = None;
-        if let Some(e) = self.regs.chosen {
-            if e.touches(self.my_id()) {
-                let other = if e.lo == self.my_id() { e.hi } else { e.lo };
-                self.regs.owner_port = self
-                    .ports
-                    .iter()
-                    .enumerate()
-                    .find(|(_, pi)| pi.participant && pi.neighbor_id == other)
-                    .map(|(p, _)| p as Port);
-            }
-        }
+    fn merged(&self, d: &Driver) -> bool {
+        d.tree.root_id == self.sdt_min
     }
 
     /// Handles the up/down rounds of a full-fragment wave, with
     /// op-specific combine/decide/apply steps.
-    fn wave_send(&mut self, op: ROp, off: Round) -> Outbox<ConstructMsg> {
-        let d = self.tree.depth;
-        if Some(off) == self.wave.up_send(d) {
-            let p = self.tree.parent_port.expect("up_send implies parent");
+    fn wave_send(&mut self, d: &Driver, op: Op, off: Round) -> Outbox<ConstructMsg> {
+        let depth = d.tree.depth;
+        if Some(off) == d.wave.up_send(depth) {
+            let p = d.tree.parent_port.expect("up_send implies parent");
             let msg = match op {
-                ROp::GsDecide => {
-                    ConstructMsg::UpEdge(min_edge(self.regs.up_edge, self.local_candidate()))
+                Op::Decide => ConstructMsg::UpEdge(min_edge(self.up_edge, d.local_candidate())),
+                Op::RootFlag => ConstructMsg::UpFlag(self.up_flag || self.core_root_candidate),
+                Op::Color => ConstructMsg::UpValue(min_val(self.up_val, self.parent_color)),
+                Op::Match(_) => {
+                    ConstructMsg::UpEdge(min_edge(self.up_edge, self.local_match_candidate(d)))
                 }
-                ROp::GsRootFlag => {
-                    ConstructMsg::UpFlag(self.regs.up_flag || self.regs.core_root_candidate)
+                Op::GotMatched => ConstructMsg::UpFlag(self.up_flag || self.got_matched),
+                Op::RootAttach => {
+                    ConstructMsg::UpEdge(min_edge(self.up_edge, self.local_attach_candidate(d)))
                 }
-                ROp::GsColor => {
-                    ConstructMsg::UpValue(min_val(self.regs.up_val, self.regs.parent_color))
-                }
-                ROp::GsMatch(_) => ConstructMsg::UpEdge(min_edge(
-                    self.regs.up_edge,
-                    self.local_match_candidate(),
-                )),
-                ROp::GsGotMatched => {
-                    ConstructMsg::UpFlag(self.regs.up_flag || self.regs.got_matched)
-                }
-                ROp::GsRootAttach => ConstructMsg::UpEdge(min_edge(
-                    self.regs.up_edge,
-                    self.local_attach_candidate(),
-                )),
-                ROp::GsSdtMin => {
-                    ConstructMsg::UpValue(min_val(self.regs.up_val, self.regs.side_min_heard))
-                }
-                _ => unreachable!("not a wave op"),
+                Op::SdtMin => ConstructMsg::UpValue(min_val(self.up_val, self.side_min_heard)),
+                _ => unreachable!("{op:?} is not a matching wave"),
             };
             Outbox::Unicast(vec![(p, msg)])
-        } else if Some(off) == self.wave.down_send(d) {
-            if self.tree.is_root() {
-                self.decide(op);
+        } else if Some(off) == d.wave.down_send(depth) {
+            if d.tree.is_root() {
+                self.decide(d, op);
             }
-            if self.tree.children_ports.is_empty() {
-                return Outbox::Silent;
-            }
-            let msg = match op {
-                ROp::GsDecide => ConstructMsg::Decision {
-                    chosen: self.regs.chosen,
-                    head: false,
-                    done: self.regs.complete,
-                },
-                ROp::GsRootFlag => ConstructMsg::DownFlag(self.regs.is_ti_root),
-                ROp::GsColor => ConstructMsg::DownValue(self.regs.color),
-                ROp::GsMatch(_) | ROp::GsRootAttach => {
-                    ConstructMsg::DownEdge(self.regs.up_edge)
+            d.to_children(match op {
+                Op::Decide => {
+                    ConstructMsg::Decision { chosen: self.chosen, head: false, done: self.complete }
                 }
-                ROp::GsGotMatched => ConstructMsg::DownFlag(self.regs.matched),
-                ROp::GsSdtMin => ConstructMsg::DownValue(self.regs.sdt_min),
-                _ => unreachable!("not a wave op"),
-            };
-            Outbox::Unicast(self.tree.children_ports.iter().map(|&p| (p, msg.clone())).collect())
+                Op::RootFlag => ConstructMsg::DownFlag(self.is_ti_root),
+                Op::Color => ConstructMsg::DownValue(self.color),
+                Op::Match(_) | Op::RootAttach => ConstructMsg::DownEdge(self.up_edge),
+                Op::GotMatched => ConstructMsg::DownFlag(self.matched),
+                Op::SdtMin => ConstructMsg::DownValue(self.sdt_min),
+                _ => unreachable!("{op:?} is not a matching wave"),
+            })
         } else {
             Outbox::Silent
         }
     }
 
     /// Root-side decision once the up wave has arrived.
-    fn decide(&mut self, op: ROp) {
+    fn decide(&mut self, d: &Driver, op: Op) {
         match op {
-            ROp::GsDecide => {
-                self.regs.chosen = min_edge(self.regs.up_edge, self.local_candidate());
-                self.regs.complete = self.regs.chosen.is_none();
+            Op::Decide => {
+                self.chosen = min_edge(self.up_edge, d.local_candidate());
+                self.complete = self.chosen.is_none();
             }
-            ROp::GsRootFlag => {
-                self.regs.is_ti_root = self.regs.up_flag || self.regs.core_root_candidate;
+            Op::RootFlag => {
+                self.is_ti_root = self.up_flag || self.core_root_candidate;
             }
-            ROp::GsColor => {
-                let parent = min_val(self.regs.up_val, self.regs.parent_color);
+            Op::Color => {
+                let parent = min_val(self.up_val, self.parent_color);
                 let pc = match parent {
-                    Some(c) if !self.regs.is_ti_root => c,
-                    _ => self.regs.color ^ 1,
+                    Some(c) if !self.is_ti_root => c,
+                    _ => self.color ^ 1,
                 };
-                self.regs.color = cv_step(self.regs.color, pc);
+                self.color = cv_step(self.color, pc);
             }
-            ROp::GsMatch(_) => {
-                self.regs.up_edge = min_edge(self.regs.up_edge, self.local_match_candidate());
-                if self.regs.up_edge.is_some() {
-                    self.regs.matched = true;
+            Op::Match(_) => {
+                self.up_edge = min_edge(self.up_edge, self.local_match_candidate(d));
+                if self.up_edge.is_some() {
+                    self.matched = true;
                 }
             }
-            ROp::GsGotMatched
-                if (self.regs.up_flag || self.regs.got_matched) => {
-                    self.regs.matched = true;
-                }
-            ROp::GsRootAttach => {
-                self.regs.up_edge = min_edge(self.regs.up_edge, self.local_attach_candidate());
+            Op::GotMatched if (self.up_flag || self.got_matched) => {
+                self.matched = true;
             }
-            ROp::GsSdtMin => {
-                self.regs.sdt_min =
-                    min_val(Some(self.regs.sdt_min), min_val(self.regs.up_val, self.regs.side_min_heard))
+            Op::RootAttach => {
+                self.up_edge = min_edge(self.up_edge, self.local_attach_candidate(d));
+            }
+            Op::SdtMin => {
+                self.sdt_min =
+                    min_val(Some(self.sdt_min), min_val(self.up_val, self.side_min_heard))
                         .expect("sdt_min always set");
             }
             _ => {}
@@ -623,523 +196,302 @@ impl ConstructRound {
 
     /// Candidate edge for the matching wave: my smallest child edge
     /// leading to an unmatched child fragment.
-    fn local_match_candidate(&self) -> Option<EdgeKey> {
-        self.regs
-            .child_status
+    fn local_match_candidate(&self, d: &Driver) -> Option<EdgeKey> {
+        self.child_status
             .iter()
             .filter(|&&(_, unmatched)| unmatched)
-            .map(|&(p, _)| EdgeKey::new(self.my_id(), self.ports[p as usize].neighbor_id))
+            .map(|&(p, _)| d.edge_on(p))
             .min()
     }
 
     /// Candidate edge for the root-attach wave: my smallest child edge.
-    fn local_attach_candidate(&self) -> Option<EdgeKey> {
-        self.child_edge_ports()
-            .map(|p| EdgeKey::new(self.my_id(), self.ports[p as usize].neighbor_id))
-            .min()
+    fn local_attach_candidate(&self, d: &Driver) -> Option<EdgeKey> {
+        self.child_edge_ports().map(|p| d.edge_on(p)).min()
     }
 
-    /// Marks the port of an edge this node owns, if any.
-    fn port_of_edge(&self, e: EdgeKey) -> Option<Port> {
-        if !e.touches(self.my_id()) {
-            return None;
-        }
-        let other = if e.lo == self.my_id() { e.hi } else { e.lo };
-        self.ports
-            .iter()
-            .enumerate()
-            .find(|(_, pi)| pi.participant && pi.neighbor_id == other)
-            .map(|(p, _)| p as Port)
-    }
-
-    fn wave_receive(&mut self, op: ROp, off: Round, inbox: &[(Port, ConstructMsg)]) -> Option<SubAction> {
-        let d = self.tree.depth;
-        if Some(off) == self.wave.up_receive(d) {
+    fn wave_receive(&mut self, d: &mut Driver, op: Op, off: Round, inbox: &[(Port, ConstructMsg)]) {
+        let depth = d.tree.depth;
+        if Some(off) == d.wave.up_receive(depth) {
             for (_, m) in inbox {
-                match m {
-                    ConstructMsg::UpEdge(e) => self.regs.up_edge = min_edge(self.regs.up_edge, *e),
-                    ConstructMsg::UpValue(v) => self.regs.up_val = min_val(self.regs.up_val, *v),
-                    ConstructMsg::UpFlag(f) => self.regs.up_flag |= f,
+                match *m {
+                    ConstructMsg::UpEdge(e) => self.up_edge = min_edge(self.up_edge, e),
+                    ConstructMsg::UpValue(v) => self.up_val = min_val(self.up_val, v),
+                    ConstructMsg::UpFlag(f) => self.up_flag |= f,
                     _ => {}
                 }
             }
-        } else if Some(off) == self.wave.down_send(d) && self.tree.is_root() {
-            // Root already decided in the send step of this round.
-            return self.apply_down(op);
-        } else if Some(off) == self.wave.down_receive(d) {
+        } else if Some(off) == d.wave.down_receive(depth) {
             for (_, m) in inbox {
-                match m {
+                match *m {
                     ConstructMsg::Decision { chosen, done, .. } => {
-                        self.regs.chosen = *chosen;
-                        self.regs.complete = *done;
+                        self.chosen = chosen;
+                        self.complete = done;
                     }
                     ConstructMsg::DownFlag(f) => match op {
-                        ROp::GsRootFlag => self.regs.is_ti_root = *f,
-                        ROp::GsGotMatched => self.regs.matched |= f,
+                        Op::RootFlag => self.is_ti_root = f,
+                        Op::GotMatched => self.matched |= f,
                         _ => {}
                     },
                     ConstructMsg::DownValue(v) => match op {
-                        ROp::GsColor => self.regs.color = *v,
-                        ROp::GsSdtMin => self.regs.sdt_min = *v,
+                        Op::Color => self.color = v,
+                        Op::SdtMin => self.sdt_min = v,
                         _ => {}
                     },
                     ConstructMsg::DownEdge(e) => {
-                        self.regs.up_edge = *e; // reuse register for the choice
-                        if e.is_some() && matches!(op, ROp::GsMatch(_)) {
-                            self.regs.matched = true;
+                        self.up_edge = e; // reuse register for the choice
+                        if e.is_some() && matches!(op, Op::Match(_)) {
+                            self.matched = true;
                         }
                     }
                     _ => {}
                 }
             }
-            if self.tree.children_ports.is_empty() {
-                return self.apply_down(op);
+            if d.tree.is_leaf() {
+                self.apply_down(d, op);
             }
-        } else if Some(off) == self.wave.down_send(d) && !self.tree.is_root() {
-            return self.apply_down(op);
+        } else if Some(off) == d.wave.down_send(depth) {
+            // This round's send step decided (at the root) or forwarded
+            // the down-wave value.
+            self.apply_down(d, op);
         }
-        None
     }
 
     /// Op-specific bookkeeping once this node has both learned and
     /// forwarded the down-wave value.
-    fn apply_down(&mut self, op: ROp) -> Option<SubAction> {
+    fn apply_down(&mut self, d: &mut Driver, op: Op) {
         match op {
-            ROp::GsDecide => {
-                if self.regs.complete {
-                    return Some(self.complete());
+            Op::Decide => {
+                if self.complete {
+                    return d.complete();
                 }
-                self.note_owner_port();
+                self.owner_port = self.chosen.and_then(|e| d.port_of_edge(e));
             }
-            ROp::GsMatch(_) | ROp::GsRootAttach => {
-                if let Some(e) = self.regs.up_edge {
-                    if let Some(p) = self.port_of_edge(e) {
-                        if self.regs.child_edge[p as usize] {
-                            self.regs.hold_match_edge = Some(p);
-                            self.regs.f_edge[p as usize] = true;
-                        }
+            Op::Match(_) | Op::RootAttach => {
+                if let Some(p) = self.up_edge.and_then(|e| d.port_of_edge(e)) {
+                    if self.child_edge[p as usize] {
+                        self.hold_match_edge = Some(p);
+                        self.f_edge[p as usize] = true;
                     }
                 }
             }
-            ROp::GsSdtMin => {
-                self.regs.side_min_heard = None;
-            }
-            ROp::GsColor => {
-                self.regs.parent_color = None;
-            }
+            Op::SdtMin => self.side_min_heard = None,
+            Op::Color => self.parent_color = None,
             _ => {}
         }
         // Clear one-shot up registers for the next wave of the phase.
-        self.regs.up_edge = None;
-        self.regs.up_val = None;
-        self.regs.up_flag = false;
-        None
+        self.up_edge = None;
+        self.up_val = None;
+        self.up_flag = false;
     }
 }
 
-impl SubProtocol for ConstructRound {
-    type Msg = ConstructMsg;
-    type Output = LdtOutput;
+impl MergeRule for MatchingRule {
+    fn begin_phase(&mut self, d: &Driver) {
+        let deg = d.ports.len();
+        *self = MatchingRule {
+            color: d.tree.root_id,
+            sdt_min: d.tree.root_id,
+            child_edge: vec![false; deg],
+            f_edge: vec![false; deg],
+            ..MatchingRule::default()
+        };
+    }
 
-    fn send(&mut self, lr: Round, _ctx: &mut NodeCtx) -> Outbox<ConstructMsg> {
-        if lr == 0 {
-            return Outbox::Broadcast(ConstructMsg::Hello { id: self.my_id() });
-        }
-        if self.finished {
-            return Outbox::Silent;
-        }
-        let (_, op, off) = self.locate(lr);
-        let op = self.ops[op];
+    fn enter(&mut self, d: &Driver, op: Op, base: Round) -> Vec<Round> {
+        let wave = |awake: bool| if awake { d.wave_agenda(base) } else { Vec::new() };
         match op {
-            ROp::GsDecide
-            | ROp::GsRootFlag
-            | ROp::GsColor
-            | ROp::GsMatch(_)
-            | ROp::GsGotMatched
-            | ROp::GsRootAttach
-            | ROp::GsSdtMin => self.wave_send(op, off),
-            ROp::SideChosen => match self.regs.owner_port {
-                Some(p) => Outbox::Unicast(vec![(
-                    p,
-                    ConstructMsg::Chosen { fragment: self.tree.root_id },
-                )]),
+            Op::RootFlag | Op::Color | Op::SdtMin => wave(true),
+            Op::Match(c) => wave(self.color == c as u64 && !self.matched && !self.complete),
+            Op::GotMatched => wave(!self.matched),
+            Op::RootAttach => wave(self.is_ti_root && !self.matched),
+            Op::Chosen => {
+                side(base, self.owner_port.is_some() || d.cross_ports().next().is_some())
+            }
+            Op::ParentColor | Op::Status => {
+                if op == Op::Status {
+                    // New matching subphase: one-shot registers start clean.
+                    self.up_edge = None;
+                    self.up_val = None;
+                    self.up_flag = false;
+                    self.got_matched = false;
+                    self.hold_match_edge = None;
+                    self.child_status.clear();
+                }
+                // A fragment and its parent in `T_i` exchange colors and
+                // statuses over the fragment's chosen edge.
+                let has_parent = self.owner_port.is_some() && !self.is_ti_root;
+                side(base, has_parent || self.child_edge_ports().next().is_some())
+            }
+            Op::MatchInform => {
+                let listens = self.owner_port.is_some() && !self.matched;
+                side(base, self.hold_match_edge.is_some() || listens)
+            }
+            Op::Attach => {
+                let attach_up = !self.matched && !self.is_ti_root && self.owner_port.is_some();
+                let sends = attach_up || self.hold_match_edge.is_some();
+                side(base, sends || d.cross_ports().next().is_some())
+            }
+            Op::SdtExchange | Op::Merged => side(base, self.f_edge_ports().next().is_some()),
+            Op::MergeAck => {
+                let listens = self.merged(d) && self.f_edge_ports().next().is_some();
+                side(base, d.reroot_val.is_some() || listens)
+            }
+            _ => unreachable!("{op:?} is not a matching op"),
+        }
+    }
+
+    fn send(&mut self, d: &Driver, op: Op, off: Round, _: &mut NodeCtx) -> Outbox<ConstructMsg> {
+        match op {
+            _ if op.is_wave() => self.wave_send(d, op, off),
+            Op::Chosen => match self.owner_port {
+                Some(p) => {
+                    Outbox::Unicast(vec![(p, ConstructMsg::Chosen { fragment: d.tree.root_id })])
+                }
                 None => Outbox::Silent,
             },
-            ROp::SideColor => {
-                let msgs: Vec<(Port, ConstructMsg)> = self
-                    .child_edge_ports()
-                    .map(|p| (p, ConstructMsg::Color { color: self.regs.color }))
-                    .collect();
-                if msgs.is_empty() {
-                    Outbox::Silent
-                } else {
-                    Outbox::Unicast(msgs)
-                }
+            Op::ParentColor => {
+                let msg = ConstructMsg::Color { color: self.color };
+                unicast(self.child_edge_ports().map(|p| (p, msg.clone())))
             }
-            ROp::SideStatus => {
-                if !self.regs.is_ti_root {
-                    match self.regs.owner_port {
-                        Some(p) => Outbox::Unicast(vec![(
-                            p,
-                            ConstructMsg::Status {
-                                matched: self.regs.matched,
-                                color: self.regs.color,
-                            },
-                        )]),
-                        None => Outbox::Silent,
-                    }
-                } else {
-                    Outbox::Silent
-                }
-            }
-            ROp::SideMatchInform => match self.regs.hold_match_edge {
-                Some(p) if self.regs.matched => {
-                    Outbox::Unicast(vec![(p, ConstructMsg::MatchInform)])
-                }
+            Op::Status => match self.owner_port {
+                Some(p) if !self.is_ti_root => Outbox::Unicast(vec![(
+                    p,
+                    ConstructMsg::Status { matched: self.matched, color: self.color },
+                )]),
                 _ => Outbox::Silent,
             },
-            ROp::SideAttach => {
-                let mut msgs: Vec<(Port, ConstructMsg)> = Vec::new();
-                if !self.regs.matched && !self.regs.is_ti_root {
-                    if let Some(p) = self.regs.owner_port {
-                        msgs.push((p, ConstructMsg::Attach));
-                    }
-                } else if self.regs.is_ti_root && self.regs.hold_match_edge.is_some() && !self.regs.matched {
-                    msgs.push((self.regs.hold_match_edge.unwrap(), ConstructMsg::Attach));
-                }
-                if msgs.is_empty() {
-                    Outbox::Silent
+            Op::MatchInform => match self.hold_match_edge {
+                Some(p) if self.matched => Outbox::Unicast(vec![(p, ConstructMsg::MatchInform)]),
+                _ => Outbox::Silent,
+            },
+            Op::Attach => {
+                // An unmatched fragment attaches up its chosen edge; an
+                // unmatched `T_i` root attaches to the child it picked.
+                let port = if self.matched {
+                    None
+                } else if self.is_ti_root {
+                    self.hold_match_edge
                 } else {
-                    Outbox::Unicast(msgs)
+                    self.owner_port
+                };
+                match port {
+                    Some(p) => Outbox::Unicast(vec![(p, ConstructMsg::Attach)]),
+                    None => Outbox::Silent,
                 }
             }
-            ROp::SideSdtMin => {
-                let msgs: Vec<(Port, ConstructMsg)> = self
-                    .f_edge_ports()
-                    .map(|p| (p, ConstructMsg::SdtMin { min_id: self.regs.sdt_min }))
-                    .collect();
-                if msgs.is_empty() {
-                    Outbox::Silent
-                } else {
-                    Outbox::Unicast(msgs)
-                }
+            Op::SdtExchange => {
+                let msg = ConstructMsg::SdtMin { min_id: self.sdt_min };
+                unicast(self.f_edge_ports().map(|p| (p, msg.clone())))
             }
-            ROp::SideMerged => {
-                if self.merged() {
-                    let msgs: Vec<(Port, ConstructMsg)> = self
-                        .f_edge_ports()
-                        .map(|p| {
-                            (
-                                p,
-                                ConstructMsg::Merged {
-                                    depth: self.tree.depth,
-                                    core: self.regs.sdt_min,
-                                },
-                            )
-                        })
-                        .collect();
-                    if msgs.is_empty() {
-                        Outbox::Silent
-                    } else {
-                        Outbox::Unicast(msgs)
-                    }
-                } else {
-                    Outbox::Silent
-                }
+            Op::Merged if self.merged(d) => {
+                let msg = ConstructMsg::Merged { depth: d.tree.depth, core: self.sdt_min };
+                unicast(self.f_edge_ports().map(|p| (p, msg.clone())))
             }
-            ROp::SideMergeAck => match (&self.regs.reroot_val, &self.pending) {
+            Op::MergeAck => match (d.reroot_val, &d.pending) {
                 (Some(_), Some(t)) => Outbox::Unicast(vec![(
                     t.parent_port.expect("merge attaches below a parent"),
                     ConstructMsg::MergeAck,
                 )]),
                 _ => Outbox::Silent,
             },
-            ROp::Reroot => {
-                let d = self.tree.depth;
-                if Some(off) == self.wave.up_send(d) {
-                    match (self.regs.reroot_val, self.tree.parent_port) {
-                        (Some((nr, nd)), Some(p)) => Outbox::Unicast(vec![(
-                            p,
-                            ConstructMsg::RerootUp { new_root: nr, sender_new_depth: nd },
-                        )]),
-                        _ => Outbox::Silent,
-                    }
-                } else if Some(off) == self.wave.down_send(d) {
-                    match &self.pending {
-                        Some(t) if !self.tree.children_ports.is_empty() => {
-                            let msg = ConstructMsg::Update {
-                                new_root: t.root_id,
-                                sender_new_depth: t.depth,
-                            };
-                            Outbox::Unicast(
-                                self.tree.children_ports.iter().map(|&p| (p, msg.clone())).collect(),
-                            )
-                        }
-                        _ => Outbox::Silent,
-                    }
-                } else {
-                    Outbox::Silent
-                }
-            }
-            ROp::SideRefresh => {
-                if self.regs.id_changed {
-                    let live: Vec<(Port, ConstructMsg)> = self
-                        .ports
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, pi)| pi.participant)
-                        .map(|(p, _)| {
-                            (p as Port, ConstructMsg::FragId { root_id: self.tree.root_id })
-                        })
-                        .collect();
-                    if live.is_empty() {
-                        Outbox::Silent
-                    } else {
-                        Outbox::Unicast(live)
-                    }
-                } else {
-                    Outbox::Silent
-                }
-            }
+            _ => Outbox::Silent,
         }
     }
 
-    fn receive(&mut self, lr: Round, ctx: &mut NodeCtx, inbox: &[(Port, ConstructMsg)]) -> SubAction {
-        if lr == 0 {
-            self.ports = vec![PortInfo::unknown(); ctx.degree];
-            let mut ids_seen = vec![self.my_id()];
-            for &(p, ref m) in inbox {
-                if let ConstructMsg::Hello { id } = m {
-                    self.ports[p as usize] =
-                        PortInfo { neighbor_id: *id, fragment_id: *id, participant: true };
-                    ids_seen.push(*id);
-                }
-            }
-            ids_seen.sort_unstable();
-            if ids_seen.windows(2).any(|w| w[0] == w[1]) {
-                return self.fail();
-            }
-            if self.ports.iter().all(|pi| !pi.participant) {
-                return self.complete();
-            }
-            self.reset_phase_regs();
-            self.cur_phase = 0;
-            self.cur_op = 0;
-            self.agenda = self.initial_agenda(0, 0);
-            let first = self.agenda[0];
-            return SubAction::SleepUntil(first);
-        }
-        if self.finished {
-            return SubAction::Done;
-        }
-        let (_, op_idx, off) = self.locate(lr);
-        let op = self.ops[op_idx];
+    fn receive(&mut self, d: &mut Driver, op: Op, off: Round, inbox: &[(Port, ConstructMsg)]) {
         match op {
-            ROp::GsDecide
-            | ROp::GsRootFlag
-            | ROp::GsColor
-            | ROp::GsMatch(_)
-            | ROp::GsGotMatched
-            | ROp::GsRootAttach
-            | ROp::GsSdtMin => {
-                if let Some(action) = self.wave_receive(op, off, inbox) {
-                    return action;
-                }
-            }
-            ROp::SideChosen => {
+            _ if op.is_wave() => self.wave_receive(d, op, off, inbox),
+            Op::Chosen => {
                 for &(p, ref m) in inbox {
                     if let ConstructMsg::Chosen { .. } = m {
-                        let e = EdgeKey::new(self.my_id(), self.ports[p as usize].neighbor_id);
-                        if self.regs.chosen == Some(e) {
+                        if self.chosen == Some(d.edge_on(p)) {
                             // Both fragments chose this edge: core edge.
                             // The smaller-ID fragment roots the supertree
                             // and treats the other as a child.
-                            if self.tree.root_id < self.ports[p as usize].fragment_id {
-                                self.regs.core_root_candidate = true;
-                                self.regs.child_edge[p as usize] = true;
+                            if d.tree.root_id < d.ports[p as usize].fragment_id {
+                                self.core_root_candidate = true;
+                                self.child_edge[p as usize] = true;
                             }
                         } else {
-                            self.regs.child_edge[p as usize] = true;
+                            self.child_edge[p as usize] = true;
                         }
                     }
                 }
             }
-            ROp::SideColor => {
+            Op::ParentColor => {
                 for &(p, ref m) in inbox {
-                    if let ConstructMsg::Color { color } = m {
-                        if Some(p) == self.regs.owner_port {
-                            self.regs.parent_color = Some(*color);
+                    if let ConstructMsg::Color { color } = *m {
+                        if Some(p) == self.owner_port {
+                            self.parent_color = Some(color);
                         }
                     }
                 }
             }
-            ROp::SideStatus => {
-                self.regs.child_status.clear();
+            Op::Status => {
+                self.child_status.clear();
                 for &(p, ref m) in inbox {
-                    if let ConstructMsg::Status { matched, .. } = m {
-                        if self.regs.child_edge[p as usize] {
-                            self.regs.child_status.push((p, !matched));
+                    if let ConstructMsg::Status { matched, .. } = *m {
+                        if self.child_edge[p as usize] {
+                            self.child_status.push((p, !matched));
                         }
                     }
                 }
             }
-            ROp::SideMatchInform => {
-                for (p, m) in inbox {
-                    if matches!(m, ConstructMsg::MatchInform) && Some(*p) == self.regs.owner_port {
-                        self.regs.got_matched = true;
-                        self.regs.f_edge[*p as usize] = true;
+            Op::MatchInform => {
+                for &(p, ref m) in inbox {
+                    if matches!(m, ConstructMsg::MatchInform) && Some(p) == self.owner_port {
+                        self.got_matched = true;
+                        self.f_edge[p as usize] = true;
                     }
                 }
             }
-            ROp::SideAttach => {
-                if !self.regs.matched && !self.regs.is_ti_root {
-                    if let Some(p) = self.regs.owner_port {
+            Op::Attach => {
+                if !self.matched && !self.is_ti_root {
+                    if let Some(p) = self.owner_port {
                         // Attaching up our parent edge makes it an F-edge.
-                        self.regs.f_edge[p as usize] = true;
+                        self.f_edge[p as usize] = true;
                     }
                 }
-                for (p, m) in inbox {
+                for &(p, ref m) in inbox {
                     if matches!(m, ConstructMsg::Attach) {
-                        self.regs.f_edge[*p as usize] = true;
+                        self.f_edge[p as usize] = true;
                     }
                 }
             }
-            ROp::SideSdtMin => {
+            Op::SdtExchange => {
                 for (_, m) in inbox {
-                    if let ConstructMsg::SdtMin { min_id } = m {
-                        self.regs.side_min_heard = min_val(self.regs.side_min_heard, Some(*min_id));
+                    if let ConstructMsg::SdtMin { min_id } = *m {
+                        self.side_min_heard = min_val(self.side_min_heard, Some(min_id));
                     }
                 }
             }
-            ROp::SideMerged => {
-                if !self.merged() {
-                    for &(p, ref m) in inbox {
-                        if let ConstructMsg::Merged { depth, core } = m {
-                            if self.regs.reroot_val.is_none() {
-                                let my_new = depth + 1;
-                                if my_new as u64 >= self.params.k as u64 {
-                                    return self.fail();
-                                }
-                                let mut children = self.tree.children_ports.clone();
-                                if let Some(old_parent) = self.tree.parent_port {
-                                    push_sorted(&mut children, old_parent);
-                                }
-                                self.regs.reroot_val = Some((*core, my_new));
-                                self.pending = Some(TreeState {
-                                    root_id: *core,
-                                    depth: my_new,
-                                    parent_port: Some(p),
-                                    children_ports: children,
-                                });
+            Op::Merged if !self.merged(d) => {
+                for &(p, ref m) in inbox {
+                    if let ConstructMsg::Merged { depth, core } = *m {
+                        if d.reroot_val.is_none() {
+                            let my_new = depth + 1;
+                            if my_new >= d.params.k {
+                                return d.fail();
                             }
+                            d.begin_reroot(p, core, my_new, d.tree.children_ports.clone());
                         }
                     }
                 }
             }
-            ROp::SideMergeAck => {
-                if self.merged() {
-                    for &(p, ref m) in inbox {
-                        if matches!(m, ConstructMsg::MergeAck) {
-                            self.tree.add_child(p);
-                            self.ports[p as usize].fragment_id = self.regs.sdt_min;
-                        }
+            Op::MergeAck if self.merged(d) => {
+                for &(p, ref m) in inbox {
+                    if matches!(m, ConstructMsg::MergeAck) {
+                        d.tree.add_child(p);
+                        d.ports[p as usize].fragment_id = self.sdt_min;
                     }
                 }
             }
-            ROp::Reroot => {
-                let d = self.tree.depth;
-                if Some(off) == self.wave.up_receive(d) {
-                    let mut pushes: Vec<Round> = Vec::new();
-                    for &(p, ref m) in inbox {
-                        if let ConstructMsg::RerootUp { new_root, sender_new_depth } = m {
-                            let my_new = sender_new_depth + 1;
-                            if my_new as u64 >= self.params.k as u64 {
-                                return self.fail();
-                            }
-                            let mut children = self.tree.children_ports.clone();
-                            remove_sorted(&mut children, p);
-                            if let Some(old_parent) = self.tree.parent_port {
-                                push_sorted(&mut children, old_parent);
-                            }
-                            self.regs.reroot_val = Some((*new_root, my_new));
-                            self.pending = Some(TreeState {
-                                root_id: *new_root,
-                                depth: my_new,
-                                parent_port: Some(p),
-                                children_ports: children,
-                            });
-                            let base = lr - off;
-                            if self.tree.parent_port.is_some() {
-                                if let Some(us) = self.wave.up_send(d) {
-                                    pushes.push(base + us);
-                                }
-                            }
-                            if !self.tree.children_ports.is_empty() {
-                                if let Some(ds) = self.wave.down_send(d) {
-                                    pushes.push(base + ds);
-                                }
-                            }
-                        }
-                    }
-                    for r in pushes {
-                        self.push_agenda(r);
-                    }
-                } else if Some(off) == self.wave.down_receive(d) {
-                    let mut pushes: Vec<Round> = Vec::new();
-                    for (_, m) in inbox {
-                        if let ConstructMsg::Update { new_root, sender_new_depth } = m {
-                            if self.pending.is_none() {
-                                let my_new = sender_new_depth + 1;
-                                if my_new as u64 >= self.params.k as u64 {
-                                    return self.fail();
-                                }
-                                self.pending = Some(TreeState {
-                                    root_id: *new_root,
-                                    depth: my_new,
-                                    parent_port: self.tree.parent_port,
-                                    children_ports: self.tree.children_ports.clone(),
-                                });
-                                if !self.tree.children_ports.is_empty() {
-                                    let base = lr - off;
-                                    if let Some(ds) = self.wave.down_send(d) {
-                                        pushes.push(base + ds);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for r in pushes {
-                        self.push_agenda(r);
-                    }
-                }
-            }
-            ROp::SideRefresh => {
-                for (p, m) in inbox {
-                    if let ConstructMsg::FragId { root_id } = m {
-                        self.ports[*p as usize].fragment_id = *root_id;
-                    }
-                }
-            }
-        }
-        self.next_action(lr)
-    }
-
-    fn output(&self) -> LdtOutput {
-        assert!(self.finished, "construction output read before completion");
-        LdtOutput {
-            ok: self.ok,
-            tree: self.tree.clone(),
-            ports: self.ports.clone(),
-            phases_used: self.phases_used,
+            _ => {}
         }
     }
-}
 
-fn min_edge(a: Option<EdgeKey>, b: Option<EdgeKey>) -> Option<EdgeKey> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
+    fn may_reroot(&self, d: &Driver) -> bool {
+        !self.merged(d)
     }
 }
 
@@ -1148,18 +500,6 @@ fn min_val(a: Option<u64>, b: Option<u64>) -> Option<u64> {
         (Some(x), Some(y)) => Some(x.min(y)),
         (x, None) => x,
         (None, y) => y,
-    }
-}
-
-fn push_sorted(v: &mut Vec<Port>, x: Port) {
-    if let Err(pos) = v.binary_search(&x) {
-        v.insert(pos, x);
-    }
-}
-
-fn remove_sorted(v: &mut Vec<Port>, x: Port) {
-    if let Ok(pos) = v.binary_search(&x) {
-        v.remove(pos);
     }
 }
 
@@ -1192,16 +532,17 @@ mod tests {
     #[test]
     fn op_sequence_structure() {
         let ops = build_ops(2);
-        assert_eq!(ops[0], ROp::GsDecide);
-        assert_eq!(*ops.last().unwrap(), ROp::SideRefresh);
-        assert_eq!(ops.iter().filter(|o| matches!(o, ROp::GsMatch(_))).count(), 6);
-        assert_eq!(ops.iter().filter(|o| matches!(o, ROp::Reroot)).count(), 4);
-        assert_eq!(ops.iter().filter(|o| matches!(o, ROp::SideColor)).count(), 2);
+        assert_eq!(ops[0], Op::Decide);
+        assert_eq!(*ops.last().unwrap(), Op::Refresh);
+        assert_eq!(ops.iter().filter(|o| matches!(o, Op::Match(_))).count(), 6);
+        assert_eq!(ops.iter().filter(|o| matches!(o, Op::Reroot)).count(), 4);
+        assert_eq!(ops.iter().filter(|o| matches!(o, Op::ParentColor)).count(), 2);
     }
 
     #[test]
     fn budgets_monotone() {
-        assert!(round_round_budget(8, 1000) < round_round_budget(16, 1000));
-        assert!(round_phase_budget(4) <= round_phase_budget(64));
+        let round = crate::LdtStrategy::Round;
+        assert!(round.round_budget(8, 1000) < round.round_budget(16, 1000));
+        assert!(round.phase_budget(4) <= round.phase_budget(64));
     }
 }

@@ -12,15 +12,17 @@
 //!
 //! # Modules
 //!
-//! * [`schedule`] — the paper's transmission schedule (Appendix A.1):
-//!   named wake-up offsets within blocks of `2k+1` rounds.
-//! * [`wave`] — up-then-down wave blocks (gather → scatter in one block).
-//! * [`construct`] — `LDT-Construct-Awake`: O(log n′) awake complexity
-//!   w.h.p. (randomized fragment merging in place of the deterministic
-//!   construction that Lemma 6 of arXiv:2204.08359 cites).
-//! * [`construct_round`] — `LDT-Construct-Round` (Appendix A.2):
-//!   deterministic, O(log n′ · log* I) awake complexity, built on GHS
-//!   merging with Cole–Vishkin coloring of the fragment supergraph.
+//! * [`wave`] — the paper's transmission schedule (Appendix A.1),
+//!   reordered into up-then-down wave blocks (gather → scatter in one
+//!   block).
+//! * [`construct`] — LDT construction: one driver ([`Construct`]) and two
+//!   merge rules selected by [`LdtStrategy`]. The coin rule
+//!   (`LDT-Construct-Awake`) costs O(log n′) awake rounds w.h.p.
+//!   (randomized fragment merging in place of the deterministic
+//!   construction that Lemma 6 of arXiv:2204.08359 cites); the matching
+//!   rule (`LDT-Construct-Round`, Appendix A.2) is deterministic, with
+//!   O(log n′ · log* I) awake complexity, built on GHS merging with
+//!   Cole–Vishkin coloring of the fragment supergraph.
 //! * [`ops`] — broadcast and ranking over a constructed LDT.
 //! * [`verify`] — structural validation of a constructed forest.
 //!
@@ -28,7 +30,7 @@
 //!
 //! ```
 //! use graphgen::generators;
-//! use ldt::construct::{ConstructAwake, ConstructParams};
+//! use ldt::construct::{Construct, ConstructParams, LdtStrategy};
 //! use ldt::verify::verify_fldt;
 //! use sleeping_congest::{SimConfig, Simulator, Standalone};
 //!
@@ -36,11 +38,12 @@
 //! let g = generators::cycle(n as usize);
 //! let nodes = (0..n)
 //!     .map(|v| {
-//!         Standalone::new(ConstructAwake::new(ConstructParams {
+//!         let params = ConstructParams {
 //!             my_id: (v + 1) as u64 * 7 + 1, // any distinct ids
 //!             id_upper: 1000,
 //!             k: n,
-//!         }))
+//!         };
+//!         Standalone::new(Construct::new(params, LdtStrategy::Awake))
 //!     })
 //!     .collect();
 //! let report = Simulator::new(g.clone(), nodes, SimConfig::seeded(3)).run()?;
@@ -49,18 +52,16 @@
 //! ```
 
 pub mod construct;
-pub mod construct_round;
+mod construct_awake;
+mod construct_round;
 pub mod msg;
 pub mod ops;
-pub mod schedule;
 pub mod state;
 pub mod verify;
 pub mod wave;
 
-pub use construct::{ConstructAwake, ConstructParams, LdtOutput};
-pub use construct_round::ConstructRound;
+pub use construct::{Construct, ConstructParams, LdtOutput, LdtStrategy};
 pub use msg::{ConstructMsg, OpsMsg};
 pub use ops::{LdtBroadcast, LdtRanking, RankResult};
-pub use schedule::{BlockClock, Schedule};
 pub use state::{EdgeKey, PortInfo, TreeState};
 pub use wave::WaveSchedule;

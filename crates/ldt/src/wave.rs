@@ -2,15 +2,34 @@
 //! convergecast (leaves → root) followed immediately by a broadcast
 //! (root → leaves) inside a single block of `2k + 1` rounds.
 //!
-//! The paper's transmission schedule ([`crate::schedule::Schedule`]) puts
-//! the `Down` rounds *before* the `Up` rounds, which is the right order
-//! for broadcast-then-aggregate. Construction phases, however, repeatedly
+//! The paper's *transmission schedule* (Appendix A.1), parameterized by
+//! an upper bound `k` on the tree size, gives a node at depth `i` a
+//! handful of named wake-up offsets inside a block of `2k + 1` rounds:
+//!
+//! | name                | offset      | who                                  |
+//! |---------------------|-------------|--------------------------------------|
+//! | `Down-Send` (root)  | `0`         | root                                 |
+//! | `Down-Receive`      | `i − 1`     | non-root at depth `i`                |
+//! | `Down-Send`         | `i`         | depth `i`, has children              |
+//! | `Side-Send-Receive` | `k`         | anyone                               |
+//! | `Up-Receive`        | `2k − i`    | depth `i`, has children (root: `2k`) |
+//! | `Up-Send`           | `2k − i + 1`| non-root at depth `i`                |
+//!
+//! Information flows root→leaves in the `Down` rounds (a parent's
+//! `Down-Send` coincides with its children's `Down-Receive`), leaves→root
+//! in the `Up` rounds, and across tree boundaries in the single `Side`
+//! round where *all* scheduled nodes are awake simultaneously. Every node
+//! is awake `O(1)` rounds per block.
+//!
+//! That order — `Down` rounds *before* `Up` rounds — suits
+//! broadcast-then-aggregate. Construction phases, however, repeatedly
 //! need the opposite composite — *gather a minimum at the root, then
 //! scatter the root's decision* — which would cost two standard blocks.
 //! A wave block reorders the offsets so the composite fits in one block,
 //! halving both the awake cost and the round cost of each construction
 //! phase while preserving every property of the schedule (parent/child
-//! rounds coincide; every node is awake `O(1)` rounds per block):
+//! rounds coincide; every node is awake `O(1)` rounds per block); side
+//! rounds become separate single rounds between blocks:
 //!
 //! | name         | offset      | who                        |
 //! |--------------|-------------|----------------------------|

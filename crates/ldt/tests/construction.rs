@@ -3,8 +3,7 @@
 //! resulting forests, awake complexities, and determinism.
 
 use graphgen::{generators, Graph};
-use ldt::construct::{awake_round_budget, ConstructAwake, ConstructParams, LdtOutput};
-use ldt::construct_round::{round_round_budget, ConstructRound};
+use ldt::construct::{Construct, ConstructParams, LdtOutput, LdtStrategy};
 use ldt::ops::{LdtBroadcast, LdtRanking};
 use ldt::verify::verify_fldt;
 use rand::rngs::SmallRng;
@@ -30,32 +29,13 @@ fn id_upper(n: usize) -> u64 {
     (n * n * n).max(1 << 24)
 }
 
-fn run_awake(g: &Graph, seed: u64) -> (Vec<LdtOutput>, Metrics) {
+fn run(g: &Graph, seed: u64, strategy: LdtStrategy) -> (Vec<LdtOutput>, Metrics) {
     let n = g.n();
     let ids = draw_ids(n, id_upper(n), seed ^ 0xABCD);
     let nodes = (0..n)
         .map(|v| {
-            Standalone::new(ConstructAwake::new(ConstructParams {
-                my_id: ids[v],
-                id_upper: id_upper(n),
-                k: n.max(1) as u32,
-            }))
-        })
-        .collect();
-    let report = Simulator::new(g.clone(), nodes, SimConfig::seeded(seed)).run().expect("run");
-    (report.outputs, report.metrics)
-}
-
-fn run_round(g: &Graph, seed: u64) -> (Vec<LdtOutput>, Metrics) {
-    let n = g.n();
-    let ids = draw_ids(n, id_upper(n), seed ^ 0xABCD);
-    let nodes = (0..n)
-        .map(|v| {
-            Standalone::new(ConstructRound::new(ConstructParams {
-                my_id: ids[v],
-                id_upper: id_upper(n),
-                k: n.max(1) as u32,
-            }))
+            let params = ConstructParams { my_id: ids[v], id_upper: id_upper(n), k: n.max(1) as u32 };
+            Standalone::new(Construct::new(params, strategy))
         })
         .collect();
     let report = Simulator::new(g.clone(), nodes, SimConfig::seeded(seed)).run().expect("run");
@@ -93,7 +73,7 @@ fn zoo(seed: u64) -> Vec<(String, Graph)> {
 fn awake_strategy_builds_valid_forests() {
     for (name, g) in zoo(11) {
         for seed in [1u64, 2, 3] {
-            let (outs, _) = run_awake(&g, seed);
+            let (outs, _) = run(&g, seed, LdtStrategy::Awake);
             let all = vec![true; g.n()];
             verify_fldt(&g, &outs, &all)
                 .unwrap_or_else(|e| panic!("awake strategy on {name} (seed {seed}): {e}"));
@@ -105,7 +85,7 @@ fn awake_strategy_builds_valid_forests() {
 fn round_strategy_builds_valid_forests() {
     for (name, g) in zoo(17) {
         for seed in [4u64, 5] {
-            let (outs, _) = run_round(&g, seed);
+            let (outs, _) = run(&g, seed, LdtStrategy::Round);
             let all = vec![true; g.n()];
             verify_fldt(&g, &outs, &all)
                 .unwrap_or_else(|e| panic!("round strategy on {name} (seed {seed}): {e}"));
@@ -120,7 +100,7 @@ fn awake_complexity_is_logarithmic() {
     // kind of growth is what matters, and it must hold on every topology).
     for n in [8usize, 32, 128] {
         let g = generators::cycle(n);
-        let (_, m) = run_awake(&g, 7);
+        let (_, m) = run(&g, 7, LdtStrategy::Awake);
         let log2n = (n as f64).log2();
         let bound = 16.0 * (log2n + 2.0);
         assert!(
@@ -135,31 +115,26 @@ fn awake_complexity_is_logarithmic() {
 fn round_budget_honored() {
     for (name, g) in zoo(23) {
         let n = g.n().max(1) as u32;
-        let (_, m_awake) = run_awake(&g, 9);
-        assert!(
-            m_awake.round_complexity() <= awake_round_budget(n),
-            "{name}: awake strategy used {} rounds, budget {}",
-            m_awake.round_complexity(),
-            awake_round_budget(n)
-        );
-        let (_, m_round) = run_round(&g, 9);
-        assert!(
-            m_round.round_complexity() <= round_round_budget(n, id_upper(g.n())),
-            "{name}: round strategy used {} rounds, budget {}",
-            m_round.round_complexity(),
-            round_round_budget(n, id_upper(g.n()))
-        );
+        for strategy in [LdtStrategy::Awake, LdtStrategy::Round] {
+            let (_, m) = run(&g, 9, strategy);
+            let budget = strategy.round_budget(n, id_upper(g.n()));
+            assert!(
+                m.round_complexity() <= budget,
+                "{name}: {strategy:?} strategy used {} rounds, budget {budget}",
+                m.round_complexity(),
+            );
+        }
     }
 }
 
 #[test]
 fn construction_is_deterministic() {
     let g = generators::gnp(30, 0.15, &mut SmallRng::seed_from_u64(5));
-    let (a, ma) = run_awake(&g, 42);
-    let (b, mb) = run_awake(&g, 42);
+    let (a, ma) = run(&g, 42, LdtStrategy::Awake);
+    let (b, mb) = run(&g, 42, LdtStrategy::Awake);
     assert_eq!(a, b);
     assert_eq!(ma.awake_rounds, mb.awake_rounds);
-    let (c, _) = run_awake(&g, 43);
+    let (c, _) = run(&g, 43, LdtStrategy::Awake);
     // Different seed: overwhelmingly likely to differ somewhere (coins).
     assert!(a != c || a.iter().all(|o| o.tree.children_ports.is_empty()));
 }
@@ -167,7 +142,7 @@ fn construction_is_deterministic() {
 #[test]
 fn ranking_after_construction_is_a_permutation() {
     for (name, g) in zoo(31) {
-        let (outs, _) = run_awake(&g, 13);
+        let (outs, _) = run(&g, 13, LdtStrategy::Awake);
         let n = g.n();
         let k = n.max(1) as u32;
         let nodes = (0..n)
@@ -205,7 +180,7 @@ fn ranking_after_construction_is_a_permutation() {
 #[test]
 fn broadcast_reaches_every_node_in_constant_awake() {
     let g = generators::path(40);
-    let (outs, _) = run_awake(&g, 21);
+    let (outs, _) = run(&g, 21, LdtStrategy::Awake);
     let n = g.n();
     let payload = 0xDEAD_BEEFu64;
     let nodes = (0..n)
@@ -229,11 +204,8 @@ fn round_strategy_is_deterministic_across_seeds() {
     let run = |seed: u64| {
         let nodes = (0..24)
             .map(|v| {
-                Standalone::new(ConstructRound::new(ConstructParams {
-                    my_id: ids[v],
-                    id_upper: id_upper(24),
-                    k: 24,
-                }))
+                let params = ConstructParams { my_id: ids[v], id_upper: id_upper(24), k: 24 };
+                Standalone::new(Construct::new(params, LdtStrategy::Round))
             })
             .collect();
         Simulator::new(g.clone(), nodes, SimConfig::seeded(seed)).run().unwrap().outputs
@@ -247,7 +219,7 @@ fn phases_used_grows_slowly() {
     // halving) — check monotone-ish small values.
     for (n, max_phases) in [(4usize, 4u64), (16, 6), (64, 8)] {
         let g = generators::path(n);
-        let (outs, _) = run_round(&g, 3);
+        let (outs, _) = run(&g, 3, LdtStrategy::Round);
         let used = outs.iter().map(|o| o.phases_used).max().unwrap();
         assert!(used <= max_phases, "n = {n}: {used} phases > {max_phases}");
     }

@@ -1,12 +1,10 @@
-//! Property tests for the LDT substrate: schedule alignment laws,
+//! Property tests for the LDT substrate: wave alignment laws,
 //! construction validity over random graphs, and ranking correctness
 //! over randomly built trees.
 
 use graphgen::{generators, Graph};
-use ldt::construct::{ConstructAwake, ConstructParams};
-use ldt::construct_round::ConstructRound;
+use ldt::construct::{Construct, ConstructParams, LdtStrategy};
 use ldt::ops::LdtRanking;
-use ldt::schedule::Schedule;
 use ldt::verify::verify_fldt;
 use ldt::wave::WaveSchedule;
 use proptest::prelude::*;
@@ -15,19 +13,6 @@ use rand::{Rng, SeedableRng};
 use sleeping_congest::{SimConfig, Simulator, Standalone};
 
 proptest! {
-    /// Standard-schedule alignment laws hold for every bound and depth.
-    #[test]
-    fn schedule_alignment(k in 1u32..200, depth in 1u32..200) {
-        prop_assume!(depth < k);
-        let s = Schedule::new(k);
-        prop_assert_eq!(s.down_receive(depth), s.down_send(depth - 1));
-        prop_assert_eq!(s.up_receive(depth - 1), s.up_send(depth));
-        // All offsets inside the block.
-        for off in [s.down_receive(depth), s.down_send(depth), s.up_receive(depth), s.up_send(depth)].into_iter().flatten() {
-            prop_assert!(off < s.block_len());
-        }
-    }
-
     /// Wave-schedule alignment laws.
     #[test]
     fn wave_alignment(k in 1u32..200, depth in 1u32..200) {
@@ -72,9 +57,9 @@ proptest! {
         let upper = ((n.max(4) as u64).pow(3)).max(1 << 24);
         let ids = distinct_ids(n, upper, seed);
         let nodes = (0..n)
-            .map(|v| Standalone::new(ConstructAwake::new(ConstructParams {
+            .map(|v| Standalone::new(Construct::new(ConstructParams {
                 my_id: ids[v], id_upper: upper, k: n as u32,
-            })))
+            }, LdtStrategy::Awake)))
             .collect();
         let rep = Simulator::new(g.clone(), nodes, SimConfig::seeded(seed)).run().unwrap();
         let all = vec![true; n];
@@ -89,15 +74,15 @@ proptest! {
         let upper = ((n.max(4) as u64).pow(3)).max(1 << 24);
         let ids = distinct_ids(n, upper, seed);
         let nodes = (0..n)
-            .map(|v| Standalone::new(ConstructRound::new(ConstructParams {
+            .map(|v| Standalone::new(Construct::new(ConstructParams {
                 my_id: ids[v], id_upper: upper, k: n as u32,
-            })))
+            }, LdtStrategy::Round)))
             .collect();
         let rep = Simulator::new(g.clone(), nodes, SimConfig::seeded(seed)).run().unwrap();
         let all = vec![true; n];
         prop_assert!(verify_fldt(&g, &rep.outputs, &all).is_ok());
         let phases = rep.outputs.iter().map(|o| o.phases_used).max().unwrap();
-        prop_assert!(phases <= ldt::construct_round::round_phase_budget(n as u32));
+        prop_assert!(phases <= LdtStrategy::Round.phase_budget(n as u32));
     }
 
     /// Ranking over any constructed forest yields a rank permutation per
@@ -108,9 +93,9 @@ proptest! {
         let upper = ((n.max(4) as u64).pow(3)).max(1 << 24);
         let ids = distinct_ids(n, upper, seed);
         let nodes = (0..n)
-            .map(|v| Standalone::new(ConstructAwake::new(ConstructParams {
+            .map(|v| Standalone::new(Construct::new(ConstructParams {
                 my_id: ids[v], id_upper: upper, k: n as u32,
-            })))
+            }, LdtStrategy::Awake)))
             .collect();
         let built = Simulator::new(g.clone(), nodes, SimConfig::seeded(seed)).run().unwrap();
         let rank_nodes = (0..n)

@@ -2,10 +2,11 @@
 //! `Awake-MIS`, where only a batch's undecided nodes participate and
 //! everyone else sleeps. Non-participants here terminate instantly, so
 //! their silence (and the loss of any message sent to them) is part of
-//! the test.
+//! the test. Every case runs both merge rules: `awake` runs the coin
+//! rule in its windows and `awake-round` the matching rule.
 
 use graphgen::{generators, Graph, Port};
-use ldt::construct::{ConstructAwake, ConstructParams};
+use ldt::construct::{Construct, ConstructParams, LdtStrategy};
 use ldt::verify::verify_fldt;
 use ldt::{ConstructMsg, LdtOutput, PortInfo, TreeState};
 use rand::rngs::SmallRng;
@@ -14,11 +15,11 @@ use sleeping_congest::{
     Action, NodeCtx, Outbox, Protocol, SimConfig, Simulator, SubAction, SubProtocol,
 };
 
-/// Runs `ConstructAwake` when participating, terminates at round 0
+/// Runs the construction when participating, terminates at round 0
 /// otherwise.
 #[allow(clippy::large_enum_variant)]
 enum MaybeBuild {
-    Out(ConstructAwake, bool),
+    Out(Construct, bool),
     Sleep,
 }
 
@@ -62,7 +63,14 @@ impl Protocol for MaybeBuild {
     }
 }
 
-fn run_subset(g: &Graph, participants: &[bool], seed: u64) -> Vec<Option<LdtOutput>> {
+const STRATEGIES: [LdtStrategy; 2] = [LdtStrategy::Awake, LdtStrategy::Round];
+
+fn run_subset(
+    g: &Graph,
+    participants: &[bool],
+    seed: u64,
+    strategy: LdtStrategy,
+) -> Vec<Option<LdtOutput>> {
     let n = g.n();
     let id_upper = ((n.max(4) as u64).pow(3)).max(1 << 24);
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -77,14 +85,8 @@ fn run_subset(g: &Graph, participants: &[bool], seed: u64) -> Vec<Option<LdtOutp
     let nodes = (0..n)
         .map(|v| {
             if participants[v] {
-                MaybeBuild::Out(
-                    ConstructAwake::new(ConstructParams {
-                        my_id: ids[v],
-                        id_upper,
-                        k: n as u32,
-                    }),
-                    false,
-                )
+                let params = ConstructParams { my_id: ids[v], id_upper, k: n as u32 };
+                MaybeBuild::Out(Construct::new(params, strategy), false)
             } else {
                 MaybeBuild::Sleep
             }
@@ -115,10 +117,15 @@ fn half_the_cycle_participates() {
     let n = 16;
     let g = generators::cycle(n);
     let participants: Vec<bool> = (0..n).map(|v| v % 2 == 0).collect();
-    let outs = unwrap_outputs(run_subset(&g, &participants, 1));
-    verify_fldt(&g, &outs, &participants).unwrap();
-    for v in (0..n).filter(|v| v % 2 == 0) {
-        assert!(outs[v].tree.is_root() && outs[v].tree.is_leaf(), "node {v} should be isolated");
+    for strategy in STRATEGIES {
+        let outs = unwrap_outputs(run_subset(&g, &participants, 1, strategy));
+        verify_fldt(&g, &outs, &participants).unwrap();
+        for v in (0..n).filter(|v| v % 2 == 0) {
+            assert!(
+                outs[v].tree.is_root() && outs[v].tree.is_leaf(),
+                "{strategy:?}: node {v} should be isolated"
+            );
+        }
     }
 }
 
@@ -132,15 +139,17 @@ fn contiguous_arcs_participate() {
     participants[0..5].fill(true); // arc of 5
     participants[10..12].fill(true); // arc of 2
     participants[18] = true; // singleton
-    let outs = unwrap_outputs(run_subset(&g, &participants, 2));
-    verify_fldt(&g, &outs, &participants).unwrap();
-    // The 5-arc shares one root id across its nodes.
-    let arc_ids: std::collections::HashSet<u64> =
-        (0..5).map(|v| outs[v].tree.root_id).collect();
-    assert_eq!(arc_ids.len(), 1);
-    // The 2-arc has its own.
-    assert_eq!(outs[10].tree.root_id, outs[11].tree.root_id);
-    assert_ne!(outs[10].tree.root_id, outs[0].tree.root_id);
+    for strategy in STRATEGIES {
+        let outs = unwrap_outputs(run_subset(&g, &participants, 2, strategy));
+        verify_fldt(&g, &outs, &participants).unwrap();
+        // The 5-arc shares one root id across its nodes.
+        let arc_ids: std::collections::HashSet<u64> =
+            (0..5).map(|v| outs[v].tree.root_id).collect();
+        assert_eq!(arc_ids.len(), 1, "{strategy:?}");
+        // The 2-arc has its own.
+        assert_eq!(outs[10].tree.root_id, outs[11].tree.root_id, "{strategy:?}");
+        assert_ne!(outs[10].tree.root_id, outs[0].tree.root_id, "{strategy:?}");
+    }
 }
 
 #[test]
@@ -152,9 +161,11 @@ fn random_subsets_on_random_graphs() {
         if participants.iter().filter(|&&b| b).count() == 0 {
             continue;
         }
-        let outs = unwrap_outputs(run_subset(&g, &participants, trial));
-        verify_fldt(&g, &outs, &participants)
-            .unwrap_or_else(|e| panic!("trial {trial}: {e}"));
+        for strategy in STRATEGIES {
+            let outs = unwrap_outputs(run_subset(&g, &participants, trial, strategy));
+            verify_fldt(&g, &outs, &participants)
+                .unwrap_or_else(|e| panic!("{strategy:?}, trial {trial}: {e}"));
+        }
     }
 }
 
@@ -163,12 +174,14 @@ fn participants_know_their_live_ports() {
     let n = 12;
     let g = generators::complete(n);
     let participants: Vec<bool> = (0..n).map(|v| v < 6).collect();
-    let outs = run_subset(&g, &participants, 4);
-    for (v, slot) in outs.iter().enumerate().take(6) {
-        let out = slot.as_ref().unwrap();
-        // Exactly the 5 other participants are marked live.
-        let live: Vec<PortInfo> =
-            out.ports.iter().copied().filter(|pi| pi.participant).collect();
-        assert_eq!(live.len(), 5, "node {v} sees {} live ports", live.len());
+    for strategy in STRATEGIES {
+        let outs = run_subset(&g, &participants, 4, strategy);
+        for (v, slot) in outs.iter().enumerate().take(6) {
+            let out = slot.as_ref().unwrap();
+            // Exactly the 5 other participants are marked live.
+            let live: Vec<PortInfo> =
+                out.ports.iter().copied().filter(|pi| pi.participant).collect();
+            assert_eq!(live.len(), 5, "{strategy:?}: node {v} sees {} live ports", live.len());
+        }
     }
 }
