@@ -1,11 +1,11 @@
 //! Built-in algorithm runners.
 //!
 //! The executable form of every algorithm in the comparison table lives
-//! here, registered with the [`Registry`](crate::spec::Registry) under
-//! its CLI key (see [`register_builtins`]). Every builtin is the same
-//! generic runner: a strict parameter reader plus a protocol factory
-//! `(graph, seed) → Vec<P>`, driven through the engine by one shared run
-//! path. Parameterized variants are specs, not new code:
+//! here, registered with the [`Registry`] under its CLI key (see
+//! `register_builtins`). Every builtin is the same generic runner: a
+//! strict parameter reader plus a protocol factory `(graph, seed) →
+//! Vec<P>`, driven through the engine by one shared run path.
+//! Parameterized variants are specs, not new code:
 //! `awake?round_efficient=true`, `ldt?strategy=round`,
 //! `vt?id_upper=1000000`, `na?stride=8`, `gp-avg?balance=0` all resolve
 //! to configured instances of the builders below.
@@ -20,7 +20,7 @@
 //!
 //! Every builtin additionally accepts the shared **fault-model
 //! parameters** `loss=P`, `crash=P`, `crash_from=R`, `crash_until=R`
-//! and `jitter=J` (see [`read_fault`] and
+//! and `jitter=J` (see `read_fault` and
 //! [`sleeping_congest::FaultModel`]), the **execution parameter**
 //! `shards=K` (intra-run engine parallelism, `0` = auto; see
 //! [`sleeping_congest::SimConfig::shards`]), and the ID-based runners

@@ -9,7 +9,7 @@
 //! those two stages from the repo's own building blocks:
 //!
 //! 1. **Dropout stage** (`balance` phases): the compete/resolve
-//!    [`DropoutCore`] shared with [`NaMis`](crate::na_mis::NaMis) —
+//!    `DropoutCore` shared with [`NaMis`](crate::na_mis::NaMis) —
 //!    each phase decides the local priority minima and their neighbors,
 //!    who leave immediately, so the undecided set decays geometrically
 //!    and most nodes pay `O(1)`.
@@ -50,7 +50,7 @@ use crate::vt_mis::{VtMis, MAX_ID_SPACE};
 use graphgen::Port;
 use rand::Rng;
 use sleeping_congest::{
-    bits_for_value, Action, MessageSize, NodeCtx, Outbox, Protocol, Round, SubAction, SubProtocol,
+    bits_for_value, Action, MessageSize, NodeCtx, Outbox, Protocol, Round, SubProtocol, Window,
 };
 
 /// The ranked stage's rank space: the [`id_space`] `[1, N³]`, capped at
@@ -115,11 +115,10 @@ pub struct AvgMisOutput {
 pub struct AvgMis {
     cfg: AvgMisConfig,
     dropout: DropoutCore,
-    /// This node's ranked-stage rank (0 until drawn).
-    rank: u64,
     /// The ranked finishing stage, constructed lazily when (and only
-    /// when) this node survives the dropout stage.
-    ranked: Option<VtMis>,
+    /// when) this node survives the dropout stage. Its `VT-MIS` ID is the
+    /// node's rank.
+    ranked: Option<Window<VtMis>>,
     collided: bool,
     finished: bool,
 }
@@ -130,7 +129,6 @@ impl AvgMis {
         AvgMis {
             cfg,
             dropout: DropoutCore::default(),
-            rank: 0,
             ranked: None,
             collided: false,
             finished: false,
@@ -144,11 +142,12 @@ impl AvgMis {
 
     /// Enters the ranked stage: draws the random rank and builds the
     /// virtual-tree schedule over the [`rank_space`].
-    fn enter_ranked(&mut self, ctx: &mut NodeCtx) -> &mut VtMis {
+    fn enter_ranked(&mut self, ctx: &mut NodeCtx) -> &mut Window<VtMis> {
         debug_assert!(self.ranked.is_none());
         let upper = rank_space(ctx.n_upper);
-        self.rank = ctx.rng.gen_range(1..=upper);
-        self.ranked.insert(VtMis::new(self.rank, upper, None))
+        let rank = ctx.rng.gen_range(1..=upper);
+        let start = self.ranked_start();
+        self.ranked.insert(Window::new(VtMis::new(rank, upper, None), start))
     }
 }
 
@@ -173,15 +172,9 @@ impl Protocol for AvgMis {
             if self.ranked.is_none() {
                 self.enter_ranked(ctx);
             }
-            let rank = self.rank;
-            let lr = ctx.round - start;
-            match self.ranked.as_mut().expect("just ensured").send(lr, ctx) {
-                Outbox::Silent => Outbox::Silent,
-                Outbox::Broadcast(m) => Outbox::Broadcast(AvgMsg::State(rank, m)),
-                Outbox::Unicast(list) => Outbox::Unicast(
-                    list.into_iter().map(|(p, m)| (p, AvgMsg::State(rank, m))).collect(),
-                ),
-            }
+            let ranked = self.ranked.as_mut().expect("just ensured");
+            let rank = ranked.child().id();
+            ranked.send(ctx.round, ctx, |m| AvgMsg::State(rank, m))
         }
     }
 
@@ -205,36 +198,27 @@ impl Protocol for AvgMis {
             }
             // Survived every dropout phase: build the ranked schedule
             // and sleep straight to its first wake round.
-            let first = self.enter_ranked(ctx).first_wake();
-            return Action::SleepUntil(start + first);
-        }
-        let lr = ctx.round - start;
-        let mut wrapped: Vec<(Port, MisMsg)> = Vec::with_capacity(inbox.len());
-        for &(p, m) in inbox {
-            if let AvgMsg::State(rank, mm) = m {
-                // A neighbor holding my rank shares my whole wake
-                // schedule: symmetry cannot be broken, so flag the run.
-                if rank == self.rank {
-                    self.collided = true;
-                }
-                wrapped.push((p, mm));
-            }
+            return Action::SleepUntil(self.enter_ranked(ctx).first_wake());
         }
         let ranked = self.ranked.as_mut().expect("ranked stage entered before first wake");
-        match ranked.receive(lr, ctx, &wrapped) {
-            SubAction::Continue => Action::Continue,
-            SubAction::SleepUntil(w) => Action::SleepUntil(start + w),
-            SubAction::Done => {
-                self.finished = true;
-                Action::Terminate
-            }
+        let rank = ranked.child().id();
+        // A neighbor holding my rank shares my whole wake schedule:
+        // symmetry cannot be broken, so flag the run.
+        if inbox.iter().any(|&(_, m)| matches!(m, AvgMsg::State(r, _) if r == rank)) {
+            self.collided = true;
         }
+        let action = ranked.receive(ctx.round, ctx, &inbox, |m| match m {
+            AvgMsg::State(_, mm) => Some(mm),
+            _ => None,
+        });
+        self.finished = action == Action::Terminate;
+        action
     }
 
     fn output(&self) -> AvgMisOutput {
         assert!(self.finished, "GP-Avg-MIS output read before completion");
         let state = match &self.ranked {
-            Some(vt) => vt.output(),
+            Some(window) => window.child().output(),
             None => self.dropout.state(),
         };
         AvgMisOutput { state, failed: self.collided }
@@ -242,7 +226,7 @@ impl Protocol for AvgMis {
 
     fn aborted_output(&self) -> AvgMisOutput {
         let state = match &self.ranked {
-            Some(vt) => vt.aborted_output(),
+            Some(window) => window.child().aborted_output(),
             None => self.dropout.state(),
         };
         AvgMisOutput { state, failed: self.collided }
@@ -360,16 +344,14 @@ mod tests {
         // from a neighbor must raise the Monte Carlo flag, and a
         // different rank must not.
         use sleeping_congest::NodeCtx;
-        let upper = rank_space(8);
         let mut node = AvgMis::new(AvgMisConfig { balance: 0 });
-        node.rank = 5;
-        node.ranked = Some(VtMis::new(5, upper, None));
         let mut rng = SmallRng::seed_from_u64(1);
         let mut ctx = NodeCtx { node: 0, degree: 1, round: 0, n_upper: 8, rng: &mut rng };
-        let other = AvgMsg::State(6, MisMsg(MisState::Undecided));
+        let rank = node.enter_ranked(&mut ctx).child().id();
+        let other = AvgMsg::State(rank ^ 1, MisMsg(MisState::Undecided));
         node.receive(&mut ctx, &[(0, other)]);
         assert!(!node.collided, "a distinct rank is not a collision");
-        let clash = AvgMsg::State(5, MisMsg(MisState::Undecided));
+        let clash = AvgMsg::State(rank, MisMsg(MisState::Undecided));
         node.receive(&mut ctx, &[(0, clash)]);
         assert!(node.collided, "hearing one's own rank must set the flag");
     }

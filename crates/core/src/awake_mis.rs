@@ -20,14 +20,19 @@
 //!   (`O(log n)`-sized), so the window costs `O(log log n)` awake
 //!   rounds.
 //!
+//! The phase's window is a [`Window`]: it starts LDT-MIS at local round 0
+//! in the round after the communication round, shifts its rounds, wraps
+//! its sends in [`AwakeMisMsg::L`] and hands it only the `L` messages of
+//! each inbox, without copying them.
+//!
 //! A node holds state only for the stage it is in. Outside its window
 //! it keeps its batch, its decision and the shared parameters, but no
 //! LDT-MIS state and no schedule vector: each time it wakes,
 //! [`vtree::next_wake`] computes its next communication phase from its
-//! batch in O(1). The LDT-MIS state is boxed when the node enters its own
-//! phase's window and freed when the window reports `Done`, so the few
-//! nodes still undecided at their own phase are the only ones to pay
-//! for it. A node is 152 bytes; `LdtMis` alone is 920.
+//! batch in O(1). The window is boxed when the node enters its own
+//! phase's window and freed when LDT-MIS is done, so the few nodes still
+//! undecided at their own phase are the only ones to pay for it. A node
+//! is 144 bytes; the boxed window is 848, of which `LdtMis` is 840.
 //!
 //! The algorithm is Monte Carlo: parameter overflows (an oversized
 //! component, a construction running out of phases) surface as `failed`
@@ -36,11 +41,10 @@
 //! complexity".
 
 use crate::ldt_mis::{round_budget, LdtMis, LdtMisMsg, LdtMisParams, LdtStrategy};
-use sleeping_congest::SubProtocol;
 use crate::state::{id_space, MisMsg, MisState};
 use graphgen::Port;
 use rand::Rng;
-use sleeping_congest::{MessageSize, NodeCtx, Outbox, Protocol, Round};
+use sleeping_congest::{Action, MessageSize, NodeCtx, Outbox, Protocol, Round, SubProtocol, Window};
 
 /// Tunable constants of `Awake-MIS`.
 ///
@@ -165,9 +169,8 @@ pub struct AwakeMis {
     batch_g: u64,
     state: MisState,
     /// The LDT-MIS window: allocated when the node enters its own
-    /// phase's window, freed when the window reports `Done`.
-    ldt: Option<Box<LdtMis>>,
-    window_start: Round,
+    /// phase's window, freed when LDT-MIS is done.
+    ldt: Option<Box<Window<LdtMis>>>,
     comp_size: u64,
     failed: bool,
     finished: bool,
@@ -184,7 +187,6 @@ impl AwakeMis {
             batch_g: 0,
             state: MisState::Undecided,
             ldt: None,
-            window_start: 0,
             comp_size: 0,
             failed: false,
             finished: false,
@@ -234,8 +236,7 @@ impl AwakeMis {
     /// the first communication round after `r` of a phase in its
     /// schedule (phase `q`'s is round `(q − 1)·r_phase`), or termination
     /// when none is left.
-    fn plan(&mut self, r: Round) -> sleeping_congest::Action {
-        use sleeping_congest::Action;
+    fn plan(&mut self, r: Round) -> Action {
         let params = self.params.expect("setup ran in round 0");
         // Phase `q`'s communication round is after `r` exactly when `q`
         // is after the phase `r` falls in.
@@ -259,10 +260,6 @@ impl AwakeMis {
             }
         }
     }
-
-    fn in_window(&self, r: Round) -> bool {
-        self.ldt.is_some() && r >= self.window_start
-    }
 }
 
 impl Protocol for AwakeMis {
@@ -278,16 +275,8 @@ impl Protocol for AwakeMis {
             self.setup(ctx);
             return Outbox::Silent; // nobody is decided in phase 1
         }
-        if self.in_window(r) {
-            let lr = r - self.window_start;
-            let sub = self.ldt.as_mut().expect("window implies sub");
-            return match sub.send(lr, ctx) {
-                Outbox::Silent => Outbox::Silent,
-                Outbox::Broadcast(m) => Outbox::Broadcast(AwakeMisMsg::L(m)),
-                Outbox::Unicast(v) => Outbox::Unicast(
-                    v.into_iter().map(|(p, m)| (p, AwakeMisMsg::L(m))).collect(),
-                ),
-            };
+        if let Some(window) = &mut self.ldt {
+            return window.send(r, ctx, AwakeMisMsg::L);
         }
         // Communication round: decided nodes announce; undecided listen.
         if self.state.is_decided() {
@@ -297,41 +286,27 @@ impl Protocol for AwakeMis {
         }
     }
 
-    fn receive(&mut self, ctx: &mut NodeCtx, inbox: &[(Port, AwakeMisMsg)]) -> sleeping_congest::Action {
-        use sleeping_congest::Action;
+    fn receive(&mut self, ctx: &mut NodeCtx, inbox: &[(Port, AwakeMisMsg)]) -> Action {
         let r = ctx.round;
         let params = *self.params.as_ref().expect("setup ran in round 0");
 
-        if self.in_window(r) {
-            let lr = r - self.window_start;
-            let sub_inbox: Vec<(Port, LdtMisMsg)> = inbox
-                .iter()
-                .filter_map(|(p, m)| match m {
-                    AwakeMisMsg::L(l) => Some((*p, l.clone())),
-                    _ => None,
-                })
-                .collect();
-            let action = {
-                let sub = self.ldt.as_mut().expect("window implies sub");
-                sub.receive(lr, ctx, &sub_inbox)
-            };
-            return match action {
-                sleeping_congest::SubAction::Continue => Action::Continue,
-                sleeping_congest::SubAction::SleepUntil(local) => {
-                    Action::SleepUntil(self.window_start + local)
-                }
-                sleeping_congest::SubAction::Done => {
-                    let out = self.ldt.as_ref().expect("sub exists").output();
-                    self.comp_size = out.comp_size;
-                    if out.failed {
-                        self.failed = true;
-                    } else {
-                        self.state = out.state;
-                    }
-                    self.ldt = None;
-                    self.plan(r)
-                }
-            };
+        if let Some(window) = &mut self.ldt {
+            let action = window.receive(r, ctx, &inbox, |m| match m {
+                AwakeMisMsg::L(l) => Some(l),
+                _ => None,
+            });
+            if action != Action::Terminate {
+                return action;
+            }
+            let out = window.child().output();
+            self.comp_size = out.comp_size;
+            if out.failed {
+                self.failed = true;
+            } else {
+                self.state = out.state;
+            }
+            self.ldt = None;
+            return self.plan(r);
         }
 
         // Communication round.
@@ -344,27 +319,23 @@ impl Protocol for AwakeMis {
         }
         let phase = r / params.r_phase + 1;
         if phase == self.batch_g && self.state == MisState::Undecided && !self.failed {
-            // Our own phase: run LDT-MIS over the shattered component.
-            self.window_start = r + 1;
-            self.ldt = Some(Box::new(LdtMis::new(LdtMisParams {
+            // Our own phase: run LDT-MIS over the shattered component,
+            // from the next round (its local round 0) on.
+            let ldt = LdtMis::new(LdtMisParams {
                 my_id: self.my_id,
                 id_upper: params.id_upper,
                 k: params.k,
                 strategy: self.config.strategy,
-            })));
-            return Action::Continue; // window starts next round (local 0)
+            });
+            self.ldt = Some(Box::new(Window::new(ldt, r + 1)));
+            return Action::Continue;
         }
         self.plan(r)
     }
 
     fn output(&self) -> AwakeMisOutput {
         assert!(self.finished, "Awake-MIS output read before termination");
-        AwakeMisOutput {
-            state: self.state,
-            failed: self.failed,
-            batch: self.batch,
-            comp_size: self.comp_size,
-        }
+        self.aborted_output()
     }
 
     fn aborted_output(&self) -> AwakeMisOutput {
@@ -397,10 +368,11 @@ mod tests {
 
     #[test]
     fn a_node_fits_in_three_cache_lines() {
-        // 1,088 bytes when the node kept its LDT-MIS window inline
-        // (`LdtMis` alone is 920) and its wake schedule in a `Vec`; 152
-        // with the window boxed and the schedule computed on each wake.
-        // Sub-protocol state belongs behind a pointer.
+        // 1,088 bytes when the node kept its LDT-MIS state inline and
+        // its wake schedule in a `Vec`; 144 with the window boxed (848
+        // bytes behind the pointer, 840 of them `LdtMis`) and the
+        // schedule computed on each wake. Sub-protocol state belongs
+        // behind a pointer.
         let bytes = std::mem::size_of::<AwakeMis>();
         assert!(bytes <= 192, "AwakeMis is {bytes} bytes");
     }

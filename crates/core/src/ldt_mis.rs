@@ -23,6 +23,13 @@
 //! component's construction *completed* (all component nodes learn the
 //! completing phase simultaneously), so faster components finish early;
 //! [`round_budget`] still bounds the whole pipeline for any component.
+//!
+//! Stages 1, 2 and 4 run their subprotocol in a [`Window`]: the
+//! construction from local round 0, the ranking from the round after the
+//! completing phase (entered at its first wake), `VT-MIS` likewise after
+//! the permutation stage. Each window wraps its child's sends in the
+//! stage's [`LdtMisMsg`] variant and hands it only that variant's
+//! messages, without copying them. Stage 3 is `LDT-MIS`'s own code.
 
 use crate::state::{MisMsg, MisState};
 use crate::vt_mis::VtMis;
@@ -31,7 +38,9 @@ use ldt::construct::{Construct, ConstructParams};
 use ldt::ops::{broadcast_len, ranking_len, LdtRanking, RankResult};
 use ldt::{ConstructMsg, LdtOutput, OpsMsg};
 use rand::seq::SliceRandom;
-use sleeping_congest::{bits_for_value, MessageSize, NodeCtx, Outbox, Round, SubAction, SubProtocol};
+use sleeping_congest::{
+    bits_for_value, Action, Inbox, MessageSize, NodeCtx, Outbox, Round, SubProtocol, Window,
+};
 
 pub use ldt::LdtStrategy;
 
@@ -123,9 +132,9 @@ pub struct LdtMisOutput {
 #[derive(Debug, Clone)]
 enum Stage {
     Construct,
-    Rank { r0: Round },
+    Rank(Window<LdtRanking>),
     Perm { p0: Round },
-    Vt { v0: Round },
+    Vt(Window<VtMis>),
     Finished,
 }
 
@@ -133,10 +142,9 @@ enum Stage {
 #[derive(Debug, Clone)]
 pub struct LdtMis {
     params: LdtMisParams,
-    construct: Construct,
+    construct: Window<Construct>,
     stage: Stage,
     ldt: Option<LdtOutput>,
-    rank_sub: Option<LdtRanking>,
     rank: Option<RankResult>,
     /// Root only: the permutation, chunked.
     chunks: Vec<Vec<u32>>,
@@ -144,10 +152,8 @@ pub struct LdtMis {
     perm_buf: Option<Vec<u32>>,
     perm_agenda: Vec<Round>,
     my_vt_id: Option<u64>,
-    vt: Option<VtMis>,
     state: MisState,
     failed: bool,
-    finished: bool,
     comp_size: u64,
 }
 
@@ -157,62 +163,54 @@ impl LdtMis {
         let cp = ConstructParams { my_id: params.my_id, id_upper: params.id_upper, k: params.k };
         LdtMis {
             params,
-            construct: Construct::new(cp, params.strategy),
+            construct: Window::new(Construct::new(cp, params.strategy), 0),
             stage: Stage::Construct,
             ldt: None,
-            rank_sub: None,
             rank: None,
             chunks: Vec::new(),
             perm_buf: None,
             perm_agenda: Vec::new(),
             my_vt_id: None,
-            vt: None,
             state: MisState::Undecided,
             failed: false,
-            finished: false,
             comp_size: 0,
         }
     }
 
-    fn fail(&mut self) -> SubAction {
+    fn fail(&mut self) -> Action {
         self.failed = true;
-        self.finished = true;
-        self.stage = Stage::Finished;
-        SubAction::Done
+        self.finish(MisState::Undecided)
     }
 
-    fn finish(&mut self, state: MisState) -> SubAction {
+    fn finish(&mut self, state: MisState) -> Action {
         self.state = state;
-        self.finished = true;
         self.stage = Stage::Finished;
-        SubAction::Done
+        Action::Terminate
     }
 
     /// Transition after construction completes.
-    fn after_construct(&mut self) -> SubAction {
-        let out = self.construct.output();
+    fn after_construct(&mut self) -> Action {
+        let out = self.construct.child().output();
         if !out.ok {
-            self.ldt = Some(out);
             return self.fail();
         }
         if out.ports.iter().all(|pi| !pi.participant) {
             // Isolated participant: trivially in the MIS.
             self.comp_size = 1;
-            self.ldt = Some(out);
             return self.finish(MisState::InMis);
         }
-        let r0 = 1 + out.phases_used * self.construct.phase_len();
-        let rank_sub = LdtRanking::new(self.params.k, out.tree.clone());
-        let first = r0 + rank_sub.first_wake();
+        let r0 = 1 + out.phases_used * self.construct.child().phase_len();
+        let window = Window::new(LdtRanking::new(self.params.k, out.tree.clone()), r0);
+        let first = window.first_wake();
         self.ldt = Some(out);
-        self.rank_sub = Some(rank_sub);
-        self.stage = Stage::Rank { r0 };
-        SubAction::SleepUntil(first)
+        self.stage = Stage::Rank(window);
+        Action::SleepUntil(first)
     }
 
-    /// Transition after ranking completes.
-    fn after_rank(&mut self, r0: Round, ctx: &mut NodeCtx) -> SubAction {
-        let Some(rank) = self.rank_sub.as_ref().expect("rank sub exists").try_output() else {
+    /// Transition after the ranking window that started at `r0` completes
+    /// with `rank`.
+    fn after_rank(&mut self, rank: Option<RankResult>, r0: Round, ctx: &mut NodeCtx) -> Action {
+        let Some(rank) = rank else {
             return self.fail(); // rank wave never reached us (lost message)
         };
         self.rank = Some(rank);
@@ -247,11 +245,11 @@ impl LdtMis {
         let first = agenda[0];
         self.perm_agenda = agenda;
         self.stage = Stage::Perm { p0 };
-        SubAction::SleepUntil(first)
+        Action::SleepUntil(first)
     }
 
     /// Transition after the permutation stage completes.
-    fn after_perm(&mut self, p0: Round, lr: Round) -> SubAction {
+    fn after_perm(&mut self, p0: Round, lr: Round) -> Action {
         let rank = self.rank.expect("rank set");
         let Some(id) = self.my_vt_id else {
             return self.fail(); // permutation never reached us
@@ -267,12 +265,11 @@ impl LdtMis {
             .filter(|(_, pi)| pi.participant)
             .map(|(p, _)| p as Port)
             .collect();
-        let vt = VtMis::new(id, rank.total, Some(live));
-        let first = v0 + vt.first_wake();
-        self.vt = Some(vt);
-        self.stage = Stage::Vt { v0 };
+        let window = Window::new(VtMis::new(id, rank.total, Some(live)), v0);
+        let first = window.first_wake();
+        self.stage = Stage::Vt(window);
         debug_assert!(first > lr, "VT stage must start after the permutation stage");
-        SubAction::SleepUntil(first)
+        Action::SleepUntil(first)
     }
 }
 
@@ -282,12 +279,8 @@ impl SubProtocol for LdtMis {
 
     fn send(&mut self, lr: Round, ctx: &mut NodeCtx) -> Outbox<LdtMisMsg> {
         match &mut self.stage {
-            Stage::Construct => wrap(self.construct.send(lr, ctx), LdtMisMsg::C),
-            Stage::Rank { r0 } => {
-                let local = lr - *r0;
-                let sub = self.rank_sub.as_mut().expect("rank sub exists");
-                wrap(sub.send(local, ctx), LdtMisMsg::R)
-            }
+            Stage::Construct => self.construct.send(lr, ctx, LdtMisMsg::C),
+            Stage::Rank(window) => window.send(lr, ctx, LdtMisMsg::R),
             Stage::Perm { p0 } => {
                 let len = broadcast_len(self.params.k);
                 let j = ((lr - *p0) / len) as usize;
@@ -309,106 +302,71 @@ impl SubProtocol for LdtMis {
                 }
                 Outbox::Silent
             }
-            Stage::Vt { v0 } => {
-                let local = lr - *v0;
-                let sub = self.vt.as_mut().expect("vt exists");
-                wrap(sub.send(local, ctx), LdtMisMsg::V)
-            }
+            Stage::Vt(window) => window.send(lr, ctx, LdtMisMsg::V),
             Stage::Finished => Outbox::Silent,
         }
     }
 
-    fn receive(&mut self, lr: Round, ctx: &mut NodeCtx, inbox: &[(Port, LdtMisMsg)]) -> SubAction {
-        match self.stage.clone() {
-            Stage::Construct => {
-                let sub_inbox: Vec<(Port, ConstructMsg)> = inbox
-                    .iter()
-                    .filter_map(|(p, m)| match m {
-                        LdtMisMsg::C(c) => Some((*p, c.clone())),
-                        _ => None,
-                    })
-                    .collect();
-                match self.construct.receive(lr, ctx, &sub_inbox) {
-                    SubAction::Done => self.after_construct(),
-                    a => a,
+    fn receive(&mut self, lr: Round, ctx: &mut NodeCtx, inbox: &dyn Inbox<LdtMisMsg>) -> Action {
+        match &mut self.stage {
+            Stage::Construct => match self.construct.receive(lr, ctx, inbox, |m| match m {
+                LdtMisMsg::C(c) => Some(c),
+                _ => None,
+            }) {
+                Action::Terminate => self.after_construct(),
+                action => action,
+            },
+            Stage::Rank(window) => match window.receive(lr, ctx, inbox, |m| match m {
+                LdtMisMsg::R(r) => Some(r),
+                _ => None,
+            }) {
+                Action::Terminate => {
+                    let (rank, r0) = (window.child().try_output(), window.start());
+                    self.after_rank(rank, r0, ctx)
                 }
-            }
-            Stage::Rank { r0 } => {
-                let sub_inbox: Vec<(Port, OpsMsg<()>)> = inbox
-                    .iter()
-                    .filter_map(|(p, m)| match m {
-                        LdtMisMsg::R(r) => Some((*p, r.clone())),
-                        _ => None,
-                    })
-                    .collect();
-                let action = {
-                    let sub = self.rank_sub.as_mut().expect("rank sub exists");
-                    sub.receive(lr - r0, ctx, &sub_inbox)
-                };
-                match action {
-                    SubAction::Done => self.after_rank(r0, ctx),
-                    SubAction::SleepUntil(local) => SubAction::SleepUntil(r0 + local),
-                    SubAction::Continue => SubAction::Continue,
-                }
-            }
+                action => action,
+            },
             Stage::Perm { p0 } => {
+                let p0 = *p0;
                 let len = broadcast_len(self.params.k);
                 let j = (lr - p0) / len;
                 let rank = self.rank.expect("rank set");
-                for (_, m) in inbox {
+                for (_, m) in inbox.iter() {
                     if let LdtMisMsg::P(chunk) = m {
                         let epc = entries_per_chunk(rank.total, self.params.id_upper);
                         let lo = j * epc + 1; // first rank covered by chunk j
                         if rank.rank >= lo && rank.rank < lo + chunk.entries.len() as u64 {
                             self.my_vt_id = Some(chunk.entries[(rank.rank - lo) as usize] as u64);
                         }
+                        // Kept to forward to the children next round.
                         self.perm_buf = Some(chunk.entries.clone());
                     }
                 }
                 match self.perm_agenda.iter().find(|&&w| w > lr) {
-                    Some(&w) => SubAction::SleepUntil(w),
+                    Some(&w) => Action::SleepUntil(w),
                     None => self.after_perm(p0, lr),
                 }
             }
-            Stage::Vt { v0 } => {
-                let sub_inbox: Vec<(Port, MisMsg)> = inbox
-                    .iter()
-                    .filter_map(|(p, m)| match m {
-                        LdtMisMsg::V(v) => Some((*p, *v)),
-                        _ => None,
-                    })
-                    .collect();
-                let action = {
-                    let sub = self.vt.as_mut().expect("vt exists");
-                    sub.receive(lr - v0, ctx, &sub_inbox)
-                };
-                match action {
-                    SubAction::Done => {
-                        let s = self.vt.as_ref().expect("vt exists").output();
-                        self.finish(s)
-                    }
-                    SubAction::SleepUntil(local) => SubAction::SleepUntil(v0 + local),
-                    SubAction::Continue => SubAction::Continue,
+            Stage::Vt(window) => match window.receive(lr, ctx, inbox, |m| match m {
+                LdtMisMsg::V(v) => Some(v),
+                _ => None,
+            }) {
+                Action::Terminate => {
+                    let state = window.child().output();
+                    self.finish(state)
                 }
-            }
-            Stage::Finished => SubAction::Done,
+                action => action,
+            },
+            Stage::Finished => Action::Terminate,
         }
     }
 
     fn output(&self) -> LdtMisOutput {
-        assert!(self.finished, "LDT-MIS output read before completion");
-        LdtMisOutput { state: self.state, failed: self.failed, comp_size: self.comp_size }
+        assert!(matches!(self.stage, Stage::Finished), "LDT-MIS output read before completion");
+        self.aborted_output()
     }
 
     fn aborted_output(&self) -> LdtMisOutput {
         LdtMisOutput { state: self.state, failed: self.failed, comp_size: self.comp_size }
-    }
-}
-
-fn wrap<M, F: Fn(M) -> LdtMisMsg>(out: Outbox<M>, f: F) -> Outbox<LdtMisMsg> {
-    match out {
-        Outbox::Silent => Outbox::Silent,
-        Outbox::Broadcast(m) => Outbox::Broadcast(f(m)),
-        Outbox::Unicast(v) => Outbox::Unicast(v.into_iter().map(|(p, m)| (p, f(m))).collect()),
     }
 }

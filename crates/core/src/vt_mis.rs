@@ -13,7 +13,7 @@
 
 use crate::state::{MisMsg, MisState};
 use graphgen::Port;
-use sleeping_congest::{NodeCtx, Outbox, Round, SubAction, SubProtocol};
+use sleeping_congest::{Action, Inbox, NodeCtx, Outbox, Round, SubProtocol};
 
 /// The largest ID space a [`VtMis`] schedule may span. The node with
 /// ID `k` is awake up to local round `k − 1`, so a space of `2^61` IDs
@@ -51,14 +51,14 @@ impl VtMis {
         VtMis { id, state: MisState::Undecided, wakes, live_ports, finished: false }
     }
 
-    /// First local round this node must be awake in.
-    pub fn first_wake(&self) -> Round {
-        self.wakes[0]
-    }
-
     /// The node's wake schedule (local rounds, ascending).
     pub fn wake_schedule(&self) -> &[Round] {
         &self.wakes
+    }
+
+    /// The node's ID, its place in the LFMIS order.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 }
 
@@ -78,10 +78,10 @@ impl SubProtocol for VtMis {
         }
     }
 
-    fn receive(&mut self, lr: Round, _ctx: &mut NodeCtx, inbox: &[(Port, MisMsg)]) -> SubAction {
+    fn receive(&mut self, lr: Round, _ctx: &mut NodeCtx, inbox: &dyn Inbox<MisMsg>) -> Action {
         if self.wakes.contains(&lr) {
             if self.state == MisState::Undecided
-                && inbox.iter().any(|&(_, MisMsg(s))| s == MisState::InMis)
+                && inbox.iter().any(|(_, &MisMsg(s))| s == MisState::InMis)
             {
                 self.state = MisState::NotInMis;
             }
@@ -90,10 +90,10 @@ impl SubProtocol for VtMis {
             }
         }
         match self.wakes.iter().find(|&&w| w > lr) {
-            Some(&w) => SubAction::SleepUntil(w),
+            Some(&w) => Action::SleepUntil(w),
             None => {
                 self.finished = true;
-                SubAction::Done
+                Action::Terminate
             }
         }
     }
@@ -106,6 +106,10 @@ impl SubProtocol for VtMis {
 
     fn aborted_output(&self) -> MisState {
         self.state
+    }
+
+    fn first_wake(&self) -> Round {
+        self.wakes[0]
     }
 }
 

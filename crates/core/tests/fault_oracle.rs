@@ -3,11 +3,13 @@
 //! reports Monte Carlo failures, or its output passes the
 //! independently recomputed survivor-subgraph verification — and at
 //! `loss = 0` with no crashes, the run is byte-for-byte the clean run:
-//! nothing dropped, everything verified.
+//! nothing dropped, everything verified. Under wake jitter, LDT-MIS
+//! flags every node that starts too late to build its tree.
 
+use awake_mis_core::state::id_space;
 use awake_mis_core::{
-    check_mis, check_mis_survivors, AvgMis, AvgMisConfig, AwakeMis, AwakeMisConfig, Luby,
-    MisState, VtMis,
+    check_mis, check_mis_survivors, AvgMis, AvgMisConfig, AwakeMis, AwakeMisConfig, LdtMis,
+    LdtMisParams, LdtStrategy, Luby, MisState, VtMis,
 };
 use graphgen::Graph;
 use proptest::prelude::*;
@@ -23,7 +25,7 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (2..max_n, any::<u64>(), 0.0f64..0.5, 0u8..4).prop_map(|(n, seed, p, shape)| match shape {
         0 => graphgen::generators::gnp(n, p, &mut SmallRng::seed_from_u64(seed)),
         1 => graphgen::generators::path(n),
-        2 => graphgen::generators::cycle(n),
+        2 => graphgen::generators::cycle(n.max(3)), // a cycle needs 3 nodes
         _ => graphgen::generators::complete(n),
     })
 }
@@ -47,6 +49,19 @@ fn run_one(name: &str, g: &Graph, seed: u64, fault: &FaultModel) -> (Vec<MisStat
             let r = Simulator::new(g.clone(), nodes, cfg).run().expect(name);
             (r.outputs, 0, r.metrics)
         }
+        "ldt-mis" => {
+            let mut ids: Vec<u64> = (1..=n as u64).collect();
+            ids.shuffle(&mut SmallRng::seed_from_u64(seed ^ 0x1d7));
+            let (id_upper, k, strategy) = (id_space(n), n as u32, LdtStrategy::Awake);
+            let nodes = ids
+                .into_iter()
+                .map(|my_id| LdtMisParams { my_id, id_upper, k, strategy })
+                .map(|params| Standalone::new(LdtMis::new(params)))
+                .collect();
+            let r = Simulator::new(g.clone(), nodes, cfg).run().expect(name);
+            let failures = r.outputs.iter().filter(|o| o.failed).count();
+            (r.outputs.iter().map(|o| o.state).collect(), failures, r.metrics)
+        }
         "awake-mis" => {
             let nodes = (0..n).map(|_| AwakeMis::new(AwakeMisConfig::default())).collect();
             let r = Simulator::new(g.clone(), nodes, cfg).run().expect(name);
@@ -63,7 +78,7 @@ fn run_one(name: &str, g: &Graph, seed: u64, fault: &FaultModel) -> (Vec<MisStat
     }
 }
 
-const ALGOS: [&str; 4] = ["luby", "vt-mis", "awake-mis", "gp-avg-mis"];
+const ALGOS: [&str; 5] = ["luby", "vt-mis", "ldt-mis", "awake-mis", "gp-avg-mis"];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -140,5 +155,26 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// A late start is never silent: under wake jitter every LDT-MIS run
+    /// is a verified MIS or flags a failed node. A node whose first wake
+    /// comes after the construction's hello round (local round 0) cannot
+    /// learn its participating neighbours, so its construction fails
+    /// instead of reporting an isolated root that joins the MIS.
+    #[test]
+    fn late_ldt_starts_are_flagged(
+        g in arb_graph(28),
+        seed in any::<u64>(),
+        jitter in 1u64..=8,
+    ) {
+        let fault = FaultModel { wake_jitter: jitter, ..FaultModel::none() };
+        let (states, failures, _) = run_one("ldt-mis", &g, seed, &fault);
+        let verdict = check_mis(&g, &states);
+        prop_assert!(
+            failures > 0 || verdict.is_ok(),
+            "jitter {} gave a wrong MIS with no failed node: {:?}",
+            jitter, verdict
+        );
     }
 }

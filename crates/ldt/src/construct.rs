@@ -43,7 +43,8 @@
 //!
 //! Running out of the phase budget ([`LdtStrategy::phase_budget`]) is
 //! reported as `ok = false` in the output (a Monte Carlo failure), never
-//! as a hang.
+//! as a hang. So is a late start: a node whose first call comes after
+//! local round 0 missed the hello round, sends nothing and fails.
 
 use crate::construct_awake::{self, CoinRule};
 use crate::construct_round::{self, MatchingRule};
@@ -51,7 +52,7 @@ use crate::msg::ConstructMsg;
 use crate::state::{EdgeKey, PortInfo, TreeState};
 use crate::wave::WaveSchedule;
 use graphgen::Port;
-use sleeping_congest::{NodeCtx, Outbox, Round, SubAction, SubProtocol};
+use sleeping_congest::{Action, Inbox, NodeCtx, Outbox, Round, SubProtocol};
 use std::borrow::Cow;
 
 /// Parameters shared by every participant of a construction.
@@ -207,7 +208,7 @@ pub(crate) trait MergeRule {
     /// into `op`.
     fn send(&mut self, d: &Driver, op: Op, off: Round, ctx: &mut NodeCtx) -> Outbox<ConstructMsg>;
     /// Receives of the decide wave and of the rule's own ops.
-    fn receive(&mut self, d: &mut Driver, op: Op, off: Round, inbox: &[(Port, ConstructMsg)]);
+    fn receive(&mut self, d: &mut Driver, op: Op, off: Round, inbox: &dyn Inbox<ConstructMsg>);
     /// Whether this node's fragment may re-root in the current re-root
     /// wave.
     fn may_reroot(&self, d: &Driver) -> bool;
@@ -266,24 +267,16 @@ impl Driver {
         self.ops[self.cur_op]
     }
 
-    /// The op a local round `>= 1` falls in, and its offset there.
+    /// The current op and the offset of local round `lr` in it: a node
+    /// wakes only inside its current op.
     fn locate(&self, lr: Round) -> (Op, Round) {
-        debug_assert!(lr >= 1);
-        // A node wakes inside its current op, unless its start was
-        // delayed past the hello round.
         let op = self.op();
-        if lr >= self.op_start && lr - self.op_start < op.len(self.params.k) {
-            return (op, lr - self.op_start);
-        }
-        let mut off = (lr - 1) % self.phase_len;
-        for &op in self.ops.iter() {
-            let len = op.len(self.params.k);
-            if off < len {
-                return (op, off);
-            }
-            off -= len;
-        }
-        unreachable!("the ops fill the phase")
+        debug_assert!(
+            lr >= self.op_start && lr - self.op_start < op.len(self.params.k),
+            "round {lr} outside the current op {op:?} at {}",
+            self.op_start
+        );
+        (op, lr - self.op_start)
     }
 
     /// Ports leading to participants outside this node's fragment.
@@ -413,11 +406,11 @@ impl Driver {
         }
     }
 
-    fn reroot_receive(&mut self, lr: Round, off: Round, inbox: &[(Port, ConstructMsg)]) {
+    fn reroot_receive(&mut self, lr: Round, off: Round, inbox: &dyn Inbox<ConstructMsg>) {
         let d = self.tree.depth;
         let base = lr - off;
         if Some(off) == self.wave.up_receive(d) {
-            for &(p, ref m) in inbox {
+            for (p, m) in inbox.iter() {
                 if let ConstructMsg::RerootUp { new_root, sender_new_depth } = *m {
                     let depth = sender_new_depth + 1;
                     if depth >= self.params.k {
@@ -440,7 +433,7 @@ impl Driver {
                 }
             }
         } else if Some(off) == self.wave.down_receive(d) {
-            for (_, m) in inbox {
+            for (_, m) in inbox.iter() {
                 if let ConstructMsg::Update { new_root, sender_new_depth } = *m {
                     if self.pending.is_none() {
                         let depth = sender_new_depth + 1;
@@ -494,8 +487,8 @@ impl Driver {
         )
     }
 
-    fn refresh_receive(&mut self, inbox: &[(Port, ConstructMsg)]) {
-        for &(p, ref m) in inbox {
+    fn refresh_receive(&mut self, inbox: &dyn Inbox<ConstructMsg>) {
+        for (p, m) in inbox.iter() {
             if let ConstructMsg::FragId { root_id } = *m {
                 self.ports[p as usize].fragment_id = root_id;
             }
@@ -558,7 +551,9 @@ impl Construct {
             cur_phase: 0,
             cur_op: 0,
             op_start: 1,
-            finished: false,
+            // Failed until the hello round reopens it: a node whose first
+            // call comes after local round 0 builds no tree.
+            finished: true,
             ok: false,
             phases_used: 0,
         };
@@ -571,11 +566,12 @@ impl Construct {
     }
 
     /// Local round 0: learn which ports lead to participants.
-    fn hello(&mut self, degree: usize, inbox: &[(Port, ConstructMsg)]) -> SubAction {
+    fn hello(&mut self, degree: usize, inbox: &dyn Inbox<ConstructMsg>) -> Action {
         let d = &mut self.driver;
+        d.finished = false;
         d.ports = vec![PortInfo::unknown(); degree];
         let mut ids_seen = vec![d.my_id()];
-        for &(p, ref m) in inbox {
+        for (p, m) in inbox.iter() {
             if let ConstructMsg::Hello { id } = *m {
                 d.ports[p as usize] = PortInfo { neighbor_id: id, fragment_id: id, participant: true };
                 ids_seen.push(id);
@@ -594,19 +590,19 @@ impl Construct {
     }
 
     /// Next action after handling round `lr`.
-    fn next_action(&mut self, lr: Round) -> SubAction {
+    fn next_action(&mut self, lr: Round) -> Action {
         if self.driver.finished {
-            return SubAction::Done;
+            return Action::Terminate;
         }
         if let Some(&next) = self.driver.agenda.iter().find(|&&r| r > lr) {
-            return SubAction::SleepUntil(next);
+            return Action::SleepUntil(next);
         }
         self.advance(lr)
     }
 
     /// Advances past the current op until an op with a nonempty agenda is
     /// found; returns the action to take from round `lr`.
-    fn advance(&mut self, lr: Round) -> SubAction {
+    fn advance(&mut self, lr: Round) -> Action {
         let d = &mut self.driver;
         let rule = self.rule.get();
         loop {
@@ -620,7 +616,7 @@ impl Construct {
                 d.cur_phase += 1;
                 if d.cur_phase >= d.n_phases {
                     d.fail(); // budget exhausted without completion
-                    return SubAction::Done;
+                    return Action::Terminate;
                 }
                 d.reroot_val = None;
                 d.id_changed = false;
@@ -636,7 +632,7 @@ impl Construct {
             };
             if let Some(&first) = d.agenda.first() {
                 debug_assert!(first > lr, "agenda round {first} not after {lr}");
-                return SubAction::SleepUntil(first);
+                return Action::SleepUntil(first);
             }
         }
     }
@@ -661,13 +657,13 @@ impl SubProtocol for Construct {
         }
     }
 
-    fn receive(&mut self, lr: Round, ctx: &mut NodeCtx, inbox: &[(Port, ConstructMsg)]) -> SubAction {
+    fn receive(&mut self, lr: Round, ctx: &mut NodeCtx, inbox: &dyn Inbox<ConstructMsg>) -> Action {
         if lr == 0 {
             return self.hello(ctx.degree, inbox);
         }
         let d = &mut self.driver;
         if d.finished {
-            return SubAction::Done;
+            return Action::Terminate;
         }
         match d.locate(lr) {
             (Op::Reroot, off) => d.reroot_receive(lr, off, inbox),

@@ -16,7 +16,7 @@ use crate::msg::ConstructMsg;
 use crate::state::EdgeKey;
 use graphgen::Port;
 use rand::Rng;
-use sleeping_congest::{NodeCtx, Outbox, Round};
+use sleeping_congest::{Inbox, NodeCtx, Outbox, Round};
 
 /// The ops of one phase: two wave blocks plus three side rounds.
 pub(crate) const OPS: [Op; 5] = [Op::Decide, Op::Propose, Op::Accept, Op::Reroot, Op::Refresh];
@@ -98,12 +98,12 @@ impl MergeRule for CoinRule {
         }
     }
 
-    fn receive(&mut self, d: &mut Driver, op: Op, off: Round, inbox: &[(Port, ConstructMsg)]) {
+    fn receive(&mut self, d: &mut Driver, op: Op, off: Round, inbox: &dyn Inbox<ConstructMsg>) {
         let depth = d.tree.depth;
         match op {
             Op::Decide => {
                 if Some(off) == d.wave.up_receive(depth) {
-                    for (_, m) in inbox {
+                    for (_, m) in inbox.iter() {
                         if let ConstructMsg::UpEdge(e) = *m {
                             self.up_acc = min_edge(self.up_acc, e);
                         }
@@ -116,7 +116,7 @@ impl MergeRule for CoinRule {
                     }
                     self.note_propose_port(d);
                 } else if Some(off) == d.wave.down_receive(depth) {
-                    for (_, m) in inbox {
+                    for (_, m) in inbox.iter() {
                         if let ConstructMsg::Decision { chosen, head, done } = *m {
                             self.chosen = chosen;
                             self.head = head;
@@ -133,7 +133,7 @@ impl MergeRule for CoinRule {
                 }
             }
             Op::Propose if !self.head => {
-                for &(p, ref m) in inbox {
+                for (p, m) in inbox.iter() {
                     if matches!(m, ConstructMsg::Propose { .. }) {
                         self.proposals.push(p);
                     }
@@ -148,7 +148,7 @@ impl MergeRule for CoinRule {
                 }
             }
             Op::Accept if self.head => {
-                for &(p, ref m) in inbox {
+                for (p, m) in inbox.iter() {
                     if let ConstructMsg::Accept { root_id, attach_depth } = *m {
                         debug_assert_eq!(Some(p), self.propose_port);
                         d.begin_reroot(p, root_id, attach_depth + 1, d.tree.children_ports.clone());

@@ -32,7 +32,7 @@ use crate::construct::{min_edge, side, unicast, Driver, MergeRule, Op};
 use crate::msg::ConstructMsg;
 use crate::state::EdgeKey;
 use graphgen::Port;
-use sleeping_congest::{NodeCtx, Outbox, Round};
+use sleeping_congest::{Inbox, NodeCtx, Outbox, Round};
 
 /// Number of Cole–Vishkin iterations needed to reach 6 colors starting
 /// from colors below `2^initial_bits`.
@@ -209,10 +209,10 @@ impl MatchingRule {
         self.child_edge_ports().map(|p| d.edge_on(p)).min()
     }
 
-    fn wave_receive(&mut self, d: &mut Driver, op: Op, off: Round, inbox: &[(Port, ConstructMsg)]) {
+    fn wave_receive(&mut self, d: &mut Driver, op: Op, off: Round, inbox: &dyn Inbox<ConstructMsg>) {
         let depth = d.tree.depth;
         if Some(off) == d.wave.up_receive(depth) {
-            for (_, m) in inbox {
+            for (_, m) in inbox.iter() {
                 match *m {
                     ConstructMsg::UpEdge(e) => self.up_edge = min_edge(self.up_edge, e),
                     ConstructMsg::UpValue(v) => self.up_val = min_val(self.up_val, v),
@@ -221,7 +221,7 @@ impl MatchingRule {
                 }
             }
         } else if Some(off) == d.wave.down_receive(depth) {
-            for (_, m) in inbox {
+            for (_, m) in inbox.iter() {
                 match *m {
                     ConstructMsg::Decision { chosen, done, .. } => {
                         self.chosen = chosen;
@@ -398,11 +398,11 @@ impl MergeRule for MatchingRule {
         }
     }
 
-    fn receive(&mut self, d: &mut Driver, op: Op, off: Round, inbox: &[(Port, ConstructMsg)]) {
+    fn receive(&mut self, d: &mut Driver, op: Op, off: Round, inbox: &dyn Inbox<ConstructMsg>) {
         match op {
             _ if op.is_wave() => self.wave_receive(d, op, off, inbox),
             Op::Chosen => {
-                for &(p, ref m) in inbox {
+                for (p, m) in inbox.iter() {
                     if let ConstructMsg::Chosen { .. } = m {
                         if self.chosen == Some(d.edge_on(p)) {
                             // Both fragments chose this edge: core edge.
@@ -419,7 +419,7 @@ impl MergeRule for MatchingRule {
                 }
             }
             Op::ParentColor => {
-                for &(p, ref m) in inbox {
+                for (p, m) in inbox.iter() {
                     if let ConstructMsg::Color { color } = *m {
                         if Some(p) == self.owner_port {
                             self.parent_color = Some(color);
@@ -429,7 +429,7 @@ impl MergeRule for MatchingRule {
             }
             Op::Status => {
                 self.child_status.clear();
-                for &(p, ref m) in inbox {
+                for (p, m) in inbox.iter() {
                     if let ConstructMsg::Status { matched, .. } = *m {
                         if self.child_edge[p as usize] {
                             self.child_status.push((p, !matched));
@@ -438,7 +438,7 @@ impl MergeRule for MatchingRule {
                 }
             }
             Op::MatchInform => {
-                for &(p, ref m) in inbox {
+                for (p, m) in inbox.iter() {
                     if matches!(m, ConstructMsg::MatchInform) && Some(p) == self.owner_port {
                         self.got_matched = true;
                         self.f_edge[p as usize] = true;
@@ -452,21 +452,21 @@ impl MergeRule for MatchingRule {
                         self.f_edge[p as usize] = true;
                     }
                 }
-                for &(p, ref m) in inbox {
+                for (p, m) in inbox.iter() {
                     if matches!(m, ConstructMsg::Attach) {
                         self.f_edge[p as usize] = true;
                     }
                 }
             }
             Op::SdtExchange => {
-                for (_, m) in inbox {
+                for (_, m) in inbox.iter() {
                     if let ConstructMsg::SdtMin { min_id } = *m {
                         self.side_min_heard = min_val(self.side_min_heard, Some(min_id));
                     }
                 }
             }
             Op::Merged if !self.merged(d) => {
-                for &(p, ref m) in inbox {
+                for (p, m) in inbox.iter() {
                     if let ConstructMsg::Merged { depth, core } = *m {
                         if d.reroot_val.is_none() {
                             let my_new = depth + 1;
@@ -479,7 +479,7 @@ impl MergeRule for MatchingRule {
                 }
             }
             Op::MergeAck if self.merged(d) => {
-                for &(p, ref m) in inbox {
+                for (p, m) in inbox.iter() {
                     if matches!(m, ConstructMsg::MergeAck) {
                         d.tree.add_child(p);
                         d.ports[p as usize].fragment_id = self.sdt_min;

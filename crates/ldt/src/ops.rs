@@ -10,7 +10,7 @@ use crate::msg::OpsMsg;
 use crate::state::TreeState;
 use crate::wave::WaveSchedule;
 use graphgen::Port;
-use sleeping_congest::{MessageSize, NodeCtx, Outbox, Round, SubAction, SubProtocol};
+use sleeping_congest::{Action, Inbox, MessageSize, NodeCtx, Outbox, Round, SubProtocol};
 
 /// Round budget of [`LdtBroadcast`] for trees of at most `k` nodes (only
 /// the down half of a transmission-schedule block is needed).
@@ -81,9 +81,9 @@ impl<T: Clone + MessageSize> SubProtocol for LdtBroadcast<T> {
         Outbox::Silent
     }
 
-    fn receive(&mut self, lr: Round, _ctx: &mut NodeCtx, inbox: &[(Port, Self::Msg)]) -> SubAction {
+    fn receive(&mut self, lr: Round, _ctx: &mut NodeCtx, inbox: &dyn Inbox<Self::Msg>) -> Action {
         if Some(lr) == self.recv_round() {
-            for (_, m) in inbox {
+            for (_, m) in inbox.iter() {
                 if let OpsMsg::Payload(v) = m {
                     self.value = Some(v.clone());
                 }
@@ -92,7 +92,7 @@ impl<T: Clone + MessageSize> SubProtocol for LdtBroadcast<T> {
         if lr >= self.send_round() || (self.tree.children_ports.is_empty() && self.value.is_some())
         {
             self.finished = true;
-            return SubAction::Done;
+            return Action::Terminate;
         }
         let next = if self.value.is_none() {
             self.recv_round().expect("non-root without payload")
@@ -100,9 +100,9 @@ impl<T: Clone + MessageSize> SubProtocol for LdtBroadcast<T> {
             self.send_round()
         };
         if next > lr {
-            SubAction::SleepUntil(next)
+            Action::SleepUntil(next)
         } else {
-            SubAction::Done
+            Action::Terminate
         }
     }
 
@@ -198,20 +198,10 @@ impl LdtRanking {
         wakes
     }
 
-    /// First local round this node must be awake in (0 for a singleton
-    /// tree, which resolves immediately).
-    pub fn first_wake(&self) -> Round {
-        if self.tree.is_root() && self.tree.is_leaf() {
-            0
-        } else {
-            self.wakes().into_iter().min().expect("non-singleton trees have wake rounds")
-        }
-    }
-
-    fn plan(&self, lr: Round) -> SubAction {
+    fn plan(&self, lr: Round) -> Action {
         match self.wakes().into_iter().filter(|&w| w > lr).min() {
-            Some(w) => SubAction::SleepUntil(w),
-            None => SubAction::Done,
+            Some(w) => Action::SleepUntil(w),
+            None => Action::Terminate,
         }
     }
 }
@@ -246,16 +236,16 @@ impl SubProtocol for LdtRanking {
         }
     }
 
-    fn receive(&mut self, lr: Round, _ctx: &mut NodeCtx, inbox: &[(Port, Self::Msg)]) -> SubAction {
+    fn receive(&mut self, lr: Round, _ctx: &mut NodeCtx, inbox: &dyn Inbox<Self::Msg>) -> Action {
         let d = self.tree.depth;
         if lr == 0 && self.tree.is_root() && self.tree.is_leaf() {
             // Singleton tree: rank 1 of 1.
             self.result = Some(RankResult { rank: 1, total: 1 });
             self.finished = true;
-            return SubAction::Done;
+            return Action::Terminate;
         }
         if Some(lr) == self.wave.up_receive(d) {
-            for &(p, ref m) in inbox {
+            for (p, m) in inbox.iter() {
                 if let OpsMsg::SubtreeSize(s) = m {
                     self.child_sizes.push((p, *s));
                 }
@@ -266,14 +256,14 @@ impl SubProtocol for LdtRanking {
                 self.result = Some(RankResult { rank: self.my_rank(0), total });
             }
         } else if Some(lr) == self.wave.down_receive(d) {
-            for (_, m) in inbox {
+            for (_, m) in inbox.iter() {
                 if let OpsMsg::RankDown { offset, total } = m {
                     self.result = Some(RankResult { rank: self.my_rank(*offset), total: *total });
                 }
             }
         }
         let action = self.plan(lr);
-        if action == SubAction::Done {
+        if action == Action::Terminate {
             self.finished = true;
         }
         action
@@ -282,6 +272,15 @@ impl SubProtocol for LdtRanking {
     fn output(&self) -> RankResult {
         assert!(self.finished, "ranking output read before completion");
         self.result.expect("ranking did not reach this node")
+    }
+
+    /// 0 for a singleton tree, which resolves immediately.
+    fn first_wake(&self) -> Round {
+        if self.tree.is_root() && self.tree.is_leaf() {
+            0
+        } else {
+            self.wakes().into_iter().min().expect("non-singleton trees have wake rounds")
+        }
     }
 }
 

@@ -11,15 +11,13 @@ use ldt::verify::verify_fldt;
 use ldt::{ConstructMsg, LdtOutput, PortInfo, TreeState};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sleeping_congest::{
-    Action, NodeCtx, Outbox, Protocol, SimConfig, Simulator, SubAction, SubProtocol,
-};
+use sleeping_congest::{Action, NodeCtx, Outbox, Protocol, SimConfig, Simulator, Standalone};
 
 /// Runs the construction when participating, terminates at round 0
 /// otherwise.
 #[allow(clippy::large_enum_variant)]
 enum MaybeBuild {
-    Out(Construct, bool),
+    Out(Standalone<Construct>),
     Sleep,
 }
 
@@ -29,35 +27,21 @@ impl Protocol for MaybeBuild {
 
     fn send(&mut self, ctx: &mut NodeCtx) -> Outbox<ConstructMsg> {
         match self {
-            MaybeBuild::Out(c, _) => {
-                let r = ctx.round;
-                c.send(r, ctx)
-            }
+            MaybeBuild::Out(c) => c.send(ctx),
             MaybeBuild::Sleep => Outbox::Silent,
         }
     }
 
     fn receive(&mut self, ctx: &mut NodeCtx, inbox: &[(Port, ConstructMsg)]) -> Action {
         match self {
-            MaybeBuild::Out(c, done) => {
-                let r = ctx.round;
-                match c.receive(r, ctx, inbox) {
-                    SubAction::Continue => Action::Continue,
-                    SubAction::SleepUntil(t) => Action::SleepUntil(t),
-                    SubAction::Done => {
-                        *done = true;
-                        Action::Terminate
-                    }
-                }
-            }
+            MaybeBuild::Out(c) => c.receive(ctx, inbox),
             MaybeBuild::Sleep => Action::Terminate,
         }
     }
 
     fn output(&self) -> Option<LdtOutput> {
         match self {
-            MaybeBuild::Out(c, true) => Some(c.output()),
-            MaybeBuild::Out(_, false) => panic!("participant did not finish"),
+            MaybeBuild::Out(c) => Some(c.output()),
             MaybeBuild::Sleep => None,
         }
     }
@@ -86,7 +70,7 @@ fn run_subset(
         .map(|v| {
             if participants[v] {
                 let params = ConstructParams { my_id: ids[v], id_upper, k: n as u32 };
-                MaybeBuild::Out(Construct::new(params, strategy), false)
+                MaybeBuild::Out(Standalone::new(Construct::new(params, strategy)))
             } else {
                 MaybeBuild::Sleep
             }

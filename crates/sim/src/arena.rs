@@ -9,7 +9,7 @@
 //! [`TypeId`], so an object-safe runner trait can thread a single
 //! `&mut ScratchArena` through dynamic calls and each concrete runner
 //! recovers its typed scratch with [`ScratchArena::of`] (or, one level
-//! higher, [`Simulator::run_in`]).
+//! higher, [`Simulator::run_in`](crate::Simulator::run_in)).
 //!
 //! Reuse is exactly as safe as with a typed scratch: every run resets
 //! the scratch it draws, so results never depend on what ran before.

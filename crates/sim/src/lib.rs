@@ -87,7 +87,7 @@ pub use engine::{SimConfig, SimError, SimScratch, Simulator, SLEEP_FOREVER};
 pub use fault::FaultModel;
 pub use message::{bits_for_value, MessageSize};
 pub use metrics::{AwakeDistribution, Metrics, RunReport};
-pub use protocol::{Action, NodeCtx, Outbox, Protocol, Standalone, SubAction, SubProtocol};
+pub use protocol::{Action, Inbox, NodeCtx, Outbox, Protocol, Standalone, SubProtocol, Window};
 pub use trace::{JsonlSink, Profile, TraceEvent, TraceHandle, TracePhase, TraceSink};
 
 /// A round number. Round 0 is the first round; all nodes start awake in

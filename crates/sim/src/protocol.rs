@@ -1,5 +1,6 @@
-//! The node-program interface: [`Protocol`] for top-level algorithms and
-//! [`SubProtocol`] for composable building blocks.
+//! The node-program interface: [`Protocol`] for top-level algorithms,
+//! [`SubProtocol`] for composable building blocks, and the [`Window`] that
+//! runs a building block inside its parent.
 
 use crate::message::MessageSize;
 use crate::Round;
@@ -47,9 +48,20 @@ impl<M> Outbox<M> {
     pub fn is_silent(&self) -> bool {
         matches!(self, Outbox::Silent) || matches!(self, Outbox::Unicast(v) if v.is_empty())
     }
+
+    /// The same sends, each message passed through `f`.
+    pub fn map<N>(self, mut f: impl FnMut(M) -> N) -> Outbox<N> {
+        match self {
+            Outbox::Silent => Outbox::Silent,
+            Outbox::Broadcast(m) => Outbox::Broadcast(f(m)),
+            Outbox::Unicast(v) => Outbox::Unicast(v.into_iter().map(|(p, m)| (p, f(m))).collect()),
+        }
+    }
 }
 
-/// A node's decision at the end of an awake round.
+/// A node's decision at the end of an awake round, on the clock of the
+/// program that makes it: a [`Protocol`]'s rounds are global, a
+/// [`SubProtocol`]'s local (its [`Window`] translates them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Stay awake: participate in the next round too.
@@ -60,8 +72,9 @@ pub enum Action {
     /// it is never rescheduled, and if all other nodes terminate the run
     /// aborts with [`crate::SimError::Deadlock`].
     SleepUntil(Round),
-    /// Terminate the local algorithm. The node stops participating; its
-    /// output is collected at the end of the run.
+    /// Terminate the local algorithm. A protocol's node stops
+    /// participating and its output is collected at the end of the run; a
+    /// subprotocol's output may now be read.
     Terminate,
 }
 
@@ -106,23 +119,16 @@ pub trait Protocol {
     }
 }
 
-/// Outcome of a [`SubProtocol`] round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubAction {
-    /// Stay awake next (local) round.
-    Continue,
-    /// Sleep until the given *local* round.
-    SleepUntil(Round),
-    /// The subprotocol has finished; its output may now be read.
-    Done,
-}
-
-/// A composable building block that runs inside a window of a larger
+/// A composable building block that runs in a [`Window`] of a larger
 /// protocol (e.g. `LDT-Ranking` inside `LDT-MIS` inside `Awake-MIS`).
 ///
-/// A subprotocol sees a *local clock*: the parent starts it by waking the
-/// node at local round 0 and translates between local and global rounds.
-/// Message routing/wrapping is the parent's responsibility.
+/// A subprotocol sees a *local clock*. Its first call comes at a local
+/// round no later than [`first_wake`](SubProtocol::first_wake) (round 0
+/// when it runs [`Standalone`], the first wake itself when `LDT-MIS` starts
+/// its ranking and `VT-MIS` stages); calls before the first wake are idle.
+/// Later calls come exactly at the local rounds its [`Action`]s ask for.
+/// Only the LDT construction needs its first call at local round 0, for
+/// its hello round; it fails a later start.
 pub trait SubProtocol {
     /// Message type exchanged on edges while this subprotocol runs.
     type Msg: Clone + MessageSize;
@@ -132,14 +138,15 @@ pub trait SubProtocol {
     /// Compute-and-send step at local round `lr`.
     fn send(&mut self, lr: Round, ctx: &mut NodeCtx) -> Outbox<Self::Msg>;
 
-    /// Receive step at local round `lr`.
-    fn receive(&mut self, lr: Round, ctx: &mut NodeCtx, inbox: &[(Port, Self::Msg)]) -> SubAction;
+    /// Receive step at local round `lr`, over a view of the round's
+    /// messages of this subprotocol in increasing port order.
+    fn receive(&mut self, lr: Round, ctx: &mut NodeCtx, inbox: &dyn Inbox<Self::Msg>) -> Action;
 
     /// The subprotocol's result.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called before [`SubAction::Done`] was
+    /// Implementations may panic if called before [`Action::Terminate`] was
     /// returned.
     fn output(&self) -> Self::Output;
 
@@ -150,27 +157,133 @@ pub trait SubProtocol {
     fn aborted_output(&self) -> Self::Output {
         self.output()
     }
+
+    /// The first local round this node must be awake in. Defaults to 0.
+    fn first_wake(&self) -> Round {
+        0
+    }
 }
 
-/// Adapter running a [`SubProtocol`] as a standalone [`Protocol`]
-/// (local clock = global clock).
+/// A round's inbox as a [`SubProtocol`] sees it: a borrowed view of its
+/// parent's inbox, whose slot `i` holds the parent's `i`-th message if
+/// that message is an `M`. Read it with `iter`, which `dyn Inbox` has.
+pub trait Inbox<M> {
+    /// Number of slots: the length of the parent's inbox.
+    fn slots(&self) -> usize;
+    /// Slot `i`'s port and message, if the message is this view's.
+    fn slot(&self, i: usize) -> Option<(Port, &M)>;
+}
+
+impl<M> Inbox<M> for &[(Port, M)] {
+    fn slots(&self) -> usize {
+        <[_]>::len(self)
+    }
+
+    fn slot(&self, i: usize) -> Option<(Port, &M)> {
+        <[_]>::get(self, i).map(|(p, m)| (*p, m))
+    }
+}
+
+impl<M> dyn Inbox<M> + '_ {
+    /// The messages with their ports, in increasing port order.
+    pub fn iter(&self) -> impl Iterator<Item = (Port, &M)> + '_ {
+        (0..self.slots()).filter_map(move |i| self.slot(i))
+    }
+}
+
+/// The view a [`Window`] hands its child: the parent's inbox, each
+/// message projected to the child's type.
+struct Narrow<'a, P, C> {
+    parent: &'a dyn Inbox<P>,
+    project: fn(&P) -> Option<&C>,
+}
+
+impl<P, C> Inbox<C> for Narrow<'_, P, C> {
+    fn slots(&self) -> usize {
+        self.parent.slots()
+    }
+
+    fn slot(&self, i: usize) -> Option<(Port, &C)> {
+        let (port, m) = self.parent.slot(i)?;
+        (self.project)(m).map(|c| (port, c))
+    }
+}
+
+/// A [`SubProtocol`] running inside a parent protocol: the child's local
+/// round `lr` is the parent's round `start + lr`.
+///
+/// The window is all of a composition's plumbing. It shifts rounds both
+/// ways, lifts the child's sends into the parent's message type and hands
+/// the child the parent's inbox through a projection, without copying a
+/// message. The parent passes the lift and the projection with each call:
+/// a lift may capture state, and a window stays two fields wide.
+#[derive(Debug, Clone)]
+pub struct Window<S> {
+    child: S,
+    start: Round,
+}
+
+impl<S: SubProtocol> Window<S> {
+    /// Runs `child` from the parent's round `start` on.
+    pub fn new(child: S, start: Round) -> Self {
+        Window { child, start }
+    }
+
+    /// The child subprotocol.
+    pub fn child(&self) -> &S {
+        &self.child
+    }
+
+    /// The parent's round at the child's local round 0.
+    pub fn start(&self) -> Round {
+        self.start
+    }
+
+    /// The parent's round at the child's [`first_wake`](SubProtocol::first_wake).
+    pub fn first_wake(&self) -> Round {
+        self.start + self.child.first_wake()
+    }
+
+    /// The child's send step at the parent's round `r`, each message
+    /// lifted into the parent's type by `lift`.
+    pub fn send<M>(&mut self, r: Round, ctx: &mut NodeCtx, lift: impl FnMut(S::Msg) -> M) -> Outbox<M> {
+        self.child.send(r - self.start, ctx).map(lift)
+    }
+
+    /// The child's receive step at the parent's round `r`, over the
+    /// messages `project` picks out of the parent's inbox: its action on
+    /// the parent's clock.
+    pub fn receive<M>(
+        &mut self,
+        r: Round,
+        ctx: &mut NodeCtx,
+        inbox: &dyn Inbox<M>,
+        project: fn(&M) -> Option<&S::Msg>,
+    ) -> Action {
+        let view = Narrow { parent: inbox, project };
+        match self.child.receive(r - self.start, ctx, &view) {
+            Action::SleepUntil(lr) => Action::SleepUntil(self.start + lr),
+            action => action,
+        }
+    }
+}
+
+/// Adapter running a [`SubProtocol`] as a standalone [`Protocol`]: a
+/// [`Window`] at round 0, so the local clock is the global clock.
 ///
 /// Useful for testing and benchmarking building blocks in isolation.
 #[derive(Debug, Clone)]
-pub struct Standalone<S> {
-    inner: S,
-    done: bool,
-}
+pub struct Standalone<S>(Window<S>);
 
-impl<S> Standalone<S> {
+impl<S: SubProtocol> Standalone<S> {
     /// Wraps a subprotocol for standalone execution.
     pub fn new(inner: S) -> Self {
-        Standalone { inner, done: false }
+        Standalone(Window::new(inner, 0))
     }
 
     /// The wrapped subprotocol.
     pub fn inner(&self) -> &S {
-        &self.inner
+        self.0.child()
     }
 }
 
@@ -179,32 +292,19 @@ impl<S: SubProtocol> Protocol for Standalone<S> {
     type Output = S::Output;
 
     fn send(&mut self, ctx: &mut NodeCtx) -> Outbox<Self::Msg> {
-        let round = ctx.round;
-        self.inner.send(round, ctx)
+        self.0.send(ctx.round, ctx, |m| m)
     }
 
     fn receive(&mut self, ctx: &mut NodeCtx, inbox: &[(Port, Self::Msg)]) -> Action {
-        let round = ctx.round;
-        match self.inner.receive(round, ctx, inbox) {
-            SubAction::Continue => Action::Continue,
-            SubAction::SleepUntil(r) => Action::SleepUntil(r),
-            SubAction::Done => {
-                self.done = true;
-                Action::Terminate
-            }
-        }
+        self.0.receive(ctx.round, ctx, &inbox, |m| Some(m))
     }
 
+    /// The subprotocol's output, which panics before completion.
     fn output(&self) -> Self::Output {
-        assert!(self.done, "Standalone output read before completion");
-        self.inner.output()
+        self.inner().output()
     }
 
     fn aborted_output(&self) -> Self::Output {
-        if self.done {
-            self.inner.output()
-        } else {
-            self.inner.aborted_output()
-        }
+        self.inner().aborted_output()
     }
 }
